@@ -17,7 +17,7 @@ SmithWaterman::SmithWaterman(const SmithWatermanConfig& cfg,
       s_("S", layout_.allocated(rank), cfg.order),
       plan_(compile_fill()) {
   require(cfg.la >= 1 && cfg.lb >= 1, "sequences must be non-empty");
-  init();
+  fill_similarity();  // H is born zero
 }
 
 WavefrontPlan<2> SmithWaterman::compile_fill() {
@@ -41,6 +41,20 @@ int sw_symbol_b(std::uint64_t seed, int alphabet, Coord j) {
   return static_cast<int>(rng.next() % static_cast<std::uint64_t>(alphabet));
 }
 
+namespace {
+
+// sym(lo), ..., sym(hi): a sequence's symbols hashed once each, so the DP
+// loops look them up instead of hashing twice per cell.
+template <typename SymbolFn>
+std::vector<int> symbol_table(Coord lo, Coord hi, SymbolFn sym) {
+  std::vector<int> out;
+  out.reserve(static_cast<std::size_t>(hi - lo + 1));
+  for (Coord i = lo; i <= hi; ++i) out.push_back(sym(i));
+  return out;
+}
+
+}  // namespace
+
 int SmithWaterman::symbol_a(Coord i) const {
   return sw_symbol_a(cfg_.seed, cfg_.alphabet, i);
 }
@@ -49,15 +63,24 @@ int SmithWaterman::symbol_b(Coord j) const {
   return sw_symbol_b(cfg_.seed, cfg_.alphabet, j);
 }
 
-Real SmithWaterman::similarity(Coord i, Coord j) const {
-  return symbol_a(i) == symbol_b(j) ? cfg_.match : cfg_.mismatch;
-}
-
 void SmithWaterman::init() {
   h_.fill(0.0);  // includes the zero boundary row/column and fluff
+  fill_similarity();
+}
+
+void SmithWaterman::fill_similarity() {
+  const Region<2>& alloc = s_.region();
+  const Coord r0 = alloc.lo(0), c0 = alloc.lo(1);
+  const auto sa = symbol_table(r0, alloc.hi(0),
+                               [this](Coord i) { return symbol_a(i); });
+  const auto sb = symbol_table(c0, alloc.hi(1),
+                               [this](Coord j) { return symbol_b(j); });
   s_.fill_fn([&](const Idx<2>& i) {
     if (i.v[0] < 1 || i.v[1] < 1) return 0.0;
-    return similarity(i.v[0], i.v[1]);
+    return sa[static_cast<std::size_t>(i.v[0] - r0)] ==
+                   sb[static_cast<std::size_t>(i.v[1] - c0)]
+               ? cfg_.match
+               : cfg_.mismatch;
   });
 }
 
@@ -109,11 +132,17 @@ Real SmithWaterman::checksum(Communicator& comm) {
 Real SmithWaterman::reference_best_score() const {
   const std::size_t cols = static_cast<std::size_t>(cfg_.lb) + 1;
   std::vector<Real> prev(cols, 0.0), cur(cols, 0.0);
+  // Index 0 is unused: positions are 1-based.
+  const auto sb = symbol_table(0, cfg_.lb,
+                               [this](Coord j) { return symbol_b(j); });
   Real best = 0.0;
   for (Coord i = 1; i <= cfg_.la; ++i) {
+    const int ai = symbol_a(i);
     cur[0] = 0.0;
     for (Coord j = 1; j <= cfg_.lb; ++j) {
-      const Real diag = prev[static_cast<std::size_t>(j - 1)] + similarity(i, j);
+      const Real sim = ai == sb[static_cast<std::size_t>(j)] ? cfg_.match
+                                                             : cfg_.mismatch;
+      const Real diag = prev[static_cast<std::size_t>(j - 1)] + sim;
       const Real up = prev[static_cast<std::size_t>(j)] - cfg_.gap;
       const Real left = cur[static_cast<std::size_t>(j - 1)] - cfg_.gap;
       cur[static_cast<std::size_t>(j)] =
@@ -150,13 +179,7 @@ BandedSmithWaterman::BandedSmithWaterman(const BandedSwConfig& cfg,
   const Coord w = std::min<Coord>(owned_.extent(1) + 2, 2 * cfg.band + 3);
   prev_.assign(static_cast<std::size_t>(w), 0.0);
   cur_.assign(static_cast<std::size_t>(w), 0.0);
-}
-
-Real BandedSmithWaterman::similarity(Coord i, Coord j) const {
-  return sw_symbol_a(cfg_.seed, cfg_.alphabet, i) ==
-                 sw_symbol_b(cfg_.seed, cfg_.alphabet, j)
-             ? cfg_.match
-             : cfg_.mismatch;
+  sym_b_.assign(static_cast<std::size_t>(w), 0);
 }
 
 Real BandedSmithWaterman::fill(Communicator& comm) {
@@ -195,6 +218,10 @@ Real BandedSmithWaterman::fill(Communicator& comm) {
     }
   }
 
+  // sym_b_ rings sequence b's symbols like prev_/cur_ ring H: a column's
+  // symbol is hashed once, when the band first reaches it, and stays put
+  // while the column is in band (jlo and jhi only grow with i).
+  Coord sym_hi = ca - 1;  // the highest column whose symbol is in the ring
   Real best = 0.0;
   for (Coord i0 = ra; i0 <= rb; i0 += cfg_.block) {
     const Coord i1 = std::min(rb, i0 + cfg_.block - 1);
@@ -220,8 +247,14 @@ Real BandedSmithWaterman::fill(Communicator& comm) {
         // of band when the band's right edge just grew into jhi.
         if (jlo > ca) cur_[idx(jlo - 1)] = 0.0;
         if (jhi == i + k) prev_[idx(jhi)] = 0.0;
+        for (Coord j = std::max(sym_hi + 1, jlo); j <= jhi; ++j)
+          sym_b_[idx(j)] = sw_symbol_b(cfg_.seed, cfg_.alphabet, j);
+        sym_hi = std::max(sym_hi, jhi);
+        const int ai = sw_symbol_a(cfg_.seed, cfg_.alphabet, i);
         for (Coord j = jlo; j <= jhi; ++j) {
-          const Real diag = prev_[idx(j - 1)] + similarity(i, j);
+          const Real sim =
+              ai == sym_b_[idx(j)] ? cfg_.match : cfg_.mismatch;
+          const Real diag = prev_[idx(j - 1)] + sim;
           const Real up = prev_[idx(j)] - cfg_.gap;
           const Real left = cur_[idx(j - 1)] - cfg_.gap;
           const Real h = std::max({0.0, diag, up, left});
@@ -252,7 +285,7 @@ Real BandedSmithWaterman::fill(Communicator& comm) {
 }
 
 std::size_t BandedSmithWaterman::resident_elements() const {
-  return prev_.size() + cur_.size() + west_buf_.capacity() +
+  return prev_.size() + cur_.size() + sym_b_.size() + west_buf_.capacity() +
          east_buf_.capacity() + edge_buf_.capacity();
 }
 
@@ -260,15 +293,21 @@ Real BandedSmithWaterman::reference_best_score() const {
   const Coord n = cfg_.n, k = cfg_.band;
   std::vector<Real> prev(static_cast<std::size_t>(n) + 2, 0.0);
   std::vector<Real> cur(static_cast<std::size_t>(n) + 2, 0.0);
+  // Index 0 is unused: positions are 1-based.
+  const auto sb = symbol_table(0, n, [this](Coord j) {
+    return sw_symbol_b(cfg_.seed, cfg_.alphabet, j);
+  });
   Real best = 0.0;
   for (Coord i = 1; i <= n; ++i) {
     const Coord jlo = std::max<Coord>(1, i - k);
     const Coord jhi = std::min<Coord>(n, i + k);
+    const int ai = sw_symbol_a(cfg_.seed, cfg_.alphabet, i);
     cur[static_cast<std::size_t>(jlo - 1)] = 0.0;
     if (jhi == i + k) prev[static_cast<std::size_t>(jhi)] = 0.0;
     for (Coord j = jlo; j <= jhi; ++j) {
       const std::size_t sj = static_cast<std::size_t>(j);
-      const Real diag = prev[sj - 1] + similarity(i, j);
+      const Real sim = ai == sb[sj] ? cfg_.match : cfg_.mismatch;
+      const Real diag = prev[sj - 1] + sim;
       const Real up = prev[sj] - cfg_.gap;
       const Real left = cur[sj - 1] - cfg_.gap;
       const Real h = std::max({0.0, diag, up, left});

@@ -97,7 +97,8 @@ class SmithWaterman {
 
  private:
   WavefrontPlan<2> compile_fill();
-  Real similarity(Coord i, Coord j) const;
+  /// S from the sequences' symbols, hashed once per allocated row/column.
+  void fill_similarity();
 
   SmithWatermanConfig cfg_;
   ProcGrid<2> grid_;
@@ -163,7 +164,6 @@ class BandedSmithWaterman {
   const Region<2>& owned() const { return owned_; }
 
  private:
-  Real similarity(Coord i, Coord j) const;
   bool in_band(Coord i, Coord j) const {
     const Coord d = i - j;
     return (d < 0 ? -d : d) <= cfg_.band;
@@ -176,6 +176,7 @@ class BandedSmithWaterman {
   // Ring windows over column positions, j -> j mod W; sized
   // min(local cols + 2, 2*band + 3) so a row's live span always fits.
   std::vector<Real> prev_, cur_;
+  std::vector<int> sym_b_;  // sequence b's symbols, same ring indexing
   std::vector<Real> west_buf_, east_buf_, edge_buf_;
 };
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -79,17 +80,59 @@ class DenseArray {
 
   void fill(T v) { data_.assign(data_.size(), v); }
 
-  /// Fills from a function of the global index.
+  /// Fills from a function of the global index, in storage order. `fn`
+  /// must be a pure function of the index: the visiting order is the
+  /// memory order, not for_each's.
   template <typename Fn>
   void fill_fn(Fn&& fn) {
-    for_each(region_, [&](const Idx<R>& i) { (*this)(i) = fn(i); });
+    // The contiguous dimension as a constant keeps the index in registers.
+    auto fill = [&](auto c) {
+      for_each_pencil(region_, [&](Idx<R> i, Coord count) {
+        T* p = &(*this)(i);
+        for (Coord k = 0; k < count; ++k, ++i.v[c]) p[k] = fn(std::as_const(i));
+      });
+    };
+    if (order_ == StorageOrder::kRowMajor)
+      fill(std::integral_constant<Rank, R - 1>{});
+    else
+      fill(std::integral_constant<Rank, 0>{});
   }
 
   /// Copies the values of `src` on `where` (must be contained in both).
   void copy_from(const DenseArray& src, const Region<R>& where) {
     require(region_.contains(where) && src.region().contains(where),
             "copy_from region must be contained in both arrays");
-    for_each(where, [&](const Idx<R>& i) { (*this)(i) = src(i); });
+    const Coord ss = src.stride(contiguous_dim(order_, R));
+    for_each_pencil(where, [&](const Idx<R>& i, Coord count) {
+      T* d = &(*this)(i);
+      const T* s = &src(i);
+      for (Coord k = 0; k < count; ++k) d[k] = s[k * ss];
+    });
+  }
+
+  /// Calls `fn(start, count)` for every storage-order pencil of `where`
+  /// (contained in the array's region; empty is fine): the `count`
+  /// elements from global index `start` along the contiguous dimension,
+  /// adjacent in raw(). Pencils come in increasing memory order.
+  template <typename Fn>
+  void for_each_pencil(const Region<R>& where, Fn&& fn) const {
+    if (where.empty()) return;
+    const Coord count = where.extent(contiguous_dim(order_, R));
+    Idx<R> i = where.lo();
+    while (true) {
+      fn(std::as_const(i), count);
+      // Advance the outer dimensions, smallest stride first.
+      Rank level = 1;
+      for (; level < R; ++level) {
+        const Rank d = order_ == StorageOrder::kRowMajor ? R - 1 - level : level;
+        if (i.v[d] < where.hi(d)) {
+          ++i.v[d];
+          break;
+        }
+        i.v[d] = where.lo(d);
+      }
+      if (level == R) return;
+    }
   }
 
   std::vector<T>& raw() { return data_; }
@@ -127,10 +170,17 @@ class DenseArray {
 template <typename T, Rank R>
 T max_abs_difference(const DenseArray<T, R>& a, const DenseArray<T, R>& b) {
   require(a.region() == b.region(), "arrays must cover the same region");
+  // A max is exact in any order: walk a's storage order.
+  const Coord bs = b.stride(contiguous_dim(a.order(), R));
   T m = T{};
-  for_each(a.region(), [&](const Idx<R>& i) {
-    const T d = a(i) < b(i) ? b(i) - a(i) : a(i) - b(i);
-    if (d > m) m = d;
+  a.for_each_pencil(a.region(), [&](const Idx<R>& i, Coord count) {
+    const T* pa = &a(i);
+    const T* pb = &b(i);
+    for (Coord k = 0; k < count; ++k) {
+      const T x = pa[k], y = pb[k * bs];
+      const T d = x < y ? y - x : x - y;
+      if (d > m) m = d;
+    }
   });
   return m;
 }

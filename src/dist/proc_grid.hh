@@ -61,8 +61,8 @@ class ProcGrid {
     std::array<int, R> dims;
     dims.fill(1);
     for (std::size_t i = 0; i < distributed.size(); ++i) {
-      const Rank d = distributed[i];
-      if (d < 0 || d >= R)
+      const Rank d = distributed[i];  // unsigned: a negative wraps high
+      if (d >= R)
         throw ConfigError("ProcGrid::factored: dimension " +
                           std::to_string(d) + " is outside a rank-" +
                           std::to_string(R) + " grid");

@@ -83,19 +83,24 @@ void apply_distributed_all(const Region<R>& region,
 }
 
 /// Global max |a(i)| over each rank's portion of `region`. Collective.
+/// A max is exact in any order, so the local part walks a's storage order.
 template <Rank R>
 Real global_max_abs(const DenseArray<Real, R>& a, const Region<R>& region,
                     const Layout<R>& layout, Communicator& comm) {
   const Region<R> local = region.intersect(layout.owned(comm.rank()));
   Real m = 0;
-  for_each(local, [&](const Idx<R>& i) {
-    const Real v = a(i) < 0 ? -a(i) : a(i);
-    if (v > m) m = v;
+  a.for_each_pencil(local, [&](const Idx<R>& i, Coord count) {
+    const Real* p = &a(i);
+    for (Coord k = 0; k < count; ++k) {
+      const Real v = p[k] < 0 ? -p[k] : p[k];
+      if (v > m) m = v;
+    }
   });
   return comm.allreduce_max(m);
 }
 
-/// Global sum of a(i) over `region`. Collective.
+/// Global sum of a(i) over `region`. Collective. Keeps for_each's element
+/// order: reordering a floating-point sum would change its value.
 template <Rank R>
 Real global_sum(const DenseArray<Real, R>& a, const Region<R>& region,
                 const Layout<R>& layout, Communicator& comm) {

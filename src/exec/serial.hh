@@ -3,6 +3,8 @@
 // single statements for the non-wavefront phases of programs.
 #pragma once
 
+#include <algorithm>
+
 #include "lang/scan_block.hh"
 
 namespace wavepipe {
@@ -125,34 +127,27 @@ void apply_statement(const Region<E::rank>& region,
     for (Rank d = 0; d < R; ++d) ls.step[d] = +1;
   }
 
-  DenseArray<Real, R>* lhs = spec.lhs;
-  const E& expr = spec.expr;
   if (!needs_temp) {
     iterate_pencils(region, ls,
                     [&](Idx<R> i, Rank inner, Coord step, Coord count) {
-                      for (Coord k = 0; k < count; ++k) {
-                        (*lhs)(i) = expr.eval(i);
-                        i.v[inner] += step;
-                      }
+                      run_pencil(count, spec.cursor(i, inner, step));
                     });
     return;
   }
   std::vector<Real> tmp(static_cast<std::size_t>(region.size()));
-  std::size_t pos = 0;
+  Real* pos = tmp.data();
   iterate_pencils(region, ls,
                   [&](Idx<R> i, Rank inner, Coord step, Coord count) {
-                    for (Coord k = 0; k < count; ++k) {
-                      tmp[pos++] = expr.eval(i);
-                      i.v[inner] += step;
-                    }
+                    const auto rhs = spec.expr.cursor(i, inner, step);
+                    for (Coord k = 0; k < count; ++k) pos[k] = rhs(k);
+                    pos += count;
                   });
-  pos = 0;
+  pos = tmp.data();
   iterate_pencils(region, ls,
-                  [&](Idx<R> i, Rank inner, Coord step, Coord count) {
-                    for (Coord k = 0; k < count; ++k) {
-                      (*lhs)(i) = tmp[pos++];
-                      i.v[inner] += step;
-                    }
+                  [&](Idx<R> i, Rank, Coord, Coord count) {
+                    // Storage order: every pencil is contiguous in the lhs.
+                    std::copy_n(pos, count, &(*spec.lhs)(i));
+                    pos += count;
                   });
 }
 

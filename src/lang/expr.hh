@@ -13,6 +13,16 @@
 // unshifted references. Expressions record every access's (array,
 // direction, primed) triple, from which scan blocks derive wavefront
 // summary vectors, legality, and loop structure.
+//
+// Every node evaluates two ways. eval(i) computes one index from scratch
+// (the reference semantics). cursor(start, inner, step) binds the node to a
+// pencil — the run start, start + step*e_inner, ... — once, and returns a
+// callable c with c(k) == eval(start + k*step*e_inner): array leaves turn
+// into a base pointer and a fixed element stride, so an executor's inner
+// loop is plain strided loads and the node's arithmetic, with no index
+// arithmetic. Cursors read through the array on every call (nothing is
+// cached), so a primed read of the left-hand side sees what the previous
+// iteration of the same pencil stored.
 #pragma once
 
 #include <cmath>
@@ -47,6 +57,12 @@ class ArrayRef {
 
   Real eval(const Idx<R>& i) const { return (*a_)(i + dir_); }
 
+  auto cursor(const Idx<R>& start, Rank inner, Coord step) const {
+    const Real* p = &(*a_)(start + dir_);
+    const Coord s = a_->stride(inner) * step;
+    return [p, s](Coord k) { return p[k * s]; };
+  }
+
   void collect(std::vector<Access<R>>& out) const {
     out.push_back(Access<R>{a_, dir_, primed_});
   }
@@ -64,6 +80,9 @@ class ScalarExpr {
   static constexpr Rank rank = R;
   explicit ScalarExpr(Real v) : v_(v) {}
   Real eval(const Idx<R>&) const { return v_; }
+  auto cursor(const Idx<R>&, Rank, Coord) const {
+    return [v = v_](Coord) { return v; };
+  }
   void collect(std::vector<Access<R>>&) const {}
 
  private:
@@ -150,6 +169,13 @@ class BinExpr {
 
   Real eval(const Idx<rank>& i) const { return Op::apply(l_.eval(i), r_.eval(i)); }
 
+  auto cursor(const Idx<rank>& start, Rank inner, Coord step) const {
+    return [l = l_.cursor(start, inner, step),
+            r = r_.cursor(start, inner, step)](Coord k) {
+      return Op::apply(l(k), r(k));
+    };
+  }
+
   void collect(std::vector<Access<rank>>& out) const {
     l_.collect(out);
     r_.collect(out);
@@ -168,6 +194,12 @@ class UnExpr {
   explicit UnExpr(E e) : e_(std::move(e)) {}
 
   Real eval(const Idx<rank>& i) const { return Op::apply(e_.eval(i)); }
+
+  auto cursor(const Idx<rank>& start, Rank inner, Coord step) const {
+    return [e = e_.cursor(start, inner, step)](Coord k) {
+      return Op::apply(e(k));
+    };
+  }
 
   void collect(std::vector<Access<rank>>& out) const { e_.collect(out); }
 
@@ -267,6 +299,13 @@ class SelectExpr {
 
   Real eval(const Idx<rank>& i) const {
     return c_.eval(i) > 0.0 ? l_.eval(i) : r_.eval(i);
+  }
+
+  auto cursor(const Idx<rank>& start, Rank inner, Coord step) const {
+    return [c = c_.cursor(start, inner, step), l = l_.cursor(start, inner, step),
+            r = r_.cursor(start, inner, step)](Coord k) {
+      return c(k) > 0.0 ? l(k) : r(k);
+    };
   }
 
   void collect(std::vector<Access<rank>>& out) const {

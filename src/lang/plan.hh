@@ -48,9 +48,10 @@ struct WavefrontPlan {
   std::vector<Statement<R>> statements;
 
   /// Optional fast path built by the variadic scan(...) builder: evaluates
-  /// *all* statements, interleaved per index, along a pencil. This is the
-  /// fused single-loop-nest code the paper's compiler generates; executors
-  /// fall back to per-index Statement::eval_at calls when absent.
+  /// *all* statements, interleaved per index, along a pencil through
+  /// expression cursors. This is the fused single-loop-nest code the
+  /// paper's compiler generates; executors fall back to per-index
+  /// Statement::eval_at calls when absent (blocks built with add()).
   std::function<void(Idx<R> start, Rank inner, Coord step, Coord count)>
       fused_pencil;
 

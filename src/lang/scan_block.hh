@@ -46,7 +46,7 @@ class ScanBlock {
     return add(to_statement(spec));
   }
 
-  /// Installs the fused per-index evaluator (set by the scan(...) builder).
+  /// Installs the fused pencil evaluator (set by the scan(...) builder).
   void set_fused_pencil(
       std::function<void(Idx<R>, Rank, Coord, Coord)> fused) {
     fused_pencil_ = std::move(fused);
@@ -190,42 +190,37 @@ class ScanBlock {
   std::function<void(Idx<R>, Rank, Coord, Coord)> fused_pencil_;
 };
 
+/// Adds typed statement specs to `sb` and installs the fused pencil: every
+/// statement bound to the pencil once, then evaluated interleaved per
+/// element in program order.
+template <Rank R, typename... Es>
+ScanBlock<R> with_fused_pencil(ScanBlock<R> sb,
+                               const StatementSpec<Es>&... specs) {
+  static_assert(sizeof...(Es) > 0, "scan() needs at least one statement");
+  static_assert(((Es::rank == R) && ...), "statement ranks must match");
+  (sb.add(specs), ...);
+  sb.set_fused_pencil(
+      [specs...](Idx<R> i, Rank inner, Coord step, Coord count) {
+        run_pencil(count, specs.cursor(i, inner, step)...);
+      });
+  return sb;
+}
+
 /// Builds a scan block from typed statement specs and installs the fused
-/// per-index evaluator — the preferred way to write a block:
+/// pencil — the preferred way to write a block:
 ///
 ///   auto sb = scan(Rn, r <<= aa * prime(d, north),
 ///                      d <<= 1.0 / (dd - at(aa, north) * r));
 template <Rank R, typename... Es>
 ScanBlock<R> scan(const Region<R>& region, const StatementSpec<Es>&... specs) {
-  static_assert(sizeof...(Es) > 0, "scan() needs at least one statement");
-  static_assert(((Es::rank == R) && ...), "statement ranks must match");
-  ScanBlock<R> sb(region);
-  (sb.add(specs), ...);
-  sb.set_fused_pencil(
-      [specs...](Idx<R> i, Rank inner, Coord step, Coord count) {
-        for (Coord k = 0; k < count; ++k) {
-          (((*specs.lhs)(i) = specs.expr.eval(i)), ...);
-          i.v[inner] += step;
-        }
-      });
-  return sb;
+  return with_fused_pencil(ScanBlock<R>(region), specs...);
 }
 
 /// scan() with an explicit wavefront-dimension choice policy.
 template <Rank R, typename... Es>
 ScanBlock<R> scan_with_choice(const Region<R>& region, WavefrontChoice choice,
                               const StatementSpec<Es>&... specs) {
-  static_assert(sizeof...(Es) > 0, "scan() needs at least one statement");
-  ScanBlock<R> sb(region, choice);
-  (sb.add(specs), ...);
-  sb.set_fused_pencil(
-      [specs...](Idx<R> i, Rank inner, Coord step, Coord count) {
-        for (Coord k = 0; k < count; ++k) {
-          (((*specs.lhs)(i) = specs.expr.eval(i)), ...);
-          i.v[inner] += step;
-        }
-      });
-  return sb;
+  return with_fused_pencil(ScanBlock<R>(region, choice), specs...);
 }
 
 /// Convenience for the tests and the programmer-reasoning examples of the

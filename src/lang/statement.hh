@@ -12,7 +12,8 @@
 //
 // The typed specs additionally let the variadic scan(...) builder compile a
 // *fused* pencil that interleaves all statements per index at native speed
-// — the single-loop-nest code the paper's compiler generates.
+// — the single-loop-nest code the paper's compiler generates. Both pencil
+// evaluators and the fused pencil run on expression cursors (expr.hh).
 #pragma once
 
 #include <functional>
@@ -29,7 +30,25 @@ struct StatementSpec {
   static constexpr Rank rank = E::rank;
   DenseArray<Real, E::rank>* lhs;
   E expr;
+
+  /// Binds the statement to a pencil (see the cursors of expr.hh): the
+  /// returned callable assigns element k of the pencil, lhs(start +
+  /// k*step*e_inner) = expr there.
+  auto cursor(const Idx<rank>& start, Rank inner, Coord step) const {
+    Real* out = &(*lhs)(start);
+    const Coord s = lhs->stride(inner) * step;
+    return [out, s, rhs = expr.cursor(start, inner, step)](Coord k) {
+      out[k * s] = rhs(k);
+    };
+  }
 };
+
+/// Runs bound statement cursors over a pencil of `count` elements,
+/// interleaved per element in the order given.
+template <typename... Cs>
+void run_pencil(Coord count, const Cs&... cs) {
+  for (Coord k = 0; k < count; ++k) (cs(k), ...);
+}
 
 /// Builds a StatementSpec from `lhs <<= rhs_expression`. The operator is
 /// chosen for its low precedence: `a <<= b + c * at(d, north)` parses the
@@ -82,19 +101,14 @@ Statement<E::rank> to_statement(const StatementSpec<E>& spec) {
 
   st.eval_at = [lp, expr](const Idx<R>& i) { (*lp)(i) = expr.eval(i); };
 
-  st.eval_pencil = [lp, expr](Idx<R> i, Rank inner, Coord step, Coord count) {
-    for (Coord k = 0; k < count; ++k) {
-      (*lp)(i) = expr.eval(i);
-      i.v[inner] += step;
-    }
+  st.eval_pencil = [spec](Idx<R> i, Rank inner, Coord step, Coord count) {
+    run_pencil(count, spec.cursor(i, inner, step));
   };
 
   st.rhs_pencil = [expr](Idx<R> i, Rank inner, Coord step, Coord count,
                          Real* out) {
-    for (Coord k = 0; k < count; ++k) {
-      out[k] = expr.eval(i);
-      i.v[inner] += step;
-    }
+    const auto rhs = expr.cursor(i, inner, step);
+    for (Coord k = 0; k < count; ++k) out[k] = rhs(k);
   };
 
   return st;
