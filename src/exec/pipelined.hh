@@ -6,26 +6,33 @@
 //      anti-dependences across processor boundaries — payloads are
 //      snapshots, so ordering with downstream computation is immaterial);
 //   2. if the plan has a wavefront along a distributed dimension w and any
-//      primed-read (wave) arrays, computation proceeds in tiles of `block`
-//      columns along a chosen non-w dimension: receive the predecessor's
-//      face segment, compute the tile, send the successor its face segment.
-//      block = local extent gives the naive schedule: one receive, compute
-//      everything, one send — no parallelism along w. Smaller blocks
-//      pipeline the wave at the cost of more messages (the paper's §4
-//      tradeoff);
+//      primed-read (wave) arrays, the local block is walked as an mi x mj
+//      tile grid (detail::WaveGrid): mj tiles of `block` columns along a
+//      chosen non-w tile dimension, and — on a 2D processor-grid frontier
+//      (the paper's Fig 4 mesh, DESIGN.md §15) — mi rows of `block_w`
+//      along w. A rank line is the one-row case: mi = 1 and no west or
+//      east neighbour. Each tile receives its predecessors' face
+//      segments, computes, and sends its successors theirs. block = local
+//      extent gives the naive schedule: one receive, compute everything,
+//      one send — no parallelism along w. Smaller blocks pipeline the wave
+//      at the cost of more messages (the paper's §4 tradeoff);
 //   3. otherwise the local portion is computed outright (fully parallel).
 //
 // All wave arrays' face segments for one tile travel as a single bundled
 // message, so the per-message cost matches the paper's alpha + beta*b model.
 //
-// The tile loop is double-buffered over persistent pack/unpack buffers:
-// tile j+1's inflow irecv is posted as soon as tile j's inflow is
-// unpacked, and tile j's outflow goes out via isend. With
-// WaveOptions::overlap the send's completion is settled one tile later —
-// the send engine drains while the next tile computes — which is the
-// paper's communication/computation overlap; without it every send is
-// waited immediately, reproducing the blocking schedule's virtual times
-// exactly. Either way the computed data is bit-identical.
+// The same WaveGrid, and its one tile body, also backs the task
+// scheduler's lowering (sched/lower.hh), so a lowered graph computes the
+// same tiles from byte-identical payloads.
+//
+// The blocking tile loop is double-buffered over persistent pack/unpack
+// buffers: a stream's next inflow irecv is posted as soon as the current
+// one has arrived, and each outflow goes out via isend. With
+// WaveOptions::overlap the send's completion is settled when its buffer
+// comes round again — the send engine drains while the next tiles compute
+// — which is the paper's communication/computation overlap; without it
+// every send is waited immediately, reproducing the blocking schedule's
+// virtual times exactly. Either way the computed data is bit-identical.
 #pragma once
 
 #include <array>
@@ -101,16 +108,15 @@ struct WaveTiling {
   Rank tdim = 0;
   int tsign = +1;
 
-  /// Frontier axes. 1 is the classic rank-line pipeline. 2 means a second
-  /// (pipeline-role) dimension w2 is distributed too: the rank sits on a 2D
-  /// processor-grid frontier, its local block decomposes into a tile grid
-  /// (block_w rows along w x block columns along w2 == tdim), and each tile
-  /// consumes north (axis 0, from pred) and west (axis 1, from pred2)
-  /// inflow faces and emits south (to succ) and east (to succ2) outflow
-  /// faces. Tiles run row-major in travel order.
+  /// Frontier axes. 1 is the classic rank-line pipeline: a tile grid of
+  /// one row, with faces only along w. 2 means the tile dimension (a
+  /// pipeline-role dimension, travelling in tsign) is distributed too: the
+  /// rank sits on a 2D processor-grid frontier, its local block decomposes
+  /// into a tile grid (block_w rows along w x block columns along tdim),
+  /// and each tile consumes north (axis 0, from pred) and west (axis 1,
+  /// from pred2) inflow faces and emits south (to succ) and east (to
+  /// succ2) outflow faces. Rows and columns are numbered in travel order.
   int axes = 1;
-  Rank w2 = 0;
-  int travel2 = +1;
   int pred2 = -1;
   int succ2 = -1;
   /// Whether splitting the w axis into multiple sequentially executed tile
@@ -119,20 +125,19 @@ struct WaveTiling {
   bool w_tilable = true;
   /// Same for the tile dimension; 1D mode guarantees it by construction
   /// (the tdim search only picks legal dims), 2D mode has no choice of
-  /// tdim (faces flow along w2) and falls back to one column tile instead.
+  /// tdim (faces flow along it) and falls back to one column tile instead.
   bool t_tilable = true;
 
   /// Local extent along the tile dimension (1 when untiled).
   Coord extent() const { return tdim == w ? 1 : local.extent(tdim); }
 
-  /// Local extent along the wavefront dimension (tiled only when axes==2).
-  Coord wextent() const { return axes == 2 ? local.extent(w) : 1; }
-
   /// The effective tile-row height for a requested block_w (<= 0: whole
-  /// extent — one tile row).
+  /// extent — one tile row). 0 on a rank line, whose one tile row spans
+  /// the whole local extent along w.
   Coord clamp_block_w(Coord block_w) const {
-    const Coord e = std::max<Coord>(wextent(), 1);
-    if (axes != 2 || !w_tilable || block_w <= 0) return e;
+    if (axes != 2) return 0;
+    const Coord e = std::max<Coord>(local.extent(w), 1);
+    if (!w_tilable || block_w <= 0) return e;
     return std::min<Coord>(block_w, e);
   }
 
@@ -140,11 +145,12 @@ struct WaveTiling {
   Coord wtiles(Coord block_w) const {
     if (axes != 2) return 1;
     const Coord b = clamp_block_w(block_w);
-    return (wextent() + b - 1) / b;
+    return (local.extent(w) + b - 1) / b;
   }
 
   /// The u-th tile row's coordinate range along w, in travel order.
   std::pair<Coord, Coord> wtile_range(Coord block_w, Coord u) const {
+    if (axes != 2) return {local.lo(w), local.hi(w)};
     const Coord b = clamp_block_w(block_w);
     if (travel > 0) {
       const Coord a = local.lo(w) + u * b;
@@ -154,7 +160,7 @@ struct WaveTiling {
     return {std::max(local.lo(w), z - b + 1), z};
   }
 
-  /// The (u, v) tile of the 2D tile grid.
+  /// The (u, v) tile of the tile grid; tile(block, v) on a rank line.
   Region<R> tile2(Coord block_w, Coord block, Coord u, Coord v) const {
     const auto [ra, rb] = wtile_range(block_w, u);
     return tile(block, v).with_dim(w, ra, rb);
@@ -259,19 +265,17 @@ WaveTiling<R> wave_tiling(const WavefrontPlan<R>& plan, const Layout<R>& layout,
 
   if (w2 >= 0) {
     // 2D frontier: the tile dimension is forced to w2 (faces flow along
-    // both frontier axes), tiles traverse row-major in travel order, and
-    // either axis whose sequential tile order would break an
-    // execute-before vector falls back to a single tile along that axis.
+    // both frontier axes), tiles traverse in travel order, and either axis
+    // whose sequential tile order would break an execute-before vector
+    // falls back to a single tile along that axis.
     check_chain(static_cast<Rank>(w2));
     t.axes = 2;
-    t.w2 = static_cast<Rank>(w2);
-    t.travel2 = plan.wsv[t.w2] == WComp::kMinus ? +1 : -1;
-    t.pred2 = grid.neighbor(rank, t.w2, -t.travel2);
-    t.succ2 = grid.neighbor(rank, t.w2, +t.travel2);
-    t.tdim = t.w2;
-    t.tsign = t.travel2;
+    t.tdim = static_cast<Rank>(w2);
+    t.tsign = plan.wsv[t.tdim] == WComp::kMinus ? +1 : -1;
+    t.pred2 = grid.neighbor(rank, t.tdim, -t.tsign);
+    t.succ2 = grid.neighbor(rank, t.tdim, +t.tsign);
     t.w_tilable = tiling_legal(t.w, t.travel);
-    t.t_tilable = tiling_legal(t.w2, t.travel2);
+    t.t_tilable = tiling_legal(t.tdim, t.tsign);
     return t;
   }
 
@@ -310,42 +314,23 @@ WaveTiling<R> wave_tiling(const WavefrontPlan<R>& plan, const Layout<R>& layout,
 
 namespace detail {
 
-/// The face of `local` that flows between w-neighbours for array use `u`:
-/// `inflow` selects the side facing the predecessor (receive side) versus
-/// the side facing the successor (send side); the t-range restricts the
-/// tile segment.
+/// One frontier face of `local` along axis `fd` (travel `tv`, face depth
+/// `depth` — the array's primed halo along fd; an empty region when 0): the
+/// slab just outside (inflow) or just inside (outflow) the local block,
+/// restricted to [oa..ob] along the other axis `od` (travel `otv`) and
+/// *extended* by `ext` toward the predecessor along od, clamped to the scan
+/// region [olo..ohi]. The extension is the corner relay: a west face
+/// carries the already-relayed rows above the tile that the receiver's
+/// diagonal (north-west) primed reads need — the sender has them coherent
+/// because its own north inflow is unpacked before any east face is
+/// packed, and rows outside the scan region are never written, so the
+/// clamp drops exactly the rows the pre-exchange already made coherent.
+/// When od == fd there is no other axis (a rank-1 relay) and the face is
+/// left unrestricted.
 template <Rank R>
-Region<R> wave_face(const Region<R>& local, const ArrayUse<R>& u, Rank w,
-                    int travel, bool inflow, Rank tdim, Coord t_lo,
-                    Coord t_hi) {
-  Region<R> f = local;
-  if (inflow) {
-    f = travel > 0 ? f.with_dim(w, local.lo(w) - u.wave_depth, local.lo(w) - 1)
-                   : f.with_dim(w, local.hi(w) + 1, local.hi(w) + u.wave_depth);
-  } else {
-    f = travel > 0 ? f.with_dim(w, local.hi(w) - u.wave_depth + 1, local.hi(w))
-                   : f.with_dim(w, local.lo(w), local.lo(w) + u.wave_depth - 1);
-  }
-  if (tdim != w) f = f.with_dim(tdim, t_lo, t_hi);
-  return f;
-}
-
-/// A 2D-frontier face of `local` along frontier axis `fd` (travel `tv`,
-/// face depth `depth` — the array's primed halo along fd; an empty region
-/// when 0): the slab just outside (inflow) or just inside (outflow) the
-/// local block, restricted to [oa..ob] along the other frontier axis `od`
-/// (travel `otv`) and *extended* by `ext` toward the predecessor along od,
-/// clamped to the scan region [olo..ohi]. The extension is the corner
-/// relay: a west face carries the already-relayed rows above the tile that
-/// the receiver's diagonal (north-west) primed reads need — the sender has
-/// them coherent because its own north inflow is unpacked before any east
-/// face is packed, and rows outside the scan region are never written, so
-/// the clamp drops exactly the rows the pre-exchange already made
-/// coherent.
-template <Rank R>
-Region<R> wave_face2(const Region<R>& local, Coord depth, Rank fd, int tv,
-                     bool inflow, Rank od, int otv, Coord oa, Coord ob,
-                     Coord ext, Coord olo, Coord ohi) {
+Region<R> wave_face(const Region<R>& local, Coord depth, Rank fd, int tv,
+                    bool inflow, Rank od, int otv, Coord oa, Coord ob,
+                    Coord ext, Coord olo, Coord ohi) {
   Region<R> f = local;
   if (inflow) {
     f = tv > 0 ? f.with_dim(fd, local.lo(fd) - depth, local.lo(fd) - 1)
@@ -354,180 +339,227 @@ Region<R> wave_face2(const Region<R>& local, Coord depth, Rank fd, int tv,
     f = tv > 0 ? f.with_dim(fd, local.hi(fd) - depth + 1, local.hi(fd))
                : f.with_dim(fd, local.lo(fd), local.lo(fd) + depth - 1);
   }
-  f = otv > 0 ? f.with_dim(od, std::max(oa - ext, olo), ob)
-              : f.with_dim(od, oa, std::min(ob + ext, ohi));
-  return f;
+  if (od == fd) return f;
+  return otv > 0 ? f.with_dim(od, std::max(oa - ext, olo), ob)
+                 : f.with_dim(od, oa, std::min(ob + ext, ohi));
 }
 
-/// The bundled 2D-frontier faces for all wave arrays of `plan`, for the
-/// tile row/column range along the *other* axis. `axis` 0 is the wavefront
-/// dimension (north/south faces), 1 the second frontier axis (west/east
-/// faces, carrying the corner extension along w). Shared by run_wavefront
-/// and the scheduler's lowering so payload layout is bit-identical.
+/// One rank's tile grid for a waved plan: mi x mj tiles, mi rows along the
+/// wavefront dimension w and mj columns along the tile dimension. A rank
+/// line is the one-row case (mi = 1, no west or east neighbour). Tile
+/// (u, v) consumes a face along axis 0 (north, from pred) when u == 0 and
+/// along axis 1 (west, from pred2) when v == 0, and emits the mirrored
+/// south/east faces on the last row/column. Each face message bundles
+/// every wave array's face for one tile column (axis 0) or row (axis 1),
+/// so the per-message cost matches the paper's alpha + beta*b model.
+///
+/// run_wavefront's blocking loop and lower_wavefront's tasks both run
+/// every tile through run_tile, so the two executors compute identical
+/// tiles from byte-identical payloads, and both sides of every face derive
+/// the same region list from the plan: payload layout never needs
+/// negotiation.
 template <Rank R>
-std::vector<Region<R>> wave_faces_2d(const WavefrontPlan<R>& plan,
-                                     const WaveTiling<R>& t, int axis,
-                                     bool inflow, Coord oa, Coord ob) {
-  std::vector<Region<R>> fs;
-  const auto uses = plan.wave_arrays();
-  fs.reserve(uses.size());
-  for (const auto& u : uses) {
-    if (axis == 0) {
-      fs.push_back(wave_face2(t.local, u.prime_halo.v[t.w], t.w, t.travel,
-                              inflow, t.w2, t.travel2, oa, ob, /*ext=*/0,
-                              plan.region.lo(t.w2), plan.region.hi(t.w2)));
-    } else {
-      fs.push_back(wave_face2(t.local, u.prime_halo.v[t.w2], t.w2, t.travel2,
-                              inflow, t.w, t.travel, oa, ob,
-                              /*ext=*/u.prime_halo.v[t.w],
-                              plan.region.lo(t.w), plan.region.hi(t.w)));
-    }
+struct WaveGrid {
+  const WavefrontPlan<R>* plan;
+  WaveTiling<R> t;
+  std::vector<ArrayUse<R>> uses;  // plan->wave_arrays(), in payload order
+  Coord bw, bj;                   // effective block_w and block
+  Coord mi, mj;                   // tile rows and columns
+  int tag0;                       // axis-0 face tag; axis 1 uses tag0 + 1
+
+  /// `tag_base` is the start of the instance's wavefront_tag_span window:
+  /// the face tags sit just past the ghost pre-exchange's 2R tags.
+  WaveGrid(const WavefrontPlan<R>& p, const WaveTiling<R>& tiling,
+           Coord block, Coord block_w, int tag_base)
+      : plan(&p),
+        t(tiling),
+        uses(p.wave_arrays()),
+        bw(tiling.clamp_block_w(block_w)),
+        bj(tiling.clamp_block(block)),
+        mi(tiling.wtiles(block_w)),
+        mj(tiling.tiles(block)),
+        tag0(tag_base + 2 * static_cast<int>(R)) {}
+
+  int tag(int axis) const { return tag0 + axis; }
+
+  /// The tile's index along the stream of faces on `axis`: its column for
+  /// axis 0, its row for axis 1.
+  static Coord along(int axis, Coord u, Coord v) { return axis == 0 ? v : u; }
+
+  /// Peer the tile receives from / sends to along `axis`; -1 when none.
+  int inflow_peer(int axis, Coord u, Coord v) const {
+    if (axis == 0) return u == 0 ? t.pred : -1;
+    return v == 0 ? t.pred2 : -1;
   }
-  return fs;
-}
+  int outflow_peer(int axis, Coord u, Coord v) const {
+    if (axis == 0) return u == mi - 1 ? t.succ : -1;
+    return v == mj - 1 ? t.succ2 : -1;
+  }
 
-/// The 2D-frontier tile loop: an mi x mj tile grid traversed row-major in
-/// travel order. North inflow faces (from pred, axis-0 tag) arrive one per
-/// column tile of the first tile row; west inflow faces (from pred2,
-/// axis-1 tag) one per tile row at its first column; south/east outflows
-/// mirror them. Both streams are double-buffered exactly like the 1D
-/// schedule, and both sides of every face compute the identical region
-/// list from the plan, so payload layout never needs negotiation.
-template <Rank R>
-WaveReport<R> run_wavefront_2d(const WavefrontPlan<R>& plan,
-                               const WaveTiling<R>& t, Communicator& comm,
-                               const WaveOptions& opts, WaveReport<R> rep) {
-  const auto wave_uses = plan.wave_arrays();
-  const Coord bw = t.clamp_block_w(opts.block_w);
-  const Coord bj = t.clamp_block(opts.block);
-  const Coord mi = t.wtiles(opts.block_w);
-  const Coord mj = t.tiles(opts.block);
-  const int tag_n = opts.tag_base + 2 * static_cast<int>(R);  // axis 0
-  const int tag_w = tag_n + 1;                                // axis 1
+  Region<R> tile(Coord u, Coord v) const { return t.tile2(bw, bj, u, v); }
 
-  auto faces_n = [&](Coord v, bool inflow) {
-    const auto [ca, cb] = t.tile_range(bj, v);
-    return wave_faces_2d(plan, t, 0, inflow, ca, cb);
-  };
-  auto faces_w = [&](Coord u, bool inflow) {
-    const auto [ra, rb] = t.wtile_range(bw, u);
-    return wave_faces_2d(plan, t, 1, inflow, ra, rb);
-  };
-  auto total_of = [](const std::vector<Region<R>>& fs) {
+  /// The bundled faces along `axis` for the k-th column (axis 0) or row
+  /// (axis 1). Axis-0 faces span the column's range along the tile
+  /// dimension; axis-1 faces span the row's range along w plus the corner
+  /// extension.
+  std::vector<Region<R>> faces(int axis, Coord k, bool inflow) const {
+    std::vector<Region<R>> fs;
+    fs.reserve(uses.size());
+    const Region<R>& reg = plan->region;
+    for (const auto& u : uses) {
+      if (axis == 0) {
+        const auto [a, b] = t.tile_range(bj, k);
+        fs.push_back(wave_face(t.local, u.prime_halo.v[t.w], t.w, t.travel,
+                               inflow, t.tdim, t.tsign, a, b, /*ext=*/0,
+                               reg.lo(t.tdim), reg.hi(t.tdim)));
+      } else {
+        const auto [a, b] = t.wtile_range(bw, k);
+        fs.push_back(wave_face(t.local, u.prime_halo.v[t.tdim], t.tdim,
+                               t.tsign, inflow, t.w, t.travel, a, b,
+                               /*ext=*/u.prime_halo.v[t.w], reg.lo(t.w),
+                               reg.hi(t.w)));
+      }
+    }
+    return fs;
+  }
+
+  /// Elements in the k-th inflow message along `axis`.
+  std::size_t inflow_size(int axis, Coord k) const {
     std::size_t n = 0;
-    for (const auto& f : fs) n += static_cast<std::size_t>(f.size());
+    for (const auto& f : faces(axis, k, /*inflow=*/true))
+      n += static_cast<std::size_t>(f.size());
     return n;
-  };
-  auto unpack_faces = [&](const std::vector<Region<R>>& fs,
-                          std::span<const Real> payload) {
+  }
+
+  void unpack(const std::vector<Region<R>>& fs,
+              std::span<const Real> payload) const {
     std::size_t off = 0;
     for (std::size_t ui = 0; ui < fs.size(); ++ui) {
       const std::size_t n = static_cast<std::size_t>(fs[ui].size());
       if (n == 0) continue;
-      require(wave_uses[ui].array->region().contains(fs[ui]),
-              "array '" + wave_uses[ui].name() +
+      require(uses[ui].array->region().contains(fs[ui]),
+              "array '" + uses[ui].name() +
                   "' allocates too little fluff for the wave inflow face");
-      unpack_region(*wave_uses[ui].array, fs[ui], payload.subspan(off, n));
+      unpack_region(*uses[ui].array, fs[ui], payload.subspan(off, n));
       off += n;
     }
-  };
-  auto pack_faces = [&](const std::vector<Region<R>>& fs,
-                        std::vector<Real>& buf) {
+  }
+
+  void pack(const std::vector<Region<R>>& fs, std::vector<Real>& buf) const {
     buf.clear();
     for (std::size_t ui = 0; ui < fs.size(); ++ui) {
       if (fs[ui].size() == 0) continue;
-      require(wave_uses[ui].array->region().contains(fs[ui]),
-              "array '" + wave_uses[ui].name() +
+      require(uses[ui].array->region().contains(fs[ui]),
+              "array '" + uses[ui].name() +
                   "' allocates too little fluff for the wave outflow face");
-      pack_region_into(*wave_uses[ui].array, fs[ui], buf);
+      pack_region_into(*uses[ui].array, fs[ui], buf);
     }
+  }
+
+  /// The tile body both executors run: unpack the tile's inflow payloads
+  /// (axis 0 then axis 1, one per inflow peer), compute the tile, charge
+  /// it, then for each outflow axis pack into `buffer(axis)` and hand the
+  /// payload to `send(axis, peer, payload)`. Returns the tile.
+  template <typename Buffer, typename Send>
+  Region<R> run_tile(Communicator& comm, bool charge, Coord u, Coord v,
+                     std::span<const std::span<const Real>> inflows,
+                     Buffer&& buffer, Send&& send) const {
+    std::size_t k = 0;
+    for (int axis = 0; axis < 2; ++axis)
+      if (inflow_peer(axis, u, v) >= 0)
+        unpack(faces(axis, along(axis, u, v), /*inflow=*/true), inflows[k++]);
+    const Region<R> tl = tile(u, v);
+    run_serial_on(*plan, tl);
+    if (charge) comm.compute(static_cast<double>(tl.size()));
+    for (int axis = 0; axis < 2; ++axis) {
+      const int peer = outflow_peer(axis, u, v);
+      if (peer < 0) continue;
+      std::vector<Real>& buf = buffer(axis);
+      pack(faces(axis, along(axis, u, v), /*inflow=*/false), buf);
+      send(axis, peer, std::span<const Real>(buf));
+    }
+    return tl;
+  }
+};
+
+/// The blocking tile loop over the grid. Tiles run in anti-diagonal order:
+/// within a diagonal every tile's (u-1,v) and (u,v-1) dependences sit on
+/// the previous diagonal, and each face stream touches at most one tile
+/// per diagonal (axis 0 at u==0 / u==mi-1 advances in v, axis 1 at v==0 /
+/// v==mj-1 in u), so posting and consumption stay FIFO per (src, tag).
+/// Unlike a row-major sweep, the first south face leaves after ~mi tiles
+/// instead of after nearly the whole local block — this is what lets the
+/// rank-grid pipeline fill along both axes at once. On a rank line the
+/// order is simply the column order.
+///
+/// Every stream is double-buffered over persistent buffers: stream
+/// position k+1's irecv is posted as soon as position k's has arrived, and
+/// buffer k % 2 is safe to refill at position k because its previous
+/// request was settled at k - 2 (or never existed; waiting an invalid
+/// Request is a no-op).
+template <Rank R>
+void run_wave_grid(const WaveGrid<R>& g, Communicator& comm,
+                   const WaveOptions& opts) {
+  // [axis][slot]
+  std::array<std::array<std::vector<Real>, 2>, 2> recv_buf, send_buf;
+  std::array<std::array<Request, 2>, 2> recv_req, send_req;
+  const std::array<int, 2> pred{g.t.pred, g.t.pred2};
+  const std::array<Coord, 2> len{g.mj, g.mi};  // stream length per axis
+
+  auto post = [&](int axis, Coord k) {
+    const auto a = static_cast<std::size_t>(axis);
+    if (pred[a] < 0 || k >= len[a]) return;
+    auto& buf = recv_buf[a][static_cast<std::size_t>(k % 2)];
+    buf.resize(g.inflow_size(axis, k));
+    recv_req[a][static_cast<std::size_t>(k % 2)] =
+        comm.irecv(pred[a], std::span<Real>(buf), g.tag(axis));
   };
 
-  std::array<std::vector<Real>, 2> nrecv_buf, wrecv_buf, ssend_buf, esend_buf;
-  std::array<Request, 2> nrecv_req, wrecv_req, ssend_req, esend_req;
-
-  auto post_north = [&](Coord v) {
-    if (t.pred < 0 || v >= mj) return;
-    auto& buf = nrecv_buf[static_cast<std::size_t>(v % 2)];
-    buf.resize(total_of(faces_n(v, /*inflow=*/true)));
-    nrecv_req[static_cast<std::size_t>(v % 2)] =
-        comm.irecv(t.pred, std::span<Real>(buf), tag_n);
-  };
-  auto post_west = [&](Coord u) {
-    if (t.pred2 < 0 || u >= mi) return;
-    auto& buf = wrecv_buf[static_cast<std::size_t>(u % 2)];
-    buf.resize(total_of(faces_w(u, /*inflow=*/true)));
-    wrecv_req[static_cast<std::size_t>(u % 2)] =
-        comm.irecv(t.pred2, std::span<Real>(buf), tag_w);
-  };
-
-  post_north(0);
-  post_west(0);
-  // Anti-diagonal tile order: within a diagonal every tile's (u-1,v) and
-  // (u,v-1) dependences sit on the previous diagonal, and each of the four
-  // message streams touches at most one tile per diagonal (north/south at
-  // u==0 / u==mi-1 advance in v, west/east at v==0 / v==mj-1 in u), so
-  // posting and consumption stay FIFO per (src, tag). Unlike a row-major
-  // sweep, the first south face leaves after ~mi tiles instead of after
-  // nearly the whole local block — this is what lets the rank-grid
-  // pipeline fill along both axes at once.
-  for (Coord d = 0; d < mi + mj - 1; ++d) {
-    for (Coord u = std::max<Coord>(0, d - (mj - 1)); u <= std::min(mi - 1, d);
-         ++u) {
+  post(0, 0);
+  post(1, 0);
+  for (Coord d = 0; d < g.mi + g.mj - 1; ++d) {
+    for (Coord u = std::max<Coord>(0, d - (g.mj - 1));
+         u <= std::min(g.mi - 1, d); ++u) {
       const Coord v = d - u;
       const double tile_t0 = comm.vtime();
-      if (u == 0 && t.pred >= 0) {
-        const auto slot = static_cast<std::size_t>(v % 2);
-        comm.wait(nrecv_req[slot]);
-        unpack_faces(faces_n(v, /*inflow=*/true),
-                     std::span<const Real>(nrecv_buf[slot]));
-        post_north(v + 1);
+      auto slot_of = [&](int axis) {
+        return static_cast<std::size_t>(WaveGrid<R>::along(axis, u, v) % 2);
+      };
+      std::array<std::span<const Real>, 2> inflows;
+      std::size_t n_in = 0;
+      for (int axis = 0; axis < 2; ++axis) {
+        if (g.inflow_peer(axis, u, v) < 0) continue;
+        const auto a = static_cast<std::size_t>(axis);
+        comm.wait(recv_req[a][slot_of(axis)]);
+        inflows[n_in++] = recv_buf[a][slot_of(axis)];
+        post(axis, WaveGrid<R>::along(axis, u, v) + 1);
       }
-      if (v == 0 && t.pred2 >= 0) {
-        const auto slot = static_cast<std::size_t>(u % 2);
-        comm.wait(wrecv_req[slot]);
-        unpack_faces(faces_w(u, /*inflow=*/true),
-                     std::span<const Real>(wrecv_buf[slot]));
-        post_west(u + 1);
-      }
+      const Region<R> tile = g.run_tile(
+          comm, opts.charge, u, v,
+          std::span<const std::span<const Real>>(inflows.data(), n_in),
+          [&](int axis) -> std::vector<Real>& {
+            // Settle the send this buffer last carried before refilling it.
+            const auto a = static_cast<std::size_t>(axis);
+            comm.wait(send_req[a][slot_of(axis)]);
+            return send_buf[a][slot_of(axis)];
+          },
+          [&](int axis, int peer, std::span<const Real> payload) {
+            Request& r =
+                send_req[static_cast<std::size_t>(axis)][slot_of(axis)];
+            r = comm.isend(peer, payload, g.tag(axis));
+            if (!opts.overlap) comm.wait(r);
+          });
 
-      const Region<R> tile = t.tile2(bw, bj, u, v);
-      run_serial_on(plan, tile);
-      if (opts.charge) comm.compute(static_cast<double>(tile.size()));
-
-      if (u == mi - 1 && t.succ >= 0) {
-        const auto slot = static_cast<std::size_t>(v % 2);
-        comm.wait(ssend_req[slot]);
-        pack_faces(faces_n(v, /*inflow=*/false), ssend_buf[slot]);
-        ssend_req[slot] =
-            comm.isend(t.succ, std::span<const Real>(ssend_buf[slot]), tag_n);
-        if (!opts.overlap) comm.wait(ssend_req[slot]);
-      }
-      if (v == mj - 1 && t.succ2 >= 0) {
-        const auto slot = static_cast<std::size_t>(u % 2);
-        comm.wait(esend_req[slot]);
-        pack_faces(faces_w(u, /*inflow=*/false), esend_buf[slot]);
-        esend_req[slot] =
-            comm.isend(t.succ2, std::span<const Real>(esend_buf[slot]), tag_w);
-        if (!opts.overlap) comm.wait(esend_req[slot]);
-      }
-
+      // One slice per tile spanning its recv-waits, compute, and sends; the
+      // tag carries the row-major tile index so a trace shows the wave
+      // marching.
       comm.tracer().record(TraceEventType::kTile, tile_t0, comm.vtime(), -1,
-                           static_cast<int>(u * mj + v),
+                           static_cast<int>(u * g.mj + v),
                            static_cast<std::uint64_t>(tile.size()));
     }
   }
-  for (auto& r : ssend_req) comm.wait(r);
-  for (auto& r : esend_req) comm.wait(r);
-
-  rep.waved = true;
-  rep.axes = 2;
-  rep.tile_dim = t.tdim;
-  rep.tiles = mj;
-  rep.block = bj;
-  rep.wtiles = mi;
-  rep.block_w = bw;
-  return rep;
+  for (auto& axis_reqs : send_req)
+    for (auto& r : axis_reqs) comm.wait(r);
 }
 
 }  // namespace detail
@@ -544,7 +576,6 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
           "processor grid size must equal machine size");
 
   const WaveTiling<R> tiling = wave_tiling(plan, layout, rank);
-  const Region<R>& local = tiling.local;
 
   // Old-value ghost exchange, bundled: every array with a nonzero halo
   // contributes to one message per neighbour per dimension.
@@ -561,115 +592,23 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
   }
 
   WaveReport<R> rep;
-  rep.local_region = local;
-
-  const auto wave_uses = plan.wave_arrays();
+  rep.local_region = tiling.local;
   if (!tiling.waved) {
-    run_serial_on(plan, local);
-    if (opts.charge) comm.compute(static_cast<double>(local.size()));
+    run_serial_on(plan, tiling.local);
+    if (opts.charge) comm.compute(static_cast<double>(tiling.local.size()));
     return rep;
   }
 
-  if (tiling.axes == 2)
-    return detail::run_wavefront_2d(plan, tiling, comm, opts, rep);
-
-  const Rank w = tiling.w;
-  const int travel = tiling.travel;
-  const int pred = tiling.pred;
-  const int succ = tiling.succ;
-  const Rank tdim = tiling.tdim;
-
-  const Coord b = tiling.clamp_block(opts.block);
-  const Coord m = tiling.tiles(opts.block);
-
-  // First tag past the bundled ghost pre-exchange's 2R-tag window; see
-  // wavefront_tag_span.
-  const int wave_tag = opts.tag_base + 2 * static_cast<int>(R);
-
-  auto faces_for = [&](Coord j, bool inflow) {
-    std::vector<Region<R>> fs;
-    const auto [ta, tb] = tiling.tile_range(b, j);
-    fs.reserve(wave_uses.size());
-    for (const auto& u : wave_uses)
-      fs.push_back(detail::wave_face(local, u, w, travel, inflow, tdim, ta, tb));
-    return fs;
-  };
-
-  // Double-buffered tile schedule over persistent buffers: while tile j
-  // computes, tile j+1's inflow is already posted and (under overlap) tile
-  // j's outflow is still draining from the send engine. Buffer k = j % 2
-  // is safe to resize/refill at tile j because its previous request was
-  // settled at tile j - 2 (or never existed; waiting an invalid Request is
-  // a no-op).
-  std::array<std::vector<Real>, 2> recv_buf, send_buf;
-  std::array<Request, 2> recv_req, send_req;
-
-  // Post the inflow irecv for tile j. Tile-order legality (c[t]*s >= 0)
-  // guarantees no tile ever needs a *later* predecessor tile, so one
-  // receive per tile suffices.
-  auto post_inflow = [&](Coord j) {
-    if (pred < 0 || j >= m) return;
-    const auto fs = faces_for(j, /*inflow=*/true);
-    std::size_t total = 0;
-    for (const auto& f : fs) total += static_cast<std::size_t>(f.size());
-    auto& buf = recv_buf[static_cast<std::size_t>(j % 2)];
-    buf.resize(total);
-    recv_req[static_cast<std::size_t>(j % 2)] =
-        comm.irecv(pred, std::span<Real>(buf), wave_tag);
-  };
-
-  post_inflow(0);
-  for (Coord j = 0; j < m; ++j) {
-    const double tile_t0 = comm.vtime();
-    const std::size_t slot = static_cast<std::size_t>(j % 2);
-    if (pred >= 0) {
-      comm.wait(recv_req[slot]);
-      const auto fs = faces_for(j, /*inflow=*/true);
-      std::size_t off = 0;
-      for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-        const std::size_t n = static_cast<std::size_t>(fs[ui].size());
-        require(wave_uses[ui].array->region().contains(fs[ui]),
-                "array '" + wave_uses[ui].name() +
-                    "' allocates too little fluff for the wave inflow face");
-        unpack_region(*wave_uses[ui].array, fs[ui],
-                      std::span<const Real>(recv_buf[slot]).subspan(off, n));
-        off += n;
-      }
-    }
-    post_inflow(j + 1);
-
-    const Region<R> tile = tiling.tile(b, j);
-    run_serial_on(plan, tile);
-    if (opts.charge) comm.compute(static_cast<double>(tile.size()));
-
-    if (succ >= 0) {
-      comm.wait(send_req[slot]);  // settle the send this buffer last made
-      auto& buf = send_buf[slot];
-      buf.clear();
-      const auto fs = faces_for(j, /*inflow=*/false);
-      for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-        require(wave_uses[ui].array->region().contains(fs[ui]),
-                "array '" + wave_uses[ui].name() +
-                    "' allocates too little fluff for the wave outflow face");
-        pack_region_into(*wave_uses[ui].array, fs[ui], buf);
-      }
-      send_req[slot] = comm.isend(succ, std::span<const Real>(buf), wave_tag);
-      if (!opts.overlap) comm.wait(send_req[slot]);
-    }
-
-    // One slice per tile spanning its recv-wait, compute, and send; the
-    // tag carries the tile index so a trace shows the wave marching.
-    comm.tracer().record(TraceEventType::kTile, tile_t0, comm.vtime(), -1,
-                         static_cast<int>(j),
-                         static_cast<std::uint64_t>(tile.size()));
-  }
-  comm.wait(send_req[0]);
-  comm.wait(send_req[1]);
-
+  const detail::WaveGrid<R> g(plan, tiling, opts.block, opts.block_w,
+                              opts.tag_base);
+  detail::run_wave_grid(g, comm, opts);
   rep.waved = true;
-  rep.tile_dim = tdim;
-  rep.tiles = m;
-  rep.block = b;
+  rep.axes = tiling.axes;
+  rep.tile_dim = tiling.tdim;
+  rep.tiles = g.mj;
+  rep.block = g.bj;
+  rep.wtiles = g.mi;
+  rep.block_w = g.bw;
   return rep;
 }
 

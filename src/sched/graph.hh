@@ -107,10 +107,10 @@ class TaskGraph {
     /// per-(src, tag) FIFO matching is the caller's responsibility, via
     /// edges chaining same-tag consumers in posting order (the lowering
     /// helpers do this).
-    std::vector<TaskInflow> inflows;
+    std::vector<TaskInflow> inflows{};
     /// The body; may be empty for pure receive/join tasks (the inflow, if
     /// any, is still received — into the buffer run() would have seen).
-    std::function<void(TaskContext&)> run;
+    std::function<void(TaskContext&)> run{};
   };
 
   /// Adds a task and returns its id (ids are dense, in insertion order —

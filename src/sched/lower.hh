@@ -1,13 +1,17 @@
 // Lowering a compiled WavefrontPlan into tile tasks.
 //
-// lower_wavefront() appends to a TaskGraph exactly the tile decomposition
-// run_wavefront would execute (same WaveTiling, same faces, same bundled
-// face payloads), as a chain of tasks: tile j consumes the predecessor
-// rank's face message, unpacks it, computes the tile, and sends its own
-// outflow face to the successor. The intra-instance edges j-1 -> j encode
-// both the paper's tiling legality order and the per-(src, tag) FIFO
-// discipline — with them in place any interleaving of several lowered
-// instances keeps every wave's messages matched to the right tiles.
+// lower_wavefront() appends to a TaskGraph exactly the tile grid
+// run_wavefront walks (the same detail::WaveGrid: same WaveTiling, same
+// faces, same bundled face payloads), one task per tile. Each task runs
+// the grid's one tile body: it unpacks the face messages it consumes
+// (north from the predecessor rank when it is in the first row, west on a
+// 2D frontier when it is in the first column), computes the tile, and
+// sends its own outflow faces. A rank line is the one-row grid, so its
+// tasks form the chain [0] -> [1] -> ... The intra-instance edges (v-1 ->
+// v along a row, u-1 -> u down a column) encode both the paper's tiling
+// legality order and the per-(src, tag) FIFO discipline — with them in
+// place any interleaving of several lowered instances keeps every wave's
+// messages matched to the right tiles.
 //
 // What lowering deliberately does NOT do:
 //   * no ghost pre-exchange (run_wavefront's pre_exchange): programs that
@@ -17,16 +21,15 @@
 //     (WAR) and similar cross-plan constraints are the caller's knowledge
 //     and are declared with TaskGraph::add_edge.
 //
-// Lifetime: the emitted task bodies capture `plan` and `layout` by
-// reference — both must outlive run_graph().
+// Lifetime: the emitted task bodies reach `plan` (and the arrays it
+// names) by pointer — it must outlive run_graph().
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "array/ghost.hh"
 #include "exec/pipelined.hh"
-#include "exec/serial.hh"
 #include "sched/graph.hh"
 #include "sched/tags.hh"
 
@@ -97,189 +100,49 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
   require(tags.count >= wavefront_tag_span<R>(t.axes),
           "tag range too narrow for a wavefront instance (need "
           "wavefront_tag_span tags)");
-  if (t.axes == 2) {
-    const Coord bw = t.clamp_block_w(opts.block_w);
-    const Coord bj = t.clamp_block(opts.block);
-    const Coord mi = t.wtiles(opts.block_w);
-    const Coord mj = t.tiles(opts.block);
-    lw.block = bj;
-    lw.wtiles = mi;
-    lw.block_w = bw;
-    const int tag_n = tags.base + 2 * static_cast<int>(R);  // axis 0
-    const int tag_w = tag_n + 1;                            // axis 1
+  // One grid shared by every task of the instance; the tasks outlive this
+  // call, so they hold it by shared_ptr rather than by reference.
+  const auto grid = std::make_shared<const detail::WaveGrid<R>>(
+      plan, t, opts.block, opts.block_w, tags.base);
+  lw.block = grid->bj;
+  lw.wtiles = grid->mi;
+  lw.block_w = grid->bw;
 
-    const auto wave_uses = plan.wave_arrays();
-    // Same payload layout as run_wavefront_2d: axis 0 faces span a column
-    // tile's range along w2, axis 1 faces a row tile's range along w (with
-    // the corner extension wave_faces_2d adds).
-    auto faces2 = [](const WavefrontPlan<R>& p, const WaveTiling<R>& wt,
-                     Coord block_w, Coord block, Coord u, Coord v, int axis,
-                     bool inflow) {
-      if (axis == 0) {
-        const auto [ca, cb] = wt.tile_range(block, v);
-        return detail::wave_faces_2d(p, wt, 0, inflow, ca, cb);
+  for (Coord u = 0; u < grid->mi; ++u) {
+    for (Coord v = 0; v < grid->mj; ++v) {
+      TaskGraph::Task task;
+      task.label = label + "[" +
+                   (t.axes == 2 ? std::to_string(u) + "," : std::string()) +
+                   std::to_string(v) + "]";
+      task.cost = static_cast<double>(grid->tile(u, v).size());
+      task.diagonal = opts.base_diagonal + u + v;
+      // Declaration order (axis 0, then axis 1) is run_tile's unpack order.
+      for (int axis = 0; axis < 2; ++axis) {
+        const int src = grid->inflow_peer(axis, u, v);
+        if (src < 0) continue;
+        const Coord k = detail::WaveGrid<R>::along(axis, u, v);
+        task.inflows.push_back(
+            {src, grid->tag(axis), grid->inflow_size(axis, k)});
       }
-      const auto [ra, rb] = wt.wtile_range(block_w, u);
-      return detail::wave_faces_2d(p, wt, 1, inflow, ra, rb);
-    };
-    auto total_of = [](const std::vector<Region<R>>& fs) {
-      std::size_t n = 0;
-      for (const auto& f : fs) n += static_cast<std::size_t>(f.size());
-      return n;
-    };
-
-    for (Coord u = 0; u < mi; ++u) {
-      for (Coord v = 0; v < mj; ++v) {
-        TaskGraph::Task task;
-        task.label = label + "[" + std::to_string(u) + "," +
-                     std::to_string(v) + "]";
-        const Region<R> tile = t.tile2(bw, bj, u, v);
-        task.cost = static_cast<double>(tile.size());
-        task.diagonal = opts.base_diagonal + u + v;
-
-        // Declaration order north-then-west is the body's unpack order.
-        if (u == 0 && t.pred >= 0)
-          task.inflows.push_back(
-              {t.pred, tag_n, total_of(faces2(plan, t, bw, bj, u, v, 0,
-                                              /*inflow=*/true))});
-        if (v == 0 && t.pred2 >= 0)
-          task.inflows.push_back(
-              {t.pred2, tag_w, total_of(faces2(plan, t, bw, bj, u, v, 1,
-                                               /*inflow=*/true))});
-
-        const bool charge = opts.charge;
-        task.run = [&plan, tiling = t, wave_uses, faces2, bw, bj, mi, mj, u,
-                    v, tile, charge, tag_n, tag_w](TaskContext& ctx) {
-          auto unpack_faces = [&](const std::vector<Region<R>>& fs,
-                                  std::span<const Real> payload) {
-            std::size_t off = 0;
-            for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-              const std::size_t n = static_cast<std::size_t>(fs[ui].size());
-              if (n == 0) continue;
-              require(wave_uses[ui].array->region().contains(fs[ui]),
-                      "array '" + wave_uses[ui].name() +
-                          "' allocates too little fluff for the wave inflow "
-                          "face");
-              unpack_region(*wave_uses[ui].array, fs[ui],
-                            payload.subspan(off, n));
-              off += n;
-            }
-          };
-          auto pack_faces = [&](const std::vector<Region<R>>& fs,
-                                std::vector<Real>& buf) {
-            buf.clear();
-            for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-              if (fs[ui].size() == 0) continue;
-              require(wave_uses[ui].array->region().contains(fs[ui]),
-                      "array '" + wave_uses[ui].name() +
-                          "' allocates too little fluff for the wave outflow "
-                          "face");
-              pack_region_into(*wave_uses[ui].array, fs[ui], buf);
-            }
-          };
-
-          std::size_t pi = 0;
-          if (u == 0 && tiling.pred >= 0)
-            unpack_faces(faces2(plan, tiling, bw, bj, u, v, 0, true),
-                         ctx.inflows[pi++]);
-          if (v == 0 && tiling.pred2 >= 0)
-            unpack_faces(faces2(plan, tiling, bw, bj, u, v, 1, true),
-                         ctx.inflows[pi++]);
-          run_serial_on(plan, tile);
-          if (charge) ctx.comm.compute(static_cast<double>(tile.size()));
-          if (u == mi - 1 && tiling.succ >= 0) {
-            std::vector<Real> buf;
-            pack_faces(faces2(plan, tiling, bw, bj, u, v, 0, false), buf);
-            ctx.send(tiling.succ, std::span<const Real>(buf), tag_n);
-          }
-          if (v == mj - 1 && tiling.succ2 >= 0) {
-            std::vector<Real> buf;
-            pack_faces(faces2(plan, tiling, bw, bj, u, v, 1, false), buf);
-            ctx.send(tiling.succ2, std::span<const Real>(buf), tag_w);
-          }
-        };
-
-        const TaskId id = g.add(std::move(task));
-        // Row-major chain edges encode both the tiling legality order and
-        // the per-(src, tag) FIFO posting order for the two inflow streams.
-        if (v > 0) g.add_edge(lw.tiles.back(), id);
-        if (u > 0)
-          g.add_edge(lw.tiles[static_cast<std::size_t>((u - 1) * mj + v)], id);
-        lw.tiles.push_back(id);
-      }
-    }
-    return lw;
-  }
-
-  const int wave_tag = tags.base + 2 * static_cast<int>(R);
-  const Coord b = t.clamp_block(opts.block);
-  const Coord m = t.tiles(opts.block);
-  lw.block = b;
-
-  const auto wave_uses = plan.wave_arrays();
-  // Takes the tiling as a parameter (instead of capturing `t`, a reference
-  // into the eventual return value) because task bodies value-capture this
-  // lambda and run long after lower_wavefront returns.
-  auto faces_for = [wave_uses](const WaveTiling<R>& wt, Coord block, Coord j,
-                               bool inflow) {
-    std::vector<Region<R>> fs;
-    const auto [ta, tb] = wt.tile_range(block, j);
-    fs.reserve(wave_uses.size());
-    for (const auto& u : wave_uses)
-      fs.push_back(detail::wave_face(wt.local, u, wt.w, wt.travel, inflow,
-                                     wt.tdim, ta, tb));
-    return fs;
-  };
-
-  for (Coord j = 0; j < m; ++j) {
-    TaskGraph::Task task;
-    task.label = label + "[" + std::to_string(j) + "]";
-    const Region<R> tile = t.tile(b, j);
-    task.cost = static_cast<double>(tile.size());
-    task.diagonal = opts.base_diagonal + j;
-
-    if (t.pred >= 0) {
-      std::size_t total = 0;
-      for (const auto& f : faces_for(t, b, j, /*inflow=*/true))
-        total += static_cast<std::size_t>(f.size());
-      task.inflows.push_back({t.pred, wave_tag, total});
-    }
-
-    const bool charge = opts.charge;
-    const int succ = t.succ;
-    task.run = [&plan, tiling = t, wave_uses, faces_for, b, j, tile, charge,
-                succ, wave_tag](TaskContext& ctx) {
-      if (tiling.pred >= 0) {
-        const auto fs = faces_for(tiling, b, j, /*inflow=*/true);
-        std::size_t off = 0;
-        for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-          const std::size_t n = static_cast<std::size_t>(fs[ui].size());
-          require(wave_uses[ui].array->region().contains(fs[ui]),
-                  "array '" + wave_uses[ui].name() +
-                      "' allocates too little fluff for the wave inflow face");
-          unpack_region(*wave_uses[ui].array, fs[ui],
-                        ctx.inflow.subspan(off, n));
-          off += n;
-        }
-      }
-      run_serial_on(plan, tile);
-      if (charge) ctx.comm.compute(static_cast<double>(tile.size()));
-      if (succ >= 0) {
+      task.run = [grid, u, v, charge = opts.charge](TaskContext& ctx) {
         std::vector<Real> buf;
-        const auto fs = faces_for(tiling, b, j, /*inflow=*/false);
-        for (std::size_t ui = 0; ui < fs.size(); ++ui) {
-          require(wave_uses[ui].array->region().contains(fs[ui]),
-                  "array '" + wave_uses[ui].name() +
-                      "' allocates too little fluff for the wave outflow face");
-          pack_region_into(*wave_uses[ui].array, fs[ui], buf);
-        }
-        ctx.send(succ, std::span<const Real>(buf), wave_tag);
-      }
-    };
+        grid->run_tile(
+            ctx.comm, charge, u, v, ctx.inflows,
+            [&buf](int) -> std::vector<Real>& { return buf; },
+            [&](int axis, int peer, std::span<const Real> payload) {
+              ctx.send(peer, payload, grid->tag(axis));
+            });
+      };
 
-    const TaskId id = g.add(std::move(task));
-    if (j > 0) g.add_edge(lw.tiles.back(), id);
-    lw.tiles.push_back(id);
+      const TaskId id = g.add(std::move(task));
+      // Row-major chain edges encode both the tiling legality order and the
+      // per-(src, tag) FIFO posting order for the two inflow streams.
+      if (v > 0) g.add_edge(lw.tiles.back(), id);
+      if (u > 0)
+        g.add_edge(lw.tiles[static_cast<std::size_t>((u - 1) * grid->mj + v)],
+                   id);
+      lw.tiles.push_back(id);
+    }
   }
   return lw;
 }

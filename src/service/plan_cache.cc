@@ -1,9 +1,6 @@
 #include "service/plan_cache.hh"
 
-#include "dist/block_dist.hh"
 #include "exec/block_select.hh"
-#include "model/model.hh"
-#include "support/timer.hh"
 
 namespace wavepipe {
 
@@ -26,44 +23,15 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
 
 std::shared_ptr<const JobPlan> lower_job_plan(const PlanKey& key,
                                               const CostModel& costs) {
-  Timer t;
   auto plan = std::make_shared<JobPlan>();
-  const PipelineModel model(costs.alpha, costs.beta);
-
   if (key.policy == WavePolicy::kNaive) {
     plan->block = 0;
-    plan->predicted_makespan = model.naive_time(key.n, key.p);
   } else if (key.b_requested > 0) {
     plan->block = key.b_requested;
-    plan->predicted_makespan = model.total_time(key.n, key.p, plan->block);
   } else {
     plan->block = select_block_static(costs, key.n, key.p);
     plan->block_auto = true;
-    plan->block_search = model.optimal_block_search(key.n, key.p);
-    plan->predicted_makespan = model.total_time(key.n, key.p, plan->block);
   }
-
-  // The tile schedule of one wavefront pass: rows block-distributed over
-  // the p ranks, columns tiled at the pipeline grain (one tile per rank
-  // under naive). Step numbers are the pipelined wavefront's: a column
-  // tile may start once the rank above has finished it.
-  const BlockDist1D rows(0, key.n - 1, key.p);
-  const Coord grain = plan->block > 0 ? plan->block : key.n;
-  for (int r = 0; r < key.p; ++r) {
-    int step = r;
-    for (Coord c = 0; c < key.n; c += grain, ++step) {
-      PlanTile tile;
-      tile.rank = r;
-      tile.step = step;
-      tile.row_lo = rows.block_lo(r);
-      tile.row_hi = rows.block_hi(r);
-      tile.col_lo = c;
-      tile.col_hi = std::min<Coord>(c + grain, key.n) - 1;
-      plan->tiles.push_back(tile);
-    }
-  }
-
-  plan->lower_seconds = t.seconds();
   return plan;
 }
 

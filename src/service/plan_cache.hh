@@ -1,8 +1,7 @@
 // The service's plan cache: lowering a job once, reusing it forever.
 //
 // Lowering a job — resolving its block size (the model's b* when the
-// client left b unset), enumerating the per-rank tile schedule, and
-// predicting the makespan — is pure: a function of (app, n, p, b, iters,
+// client left b unset) — is pure: a function of (app, n, p, b, iters,
 // policy) and the machine's cost model only. The cache keys plans on
 // exactly that tuple, so a repeat submission skips lowering entirely and a
 // cache hit cannot change what runs: the plan holds only values a cold
@@ -15,7 +14,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "comm/cost_model.hh"
 #include "index/index.hh"
@@ -42,15 +40,6 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const;
 };
 
-/// One tile of the lowered schedule: rank r computes rows [row_lo, row_hi]
-/// of columns [col_lo, col_hi] at pipeline step `step`.
-struct PlanTile {
-  int rank = 0;
-  int step = 0;
-  Coord row_lo = 0, row_hi = 0;
-  Coord col_lo = 0, col_hi = 0;
-};
-
 /// The lowered form of a job, shared (immutable) between the cache and
 /// every pending job holding it.
 struct JobPlan {
@@ -58,17 +47,6 @@ struct JobPlan {
   Coord block = 0;
   /// True when block came from the model's b*, not the client.
   bool block_auto = false;
-  /// Integer ground truth argmin of the model (computed only when
-  /// block_auto; 0 otherwise). Diagnostic: how far the closed form sits
-  /// from the search optimum.
-  Coord block_search = 0;
-  /// The model's predicted makespan for this (n, p, block) in normalized
-  /// element-compute units (naive_time under kNaive).
-  double predicted_makespan = 0.0;
-  /// The per-rank tile schedule of one wavefront pass.
-  std::vector<PlanTile> tiles;
-  /// Wall seconds the cold lowering took (what a cache hit saves).
-  double lower_seconds = 0.0;
 };
 
 /// Lowers `key` under `costs` — the cold path submit() runs on a miss.

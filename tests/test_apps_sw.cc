@@ -195,7 +195,8 @@ INSTANTIATE_TEST_SUITE_P(
                         EngineKind::kFibers)));
 
 // The same 2D frontier lowered into a TaskGraph and run on the scheduler:
-// multi-inflow tasks (north + west faces) across backends and policies.
+// multi-inflow tasks (north + west faces) across backends and policies,
+// plus the rank-line case (one tile row, north faces only).
 class SwTwoDScheduled
     : public ::testing::TestWithParam<
           std::tuple<std::array<int, 2>, SchedBackend, SchedPolicy, bool>> {};
@@ -243,7 +244,12 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(std::array<int, 2>{4, 2}, SchedBackend::kTasks,
                         SchedPolicy::kCriticalPath, true),
         std::make_tuple(std::array<int, 2>{2, 4}, SchedBackend::kTasks,
-                        SchedPolicy::kFifo, false)));
+                        SchedPolicy::kFifo, false),
+        // Rank lines: the one-row case of the same tile grid.
+        std::make_tuple(std::array<int, 2>{4, 1}, SchedBackend::kSpmd,
+                        SchedPolicy::kFifo, false),
+        std::make_tuple(std::array<int, 2>{4, 1}, SchedBackend::kTasks,
+                        SchedPolicy::kDiagonal, true)));
 
 TEST(BandedSw, SerialMatchesOracle) {
   BandedSwConfig cfg;

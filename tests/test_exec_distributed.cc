@@ -1,11 +1,17 @@
 // Distributed wavefront execution must be bit-identical to serial
 // execution: naive and pipelined schedules, both travel directions,
-// diagonal dependences, 2-D grids, and the error paths.
+// diagonal dependences, 2-D grids, and the error paths. The rank-line
+// configurations also run lowered into a TaskGraph, which must match the
+// blocking executor byte for byte and message for message.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <functional>
 
 #include "array/io.hh"
 #include "exec/driver.hh"
 #include "exec/pipelined.hh"
+#include "sched/sched.hh"
 
 namespace wavepipe {
 namespace {
@@ -418,6 +424,269 @@ TEST(Distributed, StatementSequencesCannotCollideOnTags) {
     }
   });
 }
+
+// ---------------------------------------------------------------------------
+// Lowered vs blocking on rank lines: run_wavefront and lower_wavefront run
+// by the SPMD executor under static FIFO walk the same tile grid, so the
+// arrays must be byte-identical and every rank must send and receive the
+// same messages and bytes. Lowering does no ghost pre-exchange, so both
+// sides do the same one up front.
+
+template <Rank R>
+void exchange_plan_ghosts(const WavefrontPlan<R>& plan, const Layout<R>& layout,
+                          Communicator& comm) {
+  std::vector<GhostHalo<Real, R>> bundle;
+  for (const auto& use : plan.arrays) {
+    bool any = false;
+    for (Rank d = 0; d < R; ++d) any = any || use.halo.v[d] > 0;
+    if (any) bundle.push_back({use.array, use.halo});
+  }
+  if (!bundle.empty())
+    exchange_ghosts(std::span<const GhostHalo<Real, R>>(bundle), layout,
+                    comm.rank(), comm, 500);
+}
+
+template <Rank R>
+void execute(const WavefrontPlan<R>& plan, const Layout<R>& layout,
+             Communicator& comm, Coord block, bool lowered) {
+  exchange_plan_ghosts(plan, layout, comm);
+  if (!lowered) {
+    WaveOptions opts;
+    opts.block = block;
+    opts.pre_exchange = false;
+    run_wavefront(plan, layout, comm, opts);
+    return;
+  }
+  TaskGraph g;
+  TagAllocator ta(500);
+  const TagRange tags = ta.alloc(wavefront_tag_span<R>(1), "chain");
+  LowerOptions lo;
+  lo.block = block;
+  const auto lw = lower_wavefront(g, plan, layout, comm.rank(), tags, "w", lo);
+  EXPECT_EQ(lw.wtiles, 1);
+  EXPECT_EQ(lw.block_w, 0);
+  SchedOptions so;
+  so.backend = SchedBackend::kSpmd;
+  so.policy = SchedPolicy::kFifo;
+  so.adaptive = false;
+  run_graph(g, comm, so);
+}
+
+template <Rank R>
+std::vector<std::uint64_t> owned_bits(const DistArray<Real, R>& a) {
+  std::vector<std::uint64_t> out;
+  for_each(a.owned(), [&](const Idx<R>& i) {
+    out.push_back(std::bit_cast<std::uint64_t>(a.local()(i)));
+  });
+  return out;
+}
+
+// One rank's body: builds the configuration, runs it, returns its owned
+// values as bit patterns.
+using ChainBody =
+    std::function<std::vector<std::uint64_t>(Communicator&, bool lowered)>;
+
+struct ChainCase {
+  const char* name;
+  int p;
+  ChainBody body;
+};
+
+// Prints the case by name: the default byte dump of a std::function would
+// put pointer values into the registered test names.
+void PrintTo(const ChainCase& c, std::ostream* os) { *os << c.name; }
+
+// The two-array Tomcatv-ish block of expect_distributed_matches.
+ChainCase tomcatv_case(const char* name, Coord n, ProcGrid<2> grid,
+                       Coord block) {
+  return {name, grid.size(), [=](Communicator& comm, bool lowered) {
+            const Region<2> global({{1, 1}}, {{n, n}});
+            const Region<2> reg({{2, 2}}, {{n - 1, n - 1}});
+            const Layout<2> layout(global, grid, Idx<2>{{1, 1}});
+            DistArray<Real, 2> a("a", layout, comm.rank());
+            DistArray<Real, 2> b("b", layout, comm.rank());
+            a.local().fill_fn(fill_value);
+            b.local().fill_fn(
+                [](const Idx<2>& i) { return fill_value(i) + 0.5; });
+            auto plan = scan(reg,
+                             a.local() <<= 0.5 * prime(a.local(), kNorth) +
+                                           b.local(),
+                             b.local() <<= b.local() - 0.25 * a.local() +
+                                           0.125 * at(a.local(), kSouth))
+                            .compile();
+            execute(plan, layout, comm, block, lowered);
+            auto bits = owned_bits(a);
+            const auto bb = owned_bits(b);
+            bits.insert(bits.end(), bb.begin(), bb.end());
+            return bits;
+          }};
+}
+
+ChainCase south_travel_case() {
+  return {"SouthTravel", 3, [](Communicator& comm, bool lowered) {
+            const Coord n = 14;
+            const Region<2> global({{1, 1}}, {{n, n}});
+            const Region<2> reg({{2, 2}}, {{n - 1, n - 1}});
+            const Layout<2> layout(global, ProcGrid<2>::along_dim(3, 0),
+                                   Idx<2>{{1, 1}});
+            DistArray<Real, 2> a("a", layout, comm.rank());
+            a.local().fill_fn(fill_value);
+            auto plan =
+                scan(reg, a.local() <<= 0.5 * prime(a.local(), kSouth) + 1.0)
+                    .compile();
+            execute(plan, layout, comm, 2, lowered);
+            return owned_bits(a);
+          }};
+}
+
+ChainCase diagonal_case(const char* name, Coord block) {
+  return {name, 3, [=](Communicator& comm, bool lowered) {
+            const Coord n = 15;
+            const Region<2> global({{0, 0}}, {{n, n}});
+            const Region<2> reg({{1, 1}}, {{n, n}});
+            const Layout<2> layout(global, ProcGrid<2>::along_dim(3, 0),
+                                   Idx<2>{{1, 1}});
+            DistArray<Real, 2> h("h", layout, comm.rank());
+            h.local().fill(0.0);
+            auto plan =
+                scan(reg, h.local() <<= max_e(0.0,
+                                              prime(h.local(), kNorthWest) +
+                                                  0.25) +
+                                        0.125 * prime(h.local(), kNorth) +
+                                        0.0625 * prime(h.local(), kWest))
+                    .compile();
+            execute(plan, layout, comm, block, lowered);
+            return owned_bits(h);
+          }};
+}
+
+ChainCase rightmost_case() {
+  return {"RightmostDim1", 3, [](Communicator& comm, bool lowered) {
+            const Coord n = 12;
+            const Region<2> global({{0, 0}}, {{n, n}});
+            const Region<2> reg({{1, 1}}, {{n, n}});
+            const Layout<2> layout(global, ProcGrid<2>::along_dim(3, 1),
+                                   Idx<2>{{1, 1}});
+            DistArray<Real, 2> a("a", layout, comm.rank());
+            a.local().fill_fn(fill_value);
+            auto plan = scan_with_choice(
+                            reg, WavefrontChoice::kRightmost,
+                            a.local() <<= 0.5 * prime(a.local(), kNorth) +
+                                          0.25 * prime(a.local(), kWest))
+                            .compile();
+            execute(plan, layout, comm, 3, lowered);
+            return owned_bits(a);
+          }};
+}
+
+ChainCase rank3_octant_case() {
+  return {"Rank3Octant", 2, [](Communicator& comm, bool lowered) {
+            const Coord n = 8;
+            const Region<3> global({{1, 1, 1}}, {{n, n, n}});
+            const Layout<3> layout(global, ProcGrid<3>::along_dim(2, 0),
+                                   Idx<3>{{1, 1, 1}});
+            DistArray<Real, 3> phi("phi", layout, comm.rank());
+            phi.local().fill(0.0);
+            phi.fill_owned([](const Idx<3>& i) {
+              return 0.01 * static_cast<Real>(i.v[0] + i.v[1] + i.v[2]);
+            });
+            const Direction<3> ux{{-1, 0, 0}}, uy{{0, -1, 0}},
+                uz{{0, 0, -1}};
+            auto plan = scan(global, phi.local() <<=
+                                     0.4 * prime(phi.local(), ux) +
+                                     0.3 * prime(phi.local(), uy) +
+                                     0.2 * prime(phi.local(), uz) + 1.0)
+                            .compile();
+            execute(plan, layout, comm, 3, lowered);
+            return owned_bits(phi);
+          }};
+}
+
+ChainCase rank3_parallel_dims_case() {
+  return {"Rank3ParallelDims", 4, [](Communicator& comm, bool lowered) {
+            const Coord n = 12;
+            const Region<3> global({{1, 1, 1}}, {{n, n, n}});
+            const Region<3> reg({{2, 1, 1}}, {{n, n, n}});
+            const Layout<3> layout(global, ProcGrid<3>({2, 2, 1}),
+                                   Idx<3>{{1, 0, 0}});
+            DistArray<Real, 3> u("u", layout, comm.rank());
+            u.local().fill_fn([](const Idx<3>& i) {
+              return 0.25 + 0.01 * static_cast<Real>(
+                                       (i.v[0] + i.v[1] * 3 + i.v[2] * 7) % 13);
+            });
+            const Direction<3> up{{-1, 0, 0}};
+            auto plan =
+                scan(reg, u.local() <<= 0.5 * prime(u.local(), up) + 0.125)
+                    .compile();
+            execute(plan, layout, comm, 3, lowered);
+            return owned_bits(u);
+          }};
+}
+
+// R = 1: the tile dimension is the wavefront dimension (one tile per rank).
+ChainCase rank1_case() {
+  return {"Rank1Relay", 4, [](Communicator& comm, bool lowered) {
+            const Coord n = 41;
+            const Region<1> global({{1}}, {{n}});
+            const Region<1> reg({{2}}, {{n}});
+            const Layout<1> layout(global, ProcGrid<1>::along_dim(4, 0),
+                                   Idx<1>{{1}});
+            DistArray<Real, 1> u("u", layout, comm.rank());
+            u.local().fill(1.0);
+            const Direction<1> back{{-1}};
+            auto plan =
+                scan(reg, u.local() <<= 0.5 * prime(u.local(), back) + 1.0)
+                    .compile();
+            execute(plan, layout, comm, 0, lowered);
+            return owned_bits(u);
+          }};
+}
+
+class LoweredVsBlocking : public ::testing::TestWithParam<ChainCase> {};
+
+TEST_P(LoweredVsBlocking, ByteIdenticalWithEqualTraffic) {
+  const ChainCase& c = GetParam();
+  auto run = [&](bool lowered) {
+    std::vector<std::vector<std::uint64_t>> owned(
+        static_cast<std::size_t>(c.p));
+    const RunResult r = Machine::run(c.p, {}, [&](Communicator& comm) {
+      owned[static_cast<std::size_t>(comm.rank())] = c.body(comm, lowered);
+    });
+    return std::make_pair(r, owned);
+  };
+  const auto [blocking, blocking_data] = run(false);
+  const auto [lowered, lowered_data] = run(true);
+  for (int r = 0; r < c.p; ++r) {
+    const auto k = static_cast<std::size_t>(r);
+    EXPECT_EQ(lowered_data[k], blocking_data[k]) << "data rank " << r;
+    const CommStats& s = lowered.stats[k];
+    const CommStats& t = blocking.stats[k];
+    EXPECT_EQ(s.messages_sent, t.messages_sent) << "rank " << r;
+    EXPECT_EQ(s.bytes_sent, t.bytes_sent) << "rank " << r;
+    EXPECT_EQ(s.messages_received, t.messages_received) << "rank " << r;
+    EXPECT_EQ(s.bytes_received, t.bytes_received) << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankLines, LoweredVsBlocking,
+    ::testing::Values(
+        tomcatv_case("NaiveP2", 16, ProcGrid<2>::along_dim(2, 0), 0),
+        tomcatv_case("NaiveP5Uneven", 17, ProcGrid<2>::along_dim(5, 0), 0),
+        tomcatv_case("Block1", 16, ProcGrid<2>::along_dim(4, 0), 1),
+        tomcatv_case("Block3", 16, ProcGrid<2>::along_dim(4, 0), 3),
+        tomcatv_case("BlockLargerThanExtent", 16,
+                     ProcGrid<2>::along_dim(4, 0), 1000),
+        tomcatv_case("TwoDimensionalGrid", 16, ProcGrid<2>({2, 2}), 2),
+        tomcatv_case("TwoDimensionalGridUneven", 19, ProcGrid<2>({3, 2}), 4),
+        tomcatv_case("SingleRank", 12, ProcGrid<2>({1, 1}), 3),
+        south_travel_case(), diagonal_case("DiagonalBlock1", 1),
+        diagonal_case("DiagonalBlock4", 4),
+        diagonal_case("DiagonalBlock100", 100), rightmost_case(),
+        rank3_octant_case(), rank3_parallel_dims_case(), rank1_case()),
+    [](const ::testing::TestParamInfo<ChainCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace wavepipe

@@ -403,18 +403,11 @@ TEST(PlanCache, LoweringResolvesModelBlock) {
   const auto plan = lower_job_plan(key, costs);
   EXPECT_TRUE(plan->block_auto);
   EXPECT_EQ(plan->block, select_block_static(costs, 64, 4));
-  EXPECT_GE(plan->block_search, 1);
-  EXPECT_GT(plan->predicted_makespan, 0.0);
-  EXPECT_FALSE(plan->tiles.empty());
-  // Tiles tile the n x n space: p row blocks times ceil(n/b) column tiles.
-  const auto per_rank = (64 + plan->block - 1) / plan->block;
-  EXPECT_EQ(plan->tiles.size(), static_cast<std::size_t>(4 * per_rank));
 
   const PlanKey naive{"tomcatv", 64, 4, 0, 1, WavePolicy::kNaive};
   const auto nplan = lower_job_plan(naive, costs);
   EXPECT_EQ(nplan->block, 0);
   EXPECT_FALSE(nplan->block_auto);
-  EXPECT_EQ(nplan->tiles.size(), 4u);  // one full-width tile per rank
 }
 
 }  // namespace
