@@ -5,6 +5,19 @@
 
 namespace wavepipe {
 
+namespace {
+
+// An allocated block's rows at its first column, and its columns at its
+// first row: the shapes of the two symbol vectors.
+Region<2> row_vector(const Region<2>& a) {
+  return Region<2>({{a.lo(0), a.lo(1)}}, {{a.hi(0), a.lo(1)}});
+}
+Region<2> col_vector(const Region<2>& a) {
+  return Region<2>({{a.lo(0), a.lo(1)}}, {{a.lo(0), a.hi(1)}});
+}
+
+}  // namespace
+
 SmithWaterman::SmithWaterman(const SmithWatermanConfig& cfg,
                              const ProcGrid<2>& grid, int rank)
     : cfg_(cfg),
@@ -14,17 +27,21 @@ SmithWaterman::SmithWaterman(const SmithWatermanConfig& cfg,
       cells_({{1, 1}}, {{cfg.la, cfg.lb}}),
       layout_(global_, grid, Idx<2>{{1, 1}}),
       h_("H", layout_.allocated(rank), cfg.order),
-      s_("S", layout_.allocated(rank), cfg.order),
+      sym_a_("sym_a", row_vector(layout_.allocated(rank)), cfg.order),
+      sym_b_("sym_b", col_vector(layout_.allocated(rank)), cfg.order),
       plan_(compile_fill()) {
   require(cfg.la >= 1 && cfg.lb >= 1, "sequences must be non-empty");
-  fill_similarity();  // H is born zero
+  fill_symbols();  // H is born zero
 }
 
 WavefrontPlan<2> SmithWaterman::compile_fill() {
   const Real g = cfg_.gap;
   return scan(cells_,
               h_ <<= max_e(0.0,
-                           max_e(prime(h_, kNorthWest) + s_,
+                           max_e(prime(h_, kNorthWest) +
+                                     select_e(eq_e(flood(sym_a_, {1}),
+                                                   flood(sym_b_, {0})),
+                                              cfg_.match, cfg_.mismatch),
                                  max_e(prime(h_, kNorth) - g,
                                        prime(h_, kWest) - g))))
       .compile();
@@ -65,23 +82,22 @@ int SmithWaterman::symbol_b(Coord j) const {
 
 void SmithWaterman::init() {
   h_.fill(0.0);  // includes the zero boundary row/column and fluff
-  fill_similarity();
+  fill_symbols();
 }
 
-void SmithWaterman::fill_similarity() {
-  const Region<2>& alloc = s_.region();
-  const Coord r0 = alloc.lo(0), c0 = alloc.lo(1);
-  const auto sa = symbol_table(r0, alloc.hi(0),
-                               [this](Coord i) { return symbol_a(i); });
-  const auto sb = symbol_table(c0, alloc.hi(1),
-                               [this](Coord j) { return symbol_b(j); });
-  s_.fill_fn([&](const Idx<2>& i) {
-    if (i.v[0] < 1 || i.v[1] < 1) return 0.0;
-    return sa[static_cast<std::size_t>(i.v[0] - r0)] ==
-                   sb[static_cast<std::size_t>(i.v[1] - c0)]
-               ? cfg_.match
-               : cfg_.mismatch;
+void SmithWaterman::fill_symbols() {
+  // Symbols are small integers, exact as doubles; the boundary row and
+  // column get symbols too, which the fill never reads.
+  sym_a_.fill_fn([this](const Idx<2>& i) {
+    return static_cast<Real>(symbol_a(i.v[0]));
   });
+  sym_b_.fill_fn([this](const Idx<2>& i) {
+    return static_cast<Real>(symbol_b(i.v[1]));
+  });
+}
+
+std::size_t SmithWaterman::resident_elements() const {
+  return h_.raw().size() + sym_a_.raw().size() + sym_b_.raw().size();
 }
 
 WaveReport<2> SmithWaterman::fill(Communicator& comm,

@@ -14,6 +14,12 @@
 // face, tiles filling along anti-diagonals of the rank grid. The diagonal
 // dependence exercises the executors' corner-relay handling.
 //
+// The similarity S(i,j) = (a_i == b_j ? match : mismatch) is never
+// materialised: each rank keeps its allocated rows' symbols of a as an
+// [r0..r1] x [c0] array and its columns' symbols of b as [r0] x [c0..c1],
+// and the fill reads them as flood references (expr.hh), so nothing but H
+// is of size la x lb.
+//
 // BandedSmithWaterman is the genome-scale variant: only cells within
 // |i - j| <= band are computed (out-of-band neighbours read as 0, the
 // local-alignment floor), rows stream through O(band) ring windows instead
@@ -48,7 +54,7 @@ class SmithWaterman {
   SmithWaterman(const SmithWaterman&) = delete;
   SmithWaterman& operator=(const SmithWaterman&) = delete;
 
-  /// Deterministic random sequences and the similarity matrix S.
+  /// Re-zeroes H and refills the symbol vectors of both sequences.
   void init();
 
   /// Fills the whole score matrix (one wavefront; collective).
@@ -87,6 +93,10 @@ class SmithWaterman {
   DenseArray<Real, 2>& h() { return h_; }
   Coord wave_elements() const { return cells_.size(); }
 
+  /// Elements this rank keeps resident: H's allocated block plus the two
+  /// symbol vectors — allocated(rank).size() + O(la + lb).
+  std::size_t resident_elements() const;
+
   /// Uniprocessor entry points (1x1 grid).
   void fill_fused() { run_serial(plan_); }
   void fill_unfused() { run_unfused(plan_); }
@@ -97,8 +107,8 @@ class SmithWaterman {
 
  private:
   WavefrontPlan<2> compile_fill();
-  /// S from the sequences' symbols, hashed once per allocated row/column.
-  void fill_similarity();
+  /// The symbol vectors, each symbol hashed once per allocated row/column.
+  void fill_symbols();
 
   SmithWatermanConfig cfg_;
   ProcGrid<2> grid_;
@@ -106,7 +116,9 @@ class SmithWaterman {
   Region<2> global_;  // [0..la, 0..lb]: row/col 0 are the zero boundary
   Region<2> cells_;   // [1..la, 1..lb]
   Layout<2> layout_;
-  DenseArray<Real, 2> h_, s_;
+  DenseArray<Real, 2> h_;
+  DenseArray<Real, 2> sym_a_;  // [r0..r1] x [c0]: a's symbol per row
+  DenseArray<Real, 2> sym_b_;  // [r0] x [c0..c1]: b's symbol per column
   WavefrontPlan<2> plan_;
 };
 

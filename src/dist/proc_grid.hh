@@ -130,8 +130,10 @@ class ProcGrid {
 
   std::string describe() const {
     std::string s;
-    for (Rank d = 0; d < R; ++d)
-      s += (d ? "x" : "") + std::to_string(dims_[d]);
+    for (Rank d = 0; d < R; ++d) {
+      if (d) s += 'x';
+      s += std::to_string(dims_[d]);
+    }
     return s;
   }
 

@@ -53,7 +53,9 @@ void iterate_pencils(const Region<R>& region, const LoopStructure<R>& ls,
 }
 
 /// Checks that every array of the plan covers the index sets its accesses
-/// read/write over `region`. Throws ContractError on under-allocation.
+/// read/write over `region`. A flood reference reads `region` projected
+/// onto its non-flooded dimensions (the flooded ones collapse to the
+/// array's lo). Throws ContractError on under-allocation.
 template <Rank R>
 void validate_coverage(const WavefrontPlan<R>& plan, const Region<R>& region) {
   for (const auto& st : plan.statements) {
@@ -61,7 +63,18 @@ void validate_coverage(const WavefrontPlan<R>& plan, const Region<R>& region) {
             "array '" + st.lhs->name() + "' does not cover scan region " +
                 to_string(region));
     for (const auto& acc : st.reads) {
-      require(acc.array->region().contains(region.shifted(acc.dir)),
+      const Region<R>& a = acc.array->region();
+      if (acc.flood != 0) {
+        Idx<R> lo = region.lo(), hi = region.hi();
+        for (Rank d = 0; d < R; ++d)
+          if (is_flooded(acc.flood, d)) lo.v[d] = hi.v[d] = a.lo(d);
+        require(a.contains(Region<R>(lo, hi)),
+                "flood array '" + acc.array->name() + "' does not cover " +
+                    to_string(region) +
+                    " projected onto its non-flooded dimensions");
+        continue;
+      }
+      require(a.contains(region.shifted(acc.dir)),
               "array '" + acc.array->name() + "' does not cover " +
                   to_string(region) + " shifted by " + to_string(acc.dir));
     }

@@ -84,16 +84,20 @@ inline constexpr Direction<2> kSouthEast{{1, 1}};
 template <Rank R>
 std::string to_string(const Idx<R>& i) {
   std::string s = "(";
-  for (Rank d = 0; d < R; ++d)
-    s += (d ? "," : "") + std::to_string(i.v[d]);
+  for (Rank d = 0; d < R; ++d) {
+    if (d) s += ',';
+    s += std::to_string(i.v[d]);
+  }
   return s + ")";
 }
 
 template <Rank R>
 std::string to_string(const Direction<R>& dir) {
   std::string s = "(";
-  for (Rank d = 0; d < R; ++d)
-    s += (d ? "," : "") + std::to_string(dir.v[d]);
+  for (Rank d = 0; d < R; ++d) {
+    if (d) s += ',';
+    s += std::to_string(dir.v[d]);
+  }
   return s + ")";
 }
 

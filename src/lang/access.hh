@@ -3,7 +3,8 @@
 // Every array reference in a statement contributes one Access: which array,
 // at which @-shift direction, and whether the reference is primed (reads
 // values written by earlier iterations of the implementing loop nest — the
-// paper's new operator).
+// paper's new operator). A flood reference also records which dimensions
+// it floods.
 #pragma once
 
 #include <vector>
@@ -18,11 +19,19 @@ namespace wavepipe {
 /// over element type.
 using Real = double;
 
+/// Dimensions a flood reference (expr.hh) replicates its array along: bit
+/// d set means every index of dimension d reads the array at its lo(d).
+using FloodMask = unsigned;
+
+inline bool is_flooded(FloodMask mask, Rank d) { return (mask >> d) & 1u; }
+
 template <Rank R>
 struct Access {
   DenseArray<Real, R>* array = nullptr;
   Direction<R> dir{};
   bool primed = false;
+  /// Nonzero for a flood reference: read-only, never shifted or primed.
+  FloodMask flood = 0;
 };
 
 }  // namespace wavepipe

@@ -9,10 +9,12 @@
 //   wavepipe: d <<= 1.0 / (dd - at(aa, north) * r);
 //
 // `at(a, dir)` is the @ (shift) operator; `prime(a, dir)` is the paper's
-// prime operator applied to a shifted reference. Plain array operands are
-// unshifted references. Expressions record every access's (array,
-// direction, primed) triple, from which scan blocks derive wavefront
-// summary vectors, legality, and loop structure.
+// prime operator applied to a shifted reference; `flood(a, dims)` is a
+// read-only reference to an array of extent 1 along `dims`, replicated
+// along them (ZPL's flood dimensions). Plain array operands are unshifted
+// references. Expressions record every access's (array, direction, primed,
+// flood mask), from which scan blocks derive wavefront summary vectors,
+// legality, halos and loop structure.
 //
 // Every node evaluates two ways. eval(i) computes one index from scratch
 // (the reference semantics). cursor(start, inner, step) binds the node to a
@@ -26,6 +28,8 @@
 #pragma once
 
 #include <cmath>
+#include <initializer_list>
+#include <string>
 #include <type_traits>
 
 #include "lang/access.hh"
@@ -89,6 +93,42 @@ class ScalarExpr {
   Real v_;
 };
 
+/// A flood reference: `a` has extent 1 along every flooded dimension, and
+/// every index of those dimensions reads that one element — the flooded
+/// coordinates clamp to a's lo. A pencil along a flooded dimension reads
+/// one element over and over (stride 0); along any other dimension it is
+/// an ordinary strided read. Read-only: ScanBlock::compile rejects a block
+/// that also writes or primes a flooded array.
+template <Rank R>
+class FloodRef {
+ public:
+  static constexpr Rank rank = R;
+
+  FloodRef(DenseArray<Real, R>& a, FloodMask mask) : a_(&a), mask_(mask) {}
+
+  Real eval(const Idx<R>& i) const { return (*a_)(clamp(i)); }
+
+  auto cursor(const Idx<R>& start, Rank inner, Coord step) const {
+    const Real* p = &(*a_)(clamp(start));
+    const Coord s = is_flooded(mask_, inner) ? 0 : a_->stride(inner) * step;
+    return [p, s](Coord k) { return p[k * s]; };
+  }
+
+  void collect(std::vector<Access<R>>& out) const {
+    out.push_back(Access<R>{a_, {}, false, mask_});
+  }
+
+ private:
+  Idx<R> clamp(Idx<R> i) const {
+    for (Rank d = 0; d < R; ++d)
+      if (is_flooded(mask_, d)) i.v[d] = a_->region().lo(d);
+    return i;
+  }
+
+  DenseArray<Real, R>* a_;
+  FloodMask mask_;
+};
+
 // ---------------------------------------------------------------------------
 // Expression traits
 
@@ -98,6 +138,8 @@ template <Rank R>
 struct is_wp_expr<ArrayRef<R>> : std::true_type {};
 template <Rank R>
 struct is_wp_expr<ScalarExpr<R>> : std::true_type {};
+template <Rank R>
+struct is_wp_expr<FloodRef<R>> : std::true_type {};
 
 template <typename L, typename Rt, typename Op>
 class BinExpr;
@@ -214,6 +256,7 @@ struct Mul { static Real apply(Real a, Real b) { return a * b; } };
 struct Div { static Real apply(Real a, Real b) { return a / b; } };
 struct Min { static Real apply(Real a, Real b) { return a < b ? a : b; } };
 struct Max { static Real apply(Real a, Real b) { return a < b ? b : a; } };
+struct Eq { static Real apply(Real a, Real b) { return a == b ? 1.0 : 0.0; } };
 struct Neg { static Real apply(Real a) { return -a; } };
 struct Abs { static Real apply(Real a) { return a < 0 ? -a : a; } };
 struct Sqrt { static Real apply(Real a) { return std::sqrt(a); } };
@@ -245,6 +288,22 @@ ArrayRef<R> prime(DenseArray<Real, R>& a, const Direction<R>& d) {
 template <Rank R>
 ArrayRef<R> prime(DenseArray<Real, R>& a) {
   return ArrayRef<R>(a, {}, true);
+}
+
+/// ZPL's flood: reads `a`, of extent 1 along every dimension in `dims`, at
+/// every index of those dimensions. Throws ContractError when `dims` is
+/// empty or names a dimension out of range or of extent other than 1.
+template <Rank R>
+FloodRef<R> flood(DenseArray<Real, R>& a, std::initializer_list<Rank> dims) {
+  require(dims.size() > 0, "flood of '" + a.name() + "' names no dimension");
+  FloodMask mask = 0;
+  for (const Rank d : dims) {
+    require(d < R && a.region().extent(d) == 1,
+            "flood of '" + a.name() + "' along dimension " +
+                std::to_string(d) + " needs extent 1 there");
+    mask |= FloodMask{1} << d;
+  }
+  return FloodRef<R>(a, mask);
 }
 
 template <typename L, typename Rt, typename Op>
@@ -284,6 +343,17 @@ template <typename A, typename B>
 auto max_e(const A& a, const B& b) {
   constexpr Rank R = operand_rank<A, B>();
   return make_bin(make_operand<R>(a), make_operand<R>(b), ops::Max{});
+}
+
+/// Element-wise equality: 1.0 where a == b, else 0.0 (a select_e
+/// condition).
+template <typename A, typename B>
+  requires(is_wp_operand_v<A> && is_wp_operand_v<B> &&
+           (is_wp_expr_v<A> || is_wp_array_v<A> || is_wp_expr_v<B> ||
+            is_wp_array_v<B>))
+auto eq_e(const A& a, const B& b) {
+  constexpr Rank R = operand_rank<A, B>();
+  return make_bin(make_operand<R>(a), make_operand<R>(b), ops::Eq{});
 }
 
 /// Element-wise selection (ZPL's masked computation, expression form):

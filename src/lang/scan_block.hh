@@ -16,6 +16,8 @@
 //
 // plus two conditions the paper leaves implicit: a primed reference must
 // carry a nonzero direction, and the derived loop structure must exist.
+// A flood reference (expr.hh) is read-only: an array the block reads
+// through one may not also be written or primed in the block.
 #pragma once
 
 #include <set>
@@ -65,9 +67,27 @@ class ScanBlock {
     plan.statements = statements_;
     plan.fused_pencil = fused_pencil_;
 
-    // Which arrays are defined (written) in the block.
-    std::set<const void*> written;
+    // Which arrays are defined (written) in the block, and which primed.
+    std::set<const void*> written, primed;
     for (const auto& st : statements_) written.insert(st.lhs->id());
+    for (const auto& st : statements_)
+      for (const auto& acc : st.reads)
+        if (acc.primed) primed.insert(acc.array->id());
+
+    // Flood references read operands that stay fixed for the whole block.
+    for (const auto& st : statements_) {
+      for (const auto& acc : st.reads) {
+        if (acc.flood == 0) continue;
+        const void* id = acc.array->id();
+        if (written.count(id) > 0 || primed.count(id) > 0) {
+          throw LegalityError("flooded array '" + acc.array->name() +
+                              "' is also " +
+                              (written.count(id) > 0 ? "written" : "primed") +
+                              " in the scan block; flood references are "
+                              "read-only");
+        }
+      }
+    }
 
     // Collect primed directions and execute-before constraints.
     std::vector<Direction<R>> primed_dirs;
@@ -173,6 +193,10 @@ class ScanBlock {
       find_or_add(st.lhs).written = true;
       for (const auto& acc : st.reads) {
         ArrayUse<R>& use = find_or_add(acc.array);
+        // A flood reads only this rank's copy at unshifted non-flooded
+        // coordinates: no neighbour's values, so no halo (and, never being
+        // primed, no wave face).
+        if (acc.flood != 0) continue;
         use.primed_read = use.primed_read || acc.primed;
         for (Rank d = 0; d < R; ++d) {
           const Coord mag = acc.dir.v[d] < 0 ? -acc.dir.v[d] : acc.dir.v[d];

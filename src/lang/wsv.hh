@@ -64,7 +64,10 @@ bool all_zero(const Wsv<R>& w) {
 template <Rank R>
 std::string to_string(const Wsv<R>& w) {
   std::string s = "(";
-  for (Rank k = 0; k < R; ++k) s += (k ? "," : "") + to_string(w[k]);
+  for (Rank k = 0; k < R; ++k) {
+    if (k) s += ',';
+    s += to_string(w[k]);
+  }
   return s + ")";
 }
 

@@ -127,6 +127,28 @@ TEST(SmithWaterman, UnfusedAgreesWithFused) {
   EXPECT_DOUBLE_EQ(max_abs_difference(a.h(), b.h()), 0.0);
 }
 
+TEST(SmithWaterman, ResidentElementsAreHPlusTwoSymbolVectors) {
+  // No la x lb similarity matrix: beside H's allocated block a rank keeps
+  // only a's symbols for its rows and b's for its columns.
+  SmithWatermanConfig cfg;
+  cfg.la = 61;
+  cfg.lb = 47;
+  for (const ProcGrid<2>& grid :
+       {ProcGrid<2>::along_dim(4, 0), ProcGrid<2>({2, 2})}) {
+    for (int r = 0; r < grid.size(); ++r) {
+      SmithWaterman app(cfg, grid, r);
+      const Region<2> alloc = app.layout().allocated(r);
+      const auto h = static_cast<std::size_t>(alloc.size());
+      EXPECT_EQ(app.resident_elements(),
+                h + static_cast<std::size_t>(alloc.extent(0) + alloc.extent(1)))
+          << "rank " << r;
+      EXPECT_LE(app.resident_elements(),
+                h + static_cast<std::size_t>(2 * (cfg.la + cfg.lb)))
+          << "rank " << r;
+    }
+  }
+}
+
 EngineConfig engine(EngineKind kind) {
   EngineConfig cfg;
   cfg.kind = kind;

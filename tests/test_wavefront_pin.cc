@@ -53,8 +53,12 @@ std::string hex(std::uint64_t v) {
 }
 
 std::string describe(const Pin& p) {
-  return "{" + hex(p.clocks) + ", " + hex(p.stats) + ", " + hex(p.trace) +
-         ", " + hex(p.data) + "}";
+  std::string s = "{";
+  for (const std::uint64_t v : {p.clocks, p.stats, p.trace, p.data}) {
+    if (s.size() > 1) s += ", ";
+    s += hex(v);
+  }
+  return s + "}";
 }
 
 // Runs `body` on p fibers under the T3E-like cost model with tracing on.
