@@ -99,11 +99,7 @@ WaveReport<3> Sweep3d::sweep_octant(int octant, Communicator& comm,
   require(angle >= 0 && angle < cfg_.angles, "angle out of quadrature range");
   // Vacuum boundary: the inflow fluff must be zero. phi's fluff may hold
   // stale values from the previous sweep's wave messages, so reset it.
-  const Region<3> allocated = phi_.region();
-  const Region<3> owned = layout_.owned(rank_);
-  for_each(allocated, [&](const Idx<3>& i) {
-    if (!owned.contains(i)) phi_(i) = 0.0;
-  });
+  fill_outside(phi_, layout_.owned(rank_), 0.0);
   WaveOptions o = opts;
   o.pre_exchange = false;  // inflow is either wave-fed or vacuum
   // The instance's allocated tag window supersedes opts.tag_base: the old
@@ -183,11 +179,7 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
     TaskGraph::Task z;
     z.label = "zero" + suffix;
     z.cost = 0.0;
-    z.run = [slot, owned](TaskContext&) {
-      for_each(slot->region(), [&](const Idx<3>& idx) {
-        if (!owned.contains(idx)) (*slot)(idx) = 0.0;
-      });
-    };
+    z.run = [slot, owned](TaskContext&) { fill_outside(*slot, owned, 0.0); };
     zero[static_cast<std::size_t>(i)] = g.add(std::move(z));
 
     LowerOptions lo;
@@ -227,8 +219,7 @@ void Sweep3d::mirror_last_slot() {
   require(k >= 1, "mirror_last_slot before any scheduled sweep");
   const DenseArray<Real, 3>& last =
       *slot_phi_[static_cast<std::size_t>((total - 1) % k)];
-  const Region<3> owned = layout_.owned(rank_);
-  for_each(owned, [&](const Idx<3>& idx) { phi_(idx) = last(idx); });
+  phi_.copy_from(last, layout_.owned(rank_));
 }
 
 void Sweep3d::extract_owned_flux(std::span<Real> out) const {

@@ -9,6 +9,7 @@
 // reproduces.
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -79,6 +80,14 @@ class DenseArray {
   }
 
   void fill(T v) { data_.assign(data_.size(), v); }
+
+  /// Sets every element of `where` (contained in the array's region; empty
+  /// is fine) to `v`, one storage-order pencil at a time.
+  void fill(const Region<R>& where, T v) {
+    for_each_pencil(where, [&](const Idx<R>& i, Coord count) {
+      std::fill_n(&(*this)(i), count, v);
+    });
+  }
 
   /// Fills from a function of the global index, in storage order. `fn`
   /// must be a pure function of the index: the visiting order is the
@@ -164,6 +173,27 @@ class DenseArray {
   std::array<Coord, R> stride_{};
   std::vector<T> data_;
 };
+
+/// Sets every element of `a` outside `keep` to `v` — e.g. a rank's fluff,
+/// the allocated region minus the owned one — as at most 2R slabs: along
+/// each dimension d in turn, the parts below and above `keep`, spanning
+/// `keep` along the dimensions before d and all of `a` after it.
+template <typename T, Rank R>
+void fill_outside(DenseArray<T, R>& a, const Region<R>& keep, T v) {
+  const Region<R> inner = keep.intersect(a.region());
+  if (inner.empty()) {
+    a.fill(v);
+    return;
+  }
+  Region<R> span = a.region();
+  for (Rank d = 0; d < R; ++d) {
+    if (span.lo(d) < inner.lo(d))
+      a.fill(span.with_dim(d, span.lo(d), inner.lo(d) - 1), v);
+    if (inner.hi(d) < span.hi(d))
+      a.fill(span.with_dim(d, inner.hi(d) + 1, span.hi(d)), v);
+    span = span.with_dim(d, inner.lo(d), inner.hi(d));
+  }
+}
 
 /// Max |difference| between two same-region arrays; convergence checks and
 /// executor-equivalence tests.

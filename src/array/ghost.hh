@@ -13,6 +13,7 @@
 // drains while the rank packs, unpacks, and stalls on its neighbours.
 #pragma once
 
+#include <source_location>
 #include <span>
 #include <vector>
 
@@ -78,13 +79,17 @@ struct GhostHalo {
 
 namespace detail {
 
+/// Runs per exchange: the message is built only when the check fails.
 template <typename T, Rank R>
 void require_fluff(const DenseArray<T, R>& a, const Region<R>& fluff, Coord w,
-                   Rank d) {
-  require(a.region().contains(fluff),
-          "array '" + a.name() +
-              "' allocates too little fluff for a ghost exchange of width " +
-              std::to_string(w) + " along dimension " + std::to_string(d));
+                   Rank d,
+                   std::source_location loc = std::source_location::current()) {
+  if (a.region().contains(fluff)) return;
+  throw ContractError(
+      "array '" + a.name() +
+          "' allocates too little fluff for a ghost exchange of width " +
+          std::to_string(w) + " along dimension " + std::to_string(d),
+      loc);
 }
 
 }  // namespace detail

@@ -36,6 +36,8 @@
 #pragma once
 
 #include <array>
+#include <source_location>
+#include <string>
 #include <utility>
 
 #include "array/ghost.hh"
@@ -431,15 +433,26 @@ struct WaveGrid {
     return n;
   }
 
+  /// Runs twice per tile: the message is built only when the check fails.
+  void require_face(std::size_t ui, const Region<R>& face, const char* flow,
+                    std::source_location loc =
+                        std::source_location::current()) const {
+    if (uses[ui].array->region().contains(face)) return;
+    std::string what = "array '";
+    what += uses[ui].name();
+    what += "' allocates too little fluff for the wave ";
+    what += flow;
+    what += " face";
+    throw ContractError(what, loc);
+  }
+
   void unpack(const std::vector<Region<R>>& fs,
               std::span<const Real> payload) const {
     std::size_t off = 0;
     for (std::size_t ui = 0; ui < fs.size(); ++ui) {
       const std::size_t n = static_cast<std::size_t>(fs[ui].size());
       if (n == 0) continue;
-      require(uses[ui].array->region().contains(fs[ui]),
-              "array '" + uses[ui].name() +
-                  "' allocates too little fluff for the wave inflow face");
+      require_face(ui, fs[ui], "inflow");
       unpack_region(*uses[ui].array, fs[ui], payload.subspan(off, n));
       off += n;
     }
@@ -449,9 +462,7 @@ struct WaveGrid {
     buf.clear();
     for (std::size_t ui = 0; ui < fs.size(); ++ui) {
       if (fs[ui].size() == 0) continue;
-      require(uses[ui].array->region().contains(fs[ui]),
-              "array '" + uses[ui].name() +
-                  "' allocates too little fluff for the wave outflow face");
+      require_face(ui, fs[ui], "outflow");
       pack_region_into(*uses[ui].array, fs[ui], buf);
     }
   }

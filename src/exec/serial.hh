@@ -87,8 +87,8 @@ void validate_coverage(const WavefrontPlan<R>& plan, const Region<R>& region) {
 /// region and is inherited by sub-regions processed in wave order.
 template <Rank R>
 void run_serial_on(const WavefrontPlan<R>& plan, const Region<R>& sub) {
-  if (plan.fused_pencil) {
-    iterate_pencils(sub, plan.loops, plan.fused_pencil);
+  if (plan.fused_kernel) {
+    plan.fused_kernel(sub, plan.loops);
     return;
   }
   iterate_pencils(sub, plan.loops,
@@ -140,21 +140,21 @@ void apply_statement(const Region<E::rank>& region,
     for (Rank d = 0; d < R; ++d) ls.step[d] = +1;
   }
 
+  const PencilWalk<R> walk(region, ls.order, ls.step);
   if (!needs_temp) {
-    iterate_pencils(region, ls,
-                    [&](Idx<R> i, Rank inner, Coord step, Coord count) {
-                      run_pencil(count, spec.cursor(i, inner, step));
-                    });
+    run_fused(walk, spec);
     return;
   }
   std::vector<Real> tmp(static_cast<std::size_t>(region.size()));
   Real* pos = tmp.data();
-  iterate_pencils(region, ls,
-                  [&](Idx<R> i, Rank inner, Coord step, Coord count) {
-                    const auto rhs = spec.expr.cursor(i, inner, step);
-                    for (Coord k = 0; k < count; ++k) pos[k] = rhs(k);
-                    pos += count;
-                  });
+  auto rhs = spec.expr.bind(walk, {});
+  walk_pencils(
+      walk,
+      [&](Coord count) {
+        for (Coord k = 0; k < count; ++k) pos[k] = rhs(k, NoCarry{});
+        pos += count;
+      },
+      [&rhs](Rank level) { rhs.advance(level); });
   pos = tmp.data();
   iterate_pencils(region, ls,
                   [&](Idx<R> i, Rank, Coord, Coord count) {

@@ -17,24 +17,163 @@
 // legality, halos and loop structure.
 //
 // Every node evaluates two ways. eval(i) computes one index from scratch
-// (the reference semantics). cursor(start, inner, step) binds the node to a
-// pencil — the run start, start + step*e_inner, ... — once, and returns a
-// callable c with c(k) == eval(start + k*step*e_inner): array leaves turn
-// into a base pointer and a fixed element stride, so an executor's inner
-// loop is plain strided loads and the node's arithmetic, with no index
-// arithmetic. Cursors read through the array on every call (nothing is
-// cached), so a primed read of the left-hand side sees what the previous
-// iteration of the same pencil stored.
+// (the reference semantics). bind(walk, rule) binds the node to a whole
+// region walk (PencilWalk: the pencils of a region under a loop nest) once:
+// array leaves turn into a base pointer plus one element stride per loop
+// level, so an executor's inner loop is plain strided loads and the node's
+// arithmetic, and moving to the next pencil adds one precomputed stride per
+// leaf — no index arithmetic per element or per pencil. A bound node b
+// reads element k of the current pencil as b(k, carries), and
+// b.advance(level) moves it to the next pencil when loop `level` steps.
+//
+// Bound reads go to memory on every call (nothing is cached), so a primed
+// read of the left-hand side sees what the previous iteration of the same
+// pencil stored — except for a register carry (CarryRule): a primed read
+// one step back along the pencil of an array the block writes once, at or
+// after the reading statement, reads the value the writer stored last,
+// held in a local by the fused kernel (statement.hh) instead of reloaded.
+// cursor(e, start, inner, step) is the one-pencil, memory-only binding.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "lang/access.hh"
 
 namespace wavepipe {
+
+// ---------------------------------------------------------------------------
+// Region walks and register carries
+
+/// The pencils of a region under a loop nest, as a bound node sees them:
+/// the first index, and per loop level (outermost first) the dimension,
+/// its step (+1 or -1) and its trip count. Level R-1 is the pencil.
+template <Rank R>
+struct PencilWalk {
+  Idx<R> start{};
+  std::array<Rank, R> dim{};
+  std::array<Coord, R> step{};
+  std::array<Coord, R> count{};
+
+  PencilWalk() = default;
+
+  /// The walk over `region` in loop order `order` (outermost first) with
+  /// per-dimension steps `dstep` — a LoopStructure's fields. An empty
+  /// region gives a zero count.
+  template <typename Step>
+  PencilWalk(const Region<R>& region, const std::array<Rank, R>& order,
+             const std::array<Step, R>& dstep) {
+    for (Rank l = 0; l < R; ++l) {
+      const Rank d = order[l];
+      dim[l] = d;
+      step[l] = dstep[d];
+      count[l] = region.extent(d);
+      start.v[d] = dstep[d] > 0 ? region.lo(d) : region.hi(d);
+    }
+  }
+
+  /// The one pencil start, start + step*e_inner, ... of `count` elements.
+  static PencilWalk pencil(const Idx<R>& start, Rank inner, Coord step,
+                           Coord count) {
+    PencilWalk w;
+    w.start = start;
+    Rank l = 0;
+    for (Rank d = 0; d < R; ++d) {
+      if (d == inner) continue;
+      w.dim[l] = d;
+      w.step[l] = 1;
+      w.count[l++] = 1;
+    }
+    w.dim[R - 1] = inner;
+    w.step[R - 1] = step;
+    w.count[R - 1] = count;
+    return w;
+  }
+
+  Rank inner() const { return dim[R - 1]; }
+
+  /// Element offsets in `a` per loop level: [R-1] is the stride along the
+  /// pencil; [l] for l < R-1 moves from the last pencil of one level-l
+  /// iteration to the first pencil of the next (the odometer's jump: one
+  /// step at level l, the deeper outer levels back to their start).
+  /// Bit d of `frozen` marks a dimension the reference does not move along
+  /// (a flood's), which contributes no offset.
+  std::array<Coord, R> deltas(const DenseArray<Real, R>& a,
+                              FloodMask frozen = 0) const {
+    std::array<Coord, R> st{};
+    for (Rank l = 0; l < R; ++l)
+      st[l] = is_flooded(frozen, dim[l]) ? 0 : a.stride(dim[l]) * step[l];
+    std::array<Coord, R> out{};
+    out[R - 1] = st[R - 1];
+    Coord rewind = 0;  // sum over deeper outer levels of (count-1)*st
+    for (Rank l = R - 1; l-- > 0;) {
+      out[l] = st[l] - rewind;
+      rewind += (count[l] - 1) * st[l];
+    }
+    return out;
+  }
+};
+
+/// Carry registers of a fused kernel: the value statement s stored last in
+/// the current pencil sits in slot s. A memory-only evaluation passes
+/// NoCarry.
+struct NoCarry {};
+template <std::size_t S>
+using CarryRegs = std::array<Real, S>;
+
+/// Reads slot `slot` of the registers with constant indices only, so the
+/// compiler keeps them in registers.
+template <std::size_t S>
+Real pick(const CarryRegs<S>& regs, int slot) {
+  if constexpr (S == 1) {
+    return regs[0];
+  } else {
+    return [&]<std::size_t... I>(std::index_sequence<I...>) {
+      Real v = regs[0];
+      ((slot == static_cast<int>(I) ? (v = regs[I], 0) : 0), ...);
+      return v;
+    }(std::make_index_sequence<S>{});
+  }
+}
+
+/// Which reads of a fused block a bound leaf may take from a carry
+/// register instead of memory. A primed read A'@d is carried when
+///   * d is -step along the pencil and zero elsewhere (element k reads
+///     what the pencil stored at k-1),
+///   * exactly one statement of the block writes A, and
+///   * that writer is the reading statement or a later one,
+/// because then the value the writer stored last in this pencil is exactly
+/// A(i + d): no other statement writes A, and the writer has not yet
+/// stored element k when the reader runs. (With two writers the carry
+/// would have to come from the later one; the rule keeps to one.) The
+/// default rule (no statements) carries nothing.
+template <Rank R>
+struct CarryRule {
+  std::span<DenseArray<Real, R>* const> lhs;  // the block, program order
+  int reader = 0;                             // statement being bound
+  Direction<R> back{};                        // -step * e_inner
+  unsigned* used = nullptr;                   // bit s: slot s is read
+
+  /// The slot the read takes its value from, or -1 for memory.
+  int slot(const DenseArray<Real, R>* a, const Direction<R>& dir,
+           bool primed) const {
+    if (!primed || dir != back) return -1;
+    int writer = -1;
+    for (std::size_t s = 0; s < lhs.size(); ++s) {
+      if (lhs[s]->id() != a->id()) continue;
+      if (writer >= 0) return -1;  // more than one writer: not carried
+      writer = static_cast<int>(s);
+    }
+    if (writer < reader) return -1;
+    *used |= 1u << writer;
+    return writer;
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Leaf nodes
@@ -61,10 +200,23 @@ class ArrayRef {
 
   Real eval(const Idx<R>& i) const { return (*a_)(i + dir_); }
 
-  auto cursor(const Idx<R>& start, Rank inner, Coord step) const {
-    const Real* p = &(*a_)(start + dir_);
-    const Coord s = a_->stride(inner) * step;
-    return [p, s](Coord k) { return p[k * s]; };
+  struct Bound {
+    const Real* p;
+    std::array<Coord, R> delta;
+    int slot;  // carry register, or -1 for memory
+
+    template <typename Regs>
+    Real operator()(Coord k, const Regs& regs) const {
+      if constexpr (!std::is_same_v<Regs, NoCarry>)
+        if (slot >= 0) return pick(regs, slot);
+      return p[k * delta[R - 1]];
+    }
+    void advance(Rank level) { p += delta[level]; }
+  };
+
+  Bound bind(const PencilWalk<R>& w, const CarryRule<R>& rule) const {
+    return {&(*a_)(w.start + dir_), w.deltas(*a_),
+            rule.slot(a_, dir_, primed_)};
   }
 
   void collect(std::vector<Access<R>>& out) const {
@@ -84,9 +236,14 @@ class ScalarExpr {
   static constexpr Rank rank = R;
   explicit ScalarExpr(Real v) : v_(v) {}
   Real eval(const Idx<R>&) const { return v_; }
-  auto cursor(const Idx<R>&, Rank, Coord) const {
-    return [v = v_](Coord) { return v; };
-  }
+
+  struct Bound {
+    Real v;
+    template <typename Regs>
+    Real operator()(Coord, const Regs&) const { return v; }
+    void advance(Rank) {}
+  };
+  Bound bind(const PencilWalk<R>&, const CarryRule<R>&) const { return {v_}; }
   void collect(std::vector<Access<R>>&) const {}
 
  private:
@@ -97,7 +254,7 @@ class ScalarExpr {
 /// every index of those dimensions reads that one element — the flooded
 /// coordinates clamp to a's lo. A pencil along a flooded dimension reads
 /// one element over and over (stride 0); along any other dimension it is
-/// an ordinary strided read. Read-only: ScanBlock::compile rejects a block
+/// an ordinary strided read. Never carried. Read-only: ScanBlock::compile rejects a block
 /// that also writes or primes a flooded array.
 template <Rank R>
 class FloodRef {
@@ -108,10 +265,18 @@ class FloodRef {
 
   Real eval(const Idx<R>& i) const { return (*a_)(clamp(i)); }
 
-  auto cursor(const Idx<R>& start, Rank inner, Coord step) const {
-    const Real* p = &(*a_)(clamp(start));
-    const Coord s = is_flooded(mask_, inner) ? 0 : a_->stride(inner) * step;
-    return [p, s](Coord k) { return p[k * s]; };
+  struct Bound {
+    const Real* p;
+    std::array<Coord, R> delta;
+    template <typename Regs>
+    Real operator()(Coord k, const Regs&) const {
+      return p[k * delta[R - 1]];
+    }
+    void advance(Rank level) { p += delta[level]; }
+  };
+
+  Bound bind(const PencilWalk<R>& w, const CarryRule<R>&) const {
+    return {&(*a_)(clamp(w.start)), w.deltas(*a_, mask_)};
   }
 
   void collect(std::vector<Access<R>>& out) const {
@@ -211,11 +376,20 @@ class BinExpr {
 
   Real eval(const Idx<rank>& i) const { return Op::apply(l_.eval(i), r_.eval(i)); }
 
-  auto cursor(const Idx<rank>& start, Rank inner, Coord step) const {
-    return [l = l_.cursor(start, inner, step),
-            r = r_.cursor(start, inner, step)](Coord k) {
-      return Op::apply(l(k), r(k));
-    };
+  struct Bound {
+    typename L::Bound l;
+    typename Rt::Bound r;
+    template <typename Regs>
+    Real operator()(Coord k, const Regs& regs) const {
+      return Op::apply(l(k, regs), r(k, regs));
+    }
+    void advance(Rank level) {
+      l.advance(level);
+      r.advance(level);
+    }
+  };
+  Bound bind(const PencilWalk<rank>& w, const CarryRule<rank>& rule) const {
+    return {l_.bind(w, rule), r_.bind(w, rule)};
   }
 
   void collect(std::vector<Access<rank>>& out) const {
@@ -237,10 +411,16 @@ class UnExpr {
 
   Real eval(const Idx<rank>& i) const { return Op::apply(e_.eval(i)); }
 
-  auto cursor(const Idx<rank>& start, Rank inner, Coord step) const {
-    return [e = e_.cursor(start, inner, step)](Coord k) {
-      return Op::apply(e(k));
-    };
+  struct Bound {
+    typename E::Bound e;
+    template <typename Regs>
+    Real operator()(Coord k, const Regs& regs) const {
+      return Op::apply(e(k, regs));
+    }
+    void advance(Rank level) { e.advance(level); }
+  };
+  Bound bind(const PencilWalk<rank>& w, const CarryRule<rank>& rule) const {
+    return {e_.bind(w, rule)};
   }
 
   void collect(std::vector<Access<rank>>& out) const { e_.collect(out); }
@@ -371,11 +551,22 @@ class SelectExpr {
     return c_.eval(i) > 0.0 ? l_.eval(i) : r_.eval(i);
   }
 
-  auto cursor(const Idx<rank>& start, Rank inner, Coord step) const {
-    return [c = c_.cursor(start, inner, step), l = l_.cursor(start, inner, step),
-            r = r_.cursor(start, inner, step)](Coord k) {
-      return c(k) > 0.0 ? l(k) : r(k);
-    };
+  struct Bound {
+    typename C::Bound c;
+    typename L::Bound l;
+    typename Rt::Bound r;
+    template <typename Regs>
+    Real operator()(Coord k, const Regs& regs) const {
+      return c(k, regs) > 0.0 ? l(k, regs) : r(k, regs);
+    }
+    void advance(Rank level) {
+      c.advance(level);
+      l.advance(level);
+      r.advance(level);
+    }
+  };
+  Bound bind(const PencilWalk<rank>& w, const CarryRule<rank>& rule) const {
+    return {c_.bind(w, rule), l_.bind(w, rule), r_.bind(w, rule)};
   }
 
   void collect(std::vector<Access<rank>>& out) const {
@@ -439,6 +630,17 @@ template <typename A>
 auto exp_e(const A& a) {
   constexpr Rank R = wp_rank_of<std::decay_t<A>>::value;
   return make_un(make_operand<R>(a), ops::Exp{});
+}
+
+/// Binds `e` to the one pencil start, start + step*e_inner, ... and returns
+/// a callable c with c(k) == e.eval(start + k*step*e_inner), reading
+/// memory only.
+template <typename E>
+  requires is_wp_expr_v<E>
+auto cursor(const E& e, const Idx<E::rank>& start, Rank inner, Coord step) {
+  constexpr Rank R = E::rank;
+  return [b = e.bind(PencilWalk<R>::pencil(start, inner, step, 1),
+                     CarryRule<R>{})](Coord k) { return b(k, NoCarry{}); };
 }
 
 }  // namespace wavepipe

@@ -42,18 +42,24 @@ struct ArrayUse {
   const std::string& name() const { return array->name(); }
 };
 
+/// A fused region kernel: runs every statement of a block over a
+/// sub-region of its region in the given loop structure.
+template <Rank R>
+using FusedKernel =
+    std::function<void(const Region<R>& sub, const LoopStructure<R>& loops)>;
+
 template <Rank R>
 struct WavefrontPlan {
   Region<R> region;
   std::vector<Statement<R>> statements;
 
-  /// Optional fast path built by the variadic scan(...) builder: evaluates
-  /// *all* statements, interleaved per index, along a pencil through
-  /// expression cursors. This is the fused single-loop-nest code the
-  /// paper's compiler generates; executors fall back to per-index
-  /// Statement::eval_at calls when absent (blocks built with add()).
-  std::function<void(Idx<R> start, Rank inner, Coord step, Coord count)>
-      fused_pencil;
+  /// Optional fast path built by the variadic scan(...) builder: one call
+  /// per tile or region evaluates *all* statements, interleaved per index,
+  /// over the region's pencils (run_fused, statement.hh). This is the fused
+  /// single-loop-nest code the paper's compiler generates; executors fall
+  /// back to per-index Statement::eval_at calls when absent (blocks built
+  /// with add()).
+  FusedKernel<R> fused_kernel;
 
   Wsv<R> wsv{};
   WsvAnalysis<R> analysis{};

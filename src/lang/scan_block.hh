@@ -48,10 +48,9 @@ class ScanBlock {
     return add(to_statement(spec));
   }
 
-  /// Installs the fused pencil evaluator (set by the scan(...) builder).
-  void set_fused_pencil(
-      std::function<void(Idx<R>, Rank, Coord, Coord)> fused) {
-    fused_pencil_ = std::move(fused);
+  /// Installs the fused region kernel (set by the scan(...) builder).
+  void set_fused_kernel(FusedKernel<R> fused) {
+    fused_kernel_ = std::move(fused);
   }
 
   std::size_t size() const { return statements_.size(); }
@@ -65,7 +64,7 @@ class ScanBlock {
     WavefrontPlan<R> plan;
     plan.region = region_;
     plan.statements = statements_;
-    plan.fused_pencil = fused_pencil_;
+    plan.fused_kernel = fused_kernel_;
 
     // Which arrays are defined (written) in the block, and which primed.
     std::set<const void*> written, primed;
@@ -211,40 +210,41 @@ class ScanBlock {
   Region<R> region_;
   WavefrontChoice choice_;
   std::vector<Statement<R>> statements_;
-  std::function<void(Idx<R>, Rank, Coord, Coord)> fused_pencil_;
+  FusedKernel<R> fused_kernel_;
 };
 
-/// Adds typed statement specs to `sb` and installs the fused pencil: every
-/// statement bound to the pencil once, then evaluated interleaved per
-/// element in program order.
+/// Adds typed statement specs to `sb` and installs the fused region
+/// kernel: one call per tile or region binds every statement to the
+/// region's pencil walk once and runs them interleaved per element in
+/// program order (run_fused).
 template <Rank R, typename... Es>
-ScanBlock<R> with_fused_pencil(ScanBlock<R> sb,
+ScanBlock<R> with_fused_kernel(ScanBlock<R> sb,
                                const StatementSpec<Es>&... specs) {
   static_assert(sizeof...(Es) > 0, "scan() needs at least one statement");
   static_assert(((Es::rank == R) && ...), "statement ranks must match");
   (sb.add(specs), ...);
-  sb.set_fused_pencil(
-      [specs...](Idx<R> i, Rank inner, Coord step, Coord count) {
-        run_pencil(count, specs.cursor(i, inner, step)...);
+  sb.set_fused_kernel(
+      [specs...](const Region<R>& sub, const LoopStructure<R>& loops) {
+        run_fused(PencilWalk<R>(sub, loops.order, loops.step), specs...);
       });
   return sb;
 }
 
 /// Builds a scan block from typed statement specs and installs the fused
-/// pencil — the preferred way to write a block:
+/// region kernel — the preferred way to write a block:
 ///
 ///   auto sb = scan(Rn, r <<= aa * prime(d, north),
 ///                      d <<= 1.0 / (dd - at(aa, north) * r));
 template <Rank R, typename... Es>
 ScanBlock<R> scan(const Region<R>& region, const StatementSpec<Es>&... specs) {
-  return with_fused_pencil(ScanBlock<R>(region), specs...);
+  return with_fused_kernel(ScanBlock<R>(region), specs...);
 }
 
 /// scan() with an explicit wavefront-dimension choice policy.
 template <Rank R, typename... Es>
 ScanBlock<R> scan_with_choice(const Region<R>& region, WavefrontChoice choice,
                               const StatementSpec<Es>&... specs) {
-  return with_fused_pencil(ScanBlock<R>(region, choice), specs...);
+  return with_fused_kernel(ScanBlock<R>(region, choice), specs...);
 }
 
 /// Convenience for the tests and the programmer-reasoning examples of the

@@ -11,13 +11,17 @@
 //                    unfused baseline executor of the cache study).
 //
 // The typed specs additionally let the variadic scan(...) builder compile a
-// *fused* pencil that interleaves all statements per index at native speed
-// — the single-loop-nest code the paper's compiler generates. Both pencil
-// evaluators and the fused pencil run on expression cursors (expr.hh).
+// *fused* region kernel (run_fused) that interleaves all statements per
+// index at native speed — the single-loop-nest code the paper's compiler
+// generates. It binds every statement to the whole region walk once
+// (expr.hh), walks the pencils stepping the bound pointers, and keeps
+// carried recurrences (CarryRule) in registers.
 #pragma once
 
 #include <functional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "lang/expr.hh"
@@ -31,23 +35,104 @@ struct StatementSpec {
   DenseArray<Real, E::rank>* lhs;
   E expr;
 
-  /// Binds the statement to a pencil (see the cursors of expr.hh): the
-  /// returned callable assigns element k of the pencil, lhs(start +
-  /// k*step*e_inner) = expr there.
-  auto cursor(const Idx<rank>& start, Rank inner, Coord step) const {
-    Real* out = &(*lhs)(start);
-    const Coord s = lhs->stride(inner) * step;
-    return [out, s, rhs = expr.cursor(start, inner, step)](Coord k) {
-      out[k * s] = rhs(k);
-    };
+  /// The statement bound to a region walk (see bind() in expr.hh): b(k,
+  /// regs) assigns element k of the current pencil, lhs = expr there, and
+  /// returns the stored value.
+  struct Bound {
+    Real* out;
+    std::array<Coord, rank> delta;
+    typename E::Bound rhs;
+
+    template <typename Regs>
+    Real operator()(Coord k, const Regs& regs) const {
+      const Real v = rhs(k, regs);
+      out[k * delta[rank - 1]] = v;
+      return v;
+    }
+    void advance(Rank level) {
+      out += delta[level];
+      rhs.advance(level);
+    }
+    /// lhs one element before the pencil: what a carried read sees first.
+    Real before() const { return out[-delta[rank - 1]]; }
+  };
+
+  Bound bind(const PencilWalk<rank>& w, const CarryRule<rank>& rule) const {
+    return {&(*lhs)(w.start), w.deltas(*lhs), expr.bind(w, rule)};
   }
 };
 
-/// Runs bound statement cursors over a pencil of `count` elements,
-/// interleaved per element in the order given.
-template <typename... Cs>
-void run_pencil(Coord count, const Cs&... cs) {
-  for (Coord k = 0; k < count; ++k) (cs(k), ...);
+/// Calls pencil(count) for every pencil of `w` in loop order and, between
+/// two pencils, advance(level) with the loop level that steps.
+template <Rank R, typename Pencil, typename Advance>
+void walk_pencils(const PencilWalk<R>& w, Pencil&& pencil, Advance&& advance) {
+  auto level = [&]<Rank L>(auto& self, std::integral_constant<Rank, L>) {
+    if constexpr (L + 1 == R) {
+      pencil(w.count[R - 1]);
+    } else {
+      for (Coord c = 1;; ++c) {
+        self(self, std::integral_constant<Rank, L + 1>{});
+        if (c == w.count[L]) return;
+        advance(L);
+      }
+    }
+  };
+  level(level, std::integral_constant<Rank, 0>{});
+}
+
+/// The fused region kernel: runs `specs` over every pencil of `w` (none
+/// when `w` is empty),
+/// interleaved per element in program order. Each statement is bound once
+/// for the whole walk. When a read qualifies for a register carry
+/// (CarryRule), every pencil seeds the carried statements' registers from
+/// memory — the element before the pencil, fluff or an earlier tile — and
+/// then keeps each carried value in a local; the loop is a scalar
+/// recurrence. Otherwise every read goes to memory and the loop stays
+/// vectorizable. Both give the same bytes: a carried value is exactly the
+/// double the writer stored.
+template <Rank R, typename... Es>
+void run_fused(const PencilWalk<R>& w, const StatementSpec<Es>&... specs) {
+  constexpr std::size_t S = sizeof...(Es);
+  static_assert(S <= 32, "a fused block holds at most 32 statements");
+  for (const Coord c : w.count)
+    if (c <= 0) return;  // an empty walk binds and seeds nothing
+  const std::array<DenseArray<Real, R>*, S> lhs{specs.lhs...};
+  Direction<R> back{};
+  back.v[w.inner()] = -w.step[R - 1];
+  unsigned used = 0;
+  auto bound = [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::tuple{specs.bind(
+        w, CarryRule<R>{lhs, static_cast<int>(I), back, &used})...};
+  }(std::index_sequence_for<Es...>{});
+
+  auto advance = [&bound](Rank level) {
+    std::apply([level](auto&... b) { (b.advance(level), ...); }, bound);
+  };
+  if (used == 0) {
+    walk_pencils(
+        w,
+        [&bound](Coord n) {
+          std::apply(
+              [n](const auto&... b) {
+                for (Coord k = 0; k < n; ++k) (b(k, NoCarry{}), ...);
+              },
+              bound);
+        },
+        advance);
+    return;
+  }
+  walk_pencils(
+      w,
+      [&bound, used](Coord n) {
+        [&]<std::size_t... I>(std::index_sequence<I...>) {
+          CarryRegs<S> regs{};
+          ((regs[I] = (used >> I) & 1u ? std::get<I>(bound).before() : 0.0),
+           ...);
+          for (Coord k = 0; k < n; ++k)
+            ((regs[I] = std::get<I>(bound)(k, regs)), ...);
+        }(std::index_sequence_for<Es...>{});
+      },
+      advance);
 }
 
 /// Builds a StatementSpec from `lhs <<= rhs_expression`. The operator is
@@ -102,12 +187,12 @@ Statement<E::rank> to_statement(const StatementSpec<E>& spec) {
   st.eval_at = [lp, expr](const Idx<R>& i) { (*lp)(i) = expr.eval(i); };
 
   st.eval_pencil = [spec](Idx<R> i, Rank inner, Coord step, Coord count) {
-    run_pencil(count, spec.cursor(i, inner, step));
+    run_fused(PencilWalk<R>::pencil(i, inner, step, count), spec);
   };
 
   st.rhs_pencil = [expr](Idx<R> i, Rank inner, Coord step, Coord count,
                          Real* out) {
-    const auto rhs = expr.cursor(i, inner, step);
+    const auto rhs = cursor(expr, i, inner, step);
     for (Coord k = 0; k < count; ++k) out[k] = rhs(k);
   };
 

@@ -104,7 +104,7 @@ void run_ref_sweep(int trials) {
                       : start.v[inner] - cover.lo(inner));
     (is_flooded(m, inner) ? saw_flooded_inner : saw_plain_inner) = true;
 
-    const auto c = f.cursor(start, inner, step);
+    const auto c = cursor(f, start, inner, step);
     Idx<R> i = start;
     for (Coord k = 0; k < count; ++k, i.v[inner] += step) {
       Idx<R> clamped = i;
@@ -159,8 +159,8 @@ TEST(EqExpr, IsOneWhereEqualAndZeroElsewhere) {
     for (Rank inner : {Rank{0}, Rank{1}}) {
       for (Coord step : {Coord{1}, Coord{-1}}) {
         const Idx<2> start{{step > 0 ? 0 : 4, step > 0 ? 0 : 5}};
-        const auto ce = e.cursor(start, inner, step);
-        const auto cs = s.cursor(start, inner, step);
+        const auto ce = cursor(e, start, inner, step);
+        const auto cs = cursor(s, start, inner, step);
         Idx<2> i = start;
         for (Coord k = 0; k <= reg.hi(inner); ++k, i.v[inner] += step) {
           const Real want = x(i) == y(i) ? 1.0 : 0.0;

@@ -145,8 +145,8 @@ void run_cursor_sweep(int trials, Coverage& seen) {
     Arrays<R> a(all, order, salt), b(all, order, salt);
     const auto fused = build<R>(shape, a, reg, d0, d1, true);
     const auto per_index = build<R>(shape, b, reg, d0, d1, false);
-    ASSERT_TRUE(static_cast<bool>(fused.fused_pencil));
-    ASSERT_FALSE(static_cast<bool>(per_index.fused_pencil));
+    ASSERT_TRUE(static_cast<bool>(fused.fused_kernel));
+    ASSERT_FALSE(static_cast<bool>(per_index.fused_kernel));
     ASSERT_EQ(fused.loops, per_index.loops);
     run_serial(fused);
     run_serial(per_index);
@@ -194,7 +194,7 @@ TEST(PencilCursor, CursorMatchesEvalAlongNegativeStrides) {
     for (Rank inner : {Rank{0}, Rank{1}}) {
       for (Coord step : {Coord{1}, Coord{-1}}) {
         const Idx<2> start{{step > 0 ? -1 : 6, step > 0 ? 4 : 10}};
-        const auto c = e.cursor(start, inner, step);
+        const auto c = cursor(e, start, inner, step);
         Idx<2> i = start;
         for (Coord k = 0; k < 6; ++k, i.v[inner] += step)
           EXPECT_EQ(c(k), e.eval(i)) << "inner " << inner << " step " << step;

@@ -177,14 +177,14 @@ TEST(ScanBlock, FusedAndFallbackPathsAgree) {
   auto fused = scan(reg, a <<= 0.5 * prime(a, kNorth) + b,
                     b <<= b + 0.25 * a);
   auto plan_fused = fused.compile();
-  EXPECT_TRUE(static_cast<bool>(plan_fused.fused_pencil));
+  EXPECT_TRUE(static_cast<bool>(plan_fused.fused_kernel));
   run_serial(plan_fused);
 
   ScanBlock<2> manual(reg);
   manual.add(c <<= 0.5 * prime(c, kNorth) + e);
   manual.add(e <<= e + 0.25 * c);
   auto plan_manual = manual.compile();
-  EXPECT_FALSE(static_cast<bool>(plan_manual.fused_pencil));
+  EXPECT_FALSE(static_cast<bool>(plan_manual.fused_kernel));
   run_serial(plan_manual);
 
   EXPECT_LT(max_abs_difference(a, c), 1e-15);
