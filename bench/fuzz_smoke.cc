@@ -1,6 +1,6 @@
 // CI fuzz driver: sweeps N seeds through the comm-program fuzzer
 // (generate -> cross-check against replay, random schedules, fault plans,
-// and the threads engine) plus a chaos pass over the Tomcatv wavefront.
+// and the parallel engine) plus a chaos pass over the Tomcatv wavefront.
 // Exits nonzero on the first failure and prints the minimized program and
 // the one-line repro command.
 //

@@ -370,8 +370,8 @@ bool Communicator::cancel(Request& r) {
   if (!s.posted.done()) {
     mb.cancel_recv(s.posted);
     // After cancel_recv the slot can no longer complete (we are the
-    // serialized consumer in parallel mode; the locked modes serialized
-    // the cancel against deposits), so done() here is final.
+    // serialized consumer in parallel mode; serial mode is one thread), so
+    // done() here is final.
     if (!s.posted.done()) {
       release(r, s);
       return false;

@@ -31,9 +31,9 @@
 //   3. Completion stamps depend only on program order, so nonblocking
 //      virtual times are as deterministic as blocking ones under both
 //      engines. (test() and wait_any() additionally depend on *physical*
-//      arrival, which is deterministic under fibers and under threads only
-//      when arrival order is dependency-forced — the same caveat probe()
-//      carries.)
+//      arrival, which is deterministic under fibers and under the parallel
+//      engine only when arrival order is dependency-forced — the same
+//      caveat probe() carries.)
 #pragma once
 
 #include <atomic>
@@ -287,7 +287,7 @@ class Communicator {
   /// unregistered from the mailbox and false returned. Either way the
   /// handle is consumed. Race-free by the mailbox consumer contract: in
   /// parallel mode only the serialized consumer (the caller) completes
-  /// slots, and the locked modes serialize cancel against deposits.
+  /// slots, and serial mode runs everything on one thread.
   bool cancel(Request& r);
 
   /// Blocks this rank on its own mailbox until `ready()` holds,
@@ -308,7 +308,7 @@ class Communicator {
   /// index) among the physically complete — a deterministic tie-break —
   /// and returns its index. Invalid handles are skipped; throws CommError
   /// if every handle is invalid. See rule 3 for the determinism caveat
-  /// under the threaded engine.
+  /// under the parallel engine.
   std::size_t wait_any(std::span<Request> rs);
 
   // ---- collectives (binomial trees over point-to-point) ----

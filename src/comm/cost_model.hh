@@ -33,7 +33,7 @@ struct CostModel {
   double send_overhead = 0.0;
 
   /// True when every cost is zero: the runtime then never advances virtual
-  /// clocks and behaves as a plain threaded message-passing library.
+  /// clocks and behaves as a plain message-passing library.
   bool is_free() const {
     return alpha == 0.0 && beta == 0.0 && send_overhead == 0.0;
   }

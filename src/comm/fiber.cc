@@ -71,8 +71,6 @@ namespace wavepipe {
 
 const char* to_string(EngineKind k) {
   switch (k) {
-    case EngineKind::kThreads:
-      return "threads";
     case EngineKind::kParallel:
       return "parallel";
     case EngineKind::kFibers:
@@ -91,16 +89,13 @@ EngineConfig EngineConfig::from_env() {
   EngineConfig cfg;
   if (const char* v = std::getenv("WAVEPIPE_ENGINE")) {
     const std::string s(v);
-    if (s == "threads") {
-      cfg.kind = EngineKind::kThreads;
-    } else if (s == "fibers" || s.empty()) {
+    if (s == "fibers" || s.empty()) {
       cfg.kind = EngineKind::kFibers;
     } else if (s == "parallel") {
       cfg.kind = EngineKind::kParallel;
     } else {
-      throw ConfigError(
-          "WAVEPIPE_ENGINE expects 'threads', 'fibers', or 'parallel', got '" +
-          s + "'");
+      throw ConfigError("WAVEPIPE_ENGINE expects 'fibers' or 'parallel', got '" +
+                        s + "'");
     }
   }
   if (const char* v = std::getenv("WAVEPIPE_PIN")) {
@@ -486,15 +481,15 @@ struct FiberScheduler::Impl {
         // rank, this was no deadlock at all.
         if (!deadlock_error && step_hook && step_hook(step, /*deadlock=*/true))
           continue;
-        // Every unfinished rank is blocked: a communication deadlock the
-        // threaded engine would hang on. Poison the mailboxes so the
-        // blocked fibers unwind (destroying their stack objects), then
-        // report the root cause.
+        // Every unfinished rank is blocked: a communication deadlock real
+        // threads would hang on. Poison the mailboxes so the blocked fibers
+        // unwind (destroying their stack objects), then report the root
+        // cause.
         if (deadlock_error)  // on_deadlock failed to unblock anything
           std::rethrow_exception(deadlock_error);
         deadlock_error = std::make_exception_ptr(EngineError(
             "deadlock: every rank is blocked on a receive (ranks " +
-            blocked_ranks() + "); the threaded engine would hang here"));
+            blocked_ranks() + "); real threads would hang here"));
         on_deadlock();
         continue;
       }

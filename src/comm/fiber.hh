@@ -1,16 +1,16 @@
 // Cooperative-fiber execution engine for the SPMD Machine.
 //
-// The threaded engine pays a kernel context switch plus a lock handoff for
-// every message, which on a small host dominates wall-clock time. This
-// engine runs all ranks as stackful fibers (POSIX ucontext) on the calling
-// thread: a rank runs until it blocks (recv with no matching message, a
-// collective waiting on a peer), then the scheduler switches — in user
-// space, no locks — to the runnable rank with the earliest virtual clock
-// (rank id as tiebreak). Because virtual times, stats, phases, and trace
-// stamps depend only on per-rank program order and sender-computed arrival
-// stamps, the fiber engine produces results byte-identical to the threaded
-// engine (asserted in tests/test_engine_equivalence.cc); scheduling order
-// is additionally deterministic, run to run.
+// Real OS threads pay a kernel context switch per blocked receive, which
+// dominates wall-clock time once ranks outnumber cores. This engine runs
+// all ranks as stackful fibers (POSIX ucontext) on the calling thread: a
+// rank runs until it blocks (recv with no matching message, a collective
+// waiting on a peer), then the scheduler switches — in user space, no
+// locks — to the runnable rank with the earliest virtual clock (rank id as
+// tiebreak). Because virtual times, stats, phases, and trace stamps depend
+// only on per-rank program order and sender-computed arrival stamps, the
+// fiber engine produces results byte-identical to the parallel engine
+// (asserted in tests/test_engine_equivalence.cc); scheduling order is
+// additionally deterministic, run to run.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +25,6 @@ namespace wavepipe {
 
 /// How Machine::run executes its ranks.
 enum class EngineKind {
-  kThreads,   // one OS thread per rank (the original engine)
   kFibers,    // all ranks as cooperative fibers on the calling thread
   kParallel,  // one core-pinned OS thread per rank, lock-free SPSC mailboxes
 };
@@ -59,7 +58,7 @@ struct SchedConfig {
 
 /// True when the platform provides the context-switching API the fiber
 /// engine needs (POSIX ucontext + mmap). When false, a Machine asked for
-/// kFibers falls back to kThreads with a logged warning.
+/// kFibers falls back to kParallel with a logged warning.
 bool fibers_supported();
 
 struct EngineConfig {
@@ -79,7 +78,7 @@ struct EngineConfig {
   /// sharing the host with other work.
   bool pin_threads = true;
 
-  /// WAVEPIPE_ENGINE=threads|fibers|parallel selects the engine (default
+  /// WAVEPIPE_ENGINE=fibers|parallel selects the engine (default
   /// fibers); WAVEPIPE_FIBER_STACK=N[k|m] sizes fiber stacks in bytes
   /// (suffixes for KiB / MiB); WAVEPIPE_SCHED=deterministic|random:<seed>
   /// selects the fiber scheduling policy (default deterministic);
@@ -91,8 +90,8 @@ struct EngineConfig {
 class Communicator;
 
 /// The cooperative scheduler: owns one fiber per rank and implements the
-/// MailboxBlocker seam so unmatched receives yield instead of waiting on a
-/// condition variable. One instance serves one Machine::run call.
+/// MailboxBlocker seam so unmatched receives yield to the next runnable
+/// rank. One instance serves one Machine::run call.
 class FiberScheduler : public MailboxBlocker {
  public:
   FiberScheduler(int ranks, std::size_t stack_bytes, SchedConfig sched = {});
@@ -117,7 +116,7 @@ class FiberScheduler : public MailboxBlocker {
 
   /// Runs body(rank) for every rank to completion on the calling thread.
   /// When every unfinished rank is blocked (a communication deadlock, which
-  /// the threaded engine would hang on), `on_deadlock` is invoked to poison
+  /// real threads would hang on), `on_deadlock` is invoked to poison
   /// the machine's mailboxes; the blocked fibers then unwind their stacks
   /// normally and run() throws EngineError naming the blocked ranks.
   /// EngineError is also thrown when a fiber overflows its stack (detected

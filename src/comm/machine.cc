@@ -49,13 +49,14 @@ Machine::Machine(int size, CostModel costs, TraceConfig trace,
     static std::atomic<bool> warned{false};
     if (!warned.exchange(true))
       log_warn("WAVEPIPE_ENGINE=fibers requested but this platform has no "
-               "context API; falling back to the threaded engine");
-    engine_.kind = EngineKind::kThreads;
+               "context API; falling back to the parallel engine");
+    engine_.kind = EngineKind::kParallel;
   }
-  if (engine_.kind == EngineKind::kThreads &&
+  if (engine_.kind != EngineKind::kFibers &&
       engine_.sched.kind == SchedKind::kRandom) {
-    log_warn("WAVEPIPE_SCHED=random is a fiber-engine policy; the threaded "
-             "engine keeps OS scheduling (results are identical either way)");
+    log_warn("WAVEPIPE_SCHED=random is a fiber-engine policy; the ",
+             to_string(engine_.kind),
+             " engine keeps OS scheduling (results are identical either way)");
   }
   engine_.stack_bytes =
       std::max(engine_.stack_bytes, EngineConfig::kMinStackBytes);
@@ -145,20 +146,11 @@ std::size_t Machine::pending_messages() const {
   return n;
 }
 
-void Machine::run_threads(
-    const std::function<void(int, FiberScheduler*)>& body) {
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(size_));
-  for (int r = 0; r < size_; ++r)
-    threads.emplace_back([&body, r] { body(r, nullptr); });
-  for (auto& t : threads) t.join();
-}
-
 void Machine::run_parallel(
     const std::function<void(int, FiberScheduler*)>& body) {
   // Leave parallel mode however the run ends (exception included): the
   // exit drains unreceived messages into the ordinary queues and returns
-  // the mailboxes to their locked, externally usable mode.
+  // the mailboxes to serial mode.
   struct ParallelGuard {
     std::vector<std::unique_ptr<Mailbox>>& boxes;
     ~ParallelGuard() {
@@ -196,7 +188,7 @@ void Machine::run_fibers(
       return interceptor_->step(step, deadlock);
     });
   // Detach the cooperative blocking policy however the run ends, so the
-  // mailboxes are back in their locked (externally usable) mode.
+  // mailboxes are back in plain serial mode.
   struct BlockerGuard {
     std::vector<std::unique_ptr<Mailbox>>& boxes;
     ~BlockerGuard() {
@@ -221,7 +213,7 @@ RunResult Machine::run(const std::function<void(Communicator&)>& fn) {
   if (interceptor_ && (engine_.kind != EngineKind::kFibers || size_ < 2))
     throw ConfigError(
         "a delivery interceptor needs the fiber engine and >= 2 ranks "
-        "(threaded deposits would race the injector)");
+        "(parallel-engine deposits would race the injector)");
   // Fresh death board per run: a machine reused after a recovered run
   // starts with no corpses. (An *unrecovered* failure leaves the mailboxes
   // poisoned, which already makes the machine single-use.)
@@ -289,10 +281,8 @@ RunResult Machine::run(const std::function<void(Communicator&)>& fn) {
                        // thread/fiber noise
   } else if (engine_.kind == EngineKind::kFibers) {
     run_fibers(body);
-  } else if (engine_.kind == EngineKind::kParallel) {
-    run_parallel(body);
   } else {
-    run_threads(body);
+    run_parallel(body);
   }
   result.wall_seconds = wall.seconds();
 

@@ -1,12 +1,12 @@
 // The Machine: a fixed-size set of ranks executing an SPMD function,
 // exchanging messages through per-rank mailboxes under a shared CostModel.
-// Three execution engines run the ranks (EngineConfig / WAVEPIPE_ENGINE):
-// cooperative fibers on the calling thread (the default — no locks, no
-// kernel scheduling, deterministic earliest-vtime-first switching), one OS
-// thread per rank with mutex/condvar mailboxes, or the parallel engine —
-// one core-pinned OS thread per rank over lock-free SPSC mailboxes, the
+// Two execution engines run the ranks (EngineConfig / WAVEPIPE_ENGINE):
+// cooperative fibers on the calling thread (the default and the
+// deterministic oracle — no locks, no kernel scheduling, earliest-vtime-
+// first switching, typed deadlock errors), or the parallel engine — one
+// core-pinned OS thread per rank over lock-free SPSC mailboxes, the
 // configuration that turns pipelined-vs-naive into a *wall-clock* result
-// on multicore hosts. All three produce identical results (vtimes, stats,
+// on multicore hosts. Both produce identical results (vtimes, stats,
 // phases, traces) for non-probe programs; see DESIGN.md §9 and §13.
 //
 // With CostModel{} (all costs zero) this is a plain in-process
@@ -62,9 +62,9 @@ struct RunResult {
 /// scheduling iteration (plus once more when every unfinished rank is
 /// blocked) so held messages can be delivered later. Fiber engine only:
 /// Machine::run throws ConfigError when an interceptor is installed on a
-/// threaded machine, because deposits from concurrent threads would race the
-/// injector's state. See src/testing/chaos.hh for the FaultInjector built on
-/// this seam.
+/// parallel-engine machine, because deposits from concurrent rank threads
+/// would race the injector's state. See src/testing/chaos.hh for the
+/// FaultInjector built on this seam.
 class DeliveryInterceptor {
  public:
   virtual ~DeliveryInterceptor() = default;
@@ -86,7 +86,7 @@ class Machine {
   /// (WAVEPIPE_TRACE*, WAVEPIPE_ENGINE, WAVEPIPE_FIBER_STACK), so existing
   /// callers stay trace-free and pick up the default engine unless they opt
   /// in explicitly. An EngineConfig asking for fibers on a platform without
-  /// the context API falls back to threads with a logged warning; fiber
+  /// the context API falls back to parallel with a logged warning; fiber
   /// stacks are clamped up to EngineConfig::kMinStackBytes.
   explicit Machine(int size, CostModel costs = {},
                    TraceConfig trace = TraceConfig::from_env(),
@@ -199,7 +199,6 @@ class Machine {
   std::mutex& extension_mutex() { return extension_mutex_; }
 
  private:
-  void run_threads(const std::function<void(int, FiberScheduler*)>& body);
   void run_fibers(const std::function<void(int, FiberScheduler*)>& body);
   void run_parallel(const std::function<void(int, FiberScheduler*)>& body);
 

@@ -27,11 +27,7 @@ void Mailbox::nudge() {
       ps->notify();
     return;
   }
-  if (blocker_) {
-    blocker_->notify(*this);
-    return;
-  }
-  cv_.notify_all();
+  if (blocker_) blocker_->notify(*this);
 }
 
 void Mailbox::kill(int rank, const std::string& why) {
@@ -67,8 +63,8 @@ void Mailbox::exit_parallel() {
 }
 
 void Mailbox::absorb(Message m) {
-  // Matching mirrors the deposit paths below: a waiting posted receive gets
-  // the message directly, otherwise it queues.
+  // A waiting posted receive gets the message directly, otherwise it
+  // queues.
   const auto it = posted_.find(key_of(m.src, m.tag));
   if (it != posted_.end() && !it->second.empty()) {
     PostedRecv* slot = it->second.front();
@@ -102,7 +98,7 @@ void Mailbox::poll() {
   if (parallel_) drain_channels();
 }
 
-std::optional<Message> Mailbox::pop_unlocked(int src, int tag) {
+std::optional<Message> Mailbox::pop(int src, int tag) {
   const auto it = queues_.find(key_of(src, tag));
   if (it == queues_.end() || it->second.empty()) return std::nullopt;
   Message out = std::move(it->second.front());
@@ -111,53 +107,9 @@ std::optional<Message> Mailbox::pop_unlocked(int src, int tag) {
   return out;
 }
 
-bool Mailbox::probe_unlocked(int src, int tag) const {
-  const auto it = queues_.find(key_of(src, tag));
-  return it != queues_.end() && !it->second.empty();
-}
-
 void Mailbox::complete(PostedRecv& slot, Message m) {
   slot.msg = std::move(m);
   slot.completed.store(true, std::memory_order_release);
-}
-
-void Mailbox::post_recv_unlocked(PostedRecv& slot) {
-  // Per key, at most one of {queued messages, waiting posted receives} is
-  // nonempty: if a message is queued there is nothing posted ahead of us,
-  // so claiming the oldest one preserves FIFO order.
-  if (auto m = pop_unlocked(slot.src, slot.tag)) {
-    complete(slot, std::move(*m));
-    return;
-  }
-  posted_[key_of(slot.src, slot.tag)].push_back(&slot);
-}
-
-void Mailbox::cancel_recv_unlocked(PostedRecv& slot) {
-  const auto it = posted_.find(key_of(slot.src, slot.tag));
-  if (it == posted_.end()) return;
-  auto& dq = it->second;
-  dq.erase(std::remove(dq.begin(), dq.end(), &slot), dq.end());
-}
-
-std::string Mailbox::posted_summary_unlocked() const {
-  std::vector<const PostedRecv*> slots;
-  for (const auto& [key, dq] : posted_) {
-    (void)key;
-    for (const PostedRecv* s : dq) slots.push_back(s);
-  }
-  std::sort(slots.begin(), slots.end(),
-            [](const PostedRecv* a, const PostedRecv* b) {
-              if (a->src != b->src) return a->src < b->src;
-              return a->tag < b->tag;
-            });
-  std::string out;
-  for (const PostedRecv* s : slots) {
-    if (!out.empty()) out += "; ";
-    out += s->what;
-    out += "(src=" + std::to_string(s->src) +
-           ", tag=" + std::to_string(s->tag) + ")";
-  }
-  return out;
 }
 
 void Mailbox::deposit(Message m) {
@@ -178,16 +130,8 @@ void Mailbox::deposit(Message m) {
       ps->notify();
     return;
   }
-  if (blocker_) {
-    absorb(std::move(m));
-    blocker_->notify(*this);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    absorb(std::move(m));
-  }
-  cv_.notify_all();
+  absorb(std::move(m));
+  if (blocker_) blocker_->notify(*this);
 }
 
 Message Mailbox::await(int src, int tag) {
@@ -214,176 +158,122 @@ Message Mailbox::await(int src, int tag) {
 }
 
 void Mailbox::post_recv(PostedRecv& slot) {
-  if (parallel_) {
-    // Drain first so the slot claims a message that already physically
-    // arrived, exactly as a locked-mode deposit would have matched it.
-    drain_channels();
-    post_recv_unlocked(slot);
+  // Drain first so the slot claims a message that already physically
+  // arrived, exactly as a serial-mode deposit would have matched it.
+  poll();
+  // Per key, at most one of {queued messages, waiting posted receives} is
+  // nonempty: if a message is queued there is nothing posted ahead of us,
+  // so claiming the oldest one preserves FIFO order.
+  if (auto m = pop(slot.src, slot.tag)) {
+    complete(slot, std::move(*m));
     return;
   }
-  if (blocker_) {
-    post_recv_unlocked(slot);
-    return;
+  posted_[key_of(slot.src, slot.tag)].push_back(&slot);
+}
+
+template <typename Ready>
+void Mailbox::wait(const Ready& ready, PostedRecv* slot) {
+  for (;;) {
+    // Parallel mode takes the parker ticket BEFORE draining: any deposit
+    // after this point bumps the epoch, so park(ticket) cannot sleep
+    // through it.
+    std::uint32_t ticket = 0;
+    if (parallel_) {
+      ticket = parallel_->parker.prepare();
+      drain_channels();
+    }
+    // A pending kill beats completion (and poison): the victim dies at its
+    // kill point no matter what arrived. A posted slot stays posted — the
+    // dying rank's harvest pass decides what to do with it.
+    if (killed()) throw_killed();
+    // Completion wins over poison: a message already delivered is valid
+    // even if the machine is tearing down, in both modes alike.
+    if (ready()) return;
+    if (poisoned()) {
+      if (slot) cancel_recv(*slot);
+      throw_poisoned();
+    }
+    if (parallel_) {
+      parallel_->parker.park(ticket);
+    } else if (blocker_) {
+      blocker_->block(*this);
+    } else {
+      // Serial mode with no cooperative engine: the only thread that could
+      // deposit is this one, so nothing can ever wake it.
+      std::string what =
+          "mailbox: blocking wait with no engine attached can never be "
+          "woken (posted: ";
+      const std::string posted = posted_summary();
+      what += posted.empty() ? "none" : posted;
+      what += ")";
+      throw EngineError(what);
+    }
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  post_recv_unlocked(slot);
 }
 
 void Mailbox::await_completion(PostedRecv& slot) {
-  if (parallel_) {
-    for (;;) {
-      // Take the parker ticket BEFORE draining: any deposit after this
-      // point bumps the epoch, so park(ticket) cannot sleep through it.
-      const std::uint32_t ticket = parallel_->parker.prepare();
-      drain_channels();
-      // A pending kill beats completion (and poison): the victim dies at
-      // its kill point no matter what arrived. The slot stays posted — the
-      // dying rank's harvest pass decides what to do with it.
-      if (killed()) throw_killed();
-      // Completion wins over poison, same as the other engine modes.
-      if (slot.done()) return;
-      if (poisoned()) {
-        cancel_recv_unlocked(slot);
-        throw_poisoned();
-      }
-      parallel_->parker.park(ticket);
-    }
-  }
-  if (blocker_) {
-    for (;;) {
-      if (killed()) throw_killed();
-      // Completion wins over poison: a message already delivered into the
-      // slot is valid even if the machine is tearing down (the threaded
-      // path below makes the same choice, keeping engines equivalent).
-      if (slot.done()) return;
-      if (poisoned_) {
-        cancel_recv_unlocked(slot);
-        throw_poisoned();
-      }
-      blocker_->block(*this);
-    }
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return killed() || slot.done() || poisoned_; });
-  if (killed()) throw_killed();
-  if (slot.done()) return;
-  cancel_recv_unlocked(slot);
-  throw_poisoned();
+  wait([&] { return slot.done(); }, &slot);
 }
 
 void Mailbox::await_until(const std::function<bool()>& ready) {
-  if (parallel_) {
-    for (;;) {
-      const std::uint32_t ticket = parallel_->parker.prepare();
-      drain_channels();
-      if (killed()) throw_killed();
-      if (ready()) return;
-      if (poisoned()) throw_poisoned();
-      parallel_->parker.park(ticket);
-    }
-  }
-  if (blocker_) {
-    for (;;) {
-      if (killed()) throw_killed();
-      if (ready()) return;
-      if (poisoned_) throw_poisoned();
-      blocker_->block(*this);
-    }
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] { return killed() || ready() || poisoned_; });
-  if (killed()) throw_killed();
-  if (ready()) return;
-  throw_poisoned();
+  wait(ready, nullptr);
 }
 
 void Mailbox::cancel_recv(PostedRecv& slot) {
-  if (parallel_ || blocker_) {
-    cancel_recv_unlocked(slot);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  cancel_recv_unlocked(slot);
+  const auto it = posted_.find(key_of(slot.src, slot.tag));
+  if (it == posted_.end()) return;
+  auto& dq = it->second;
+  dq.erase(std::remove(dq.begin(), dq.end(), &slot), dq.end());
 }
 
 std::optional<Message> Mailbox::try_match(int src, int tag) {
-  if (parallel_) {
-    if (poisoned()) throw_poisoned();
-    drain_channels();
-    return pop_unlocked(src, tag);
-  }
-  if (blocker_) {
-    if (poisoned_) throw_poisoned();
-    return pop_unlocked(src, tag);
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (poisoned_) throw_poisoned();
-  return pop_unlocked(src, tag);
+  if (poisoned()) throw_poisoned();
+  poll();
+  return pop(src, tag);
 }
 
 bool Mailbox::probe(int src, int tag) {
-  if (parallel_) {
-    drain_channels();
-    return probe_unlocked(src, tag);
-  }
-  if (blocker_) return probe_unlocked(src, tag);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return probe_unlocked(src, tag);
+  poll();
+  const auto it = queues_.find(key_of(src, tag));
+  return it != queues_.end() && !it->second.empty();
 }
 
 void Mailbox::poison(const std::string& why, int death_rank) {
-  if (parallel_) {
-    // Any rank thread may poison concurrently. The CAS picks one winner to
-    // write the reason; the release store of poisoned_ then publishes the
-    // string (and the death flavour) to the owner's acquire load in
-    // poisoned(). Losers just wake the owner (the winner wakes it again
-    // after its store, so the owner can never park forever with the flag
-    // set).
-    bool expected = false;
-    if (poison_claim_.compare_exchange_strong(expected, true,
-                                              std::memory_order_acq_rel)) {
-      poison_reason_ = why;
-      death_rank_ = death_rank;
-      poisoned_.store(true, std::memory_order_release);
-    }
-    parallel_->parker.unpark();
-    // Pool workers idle-parked machine-wide must also observe the teardown.
-    if (PoolSignal* ps = pool_signal_.load(std::memory_order_acquire))
-      ps->notify();
-    return;
+  // In parallel mode any rank thread may poison concurrently. The CAS picks
+  // one winner to write the reason; the release store of poisoned_ then
+  // publishes the string (and the death flavour) to the owner's acquire
+  // load in poisoned(). Every poisoner wakes the owner (the winner after
+  // its store, so the owner can never park forever with the flag set), and
+  // pool workers idle-parked machine-wide observe the teardown too.
+  bool expected = false;
+  if (poison_claim_.compare_exchange_strong(expected, true,
+                                            std::memory_order_acq_rel)) {
+    poison_reason_ = why;
+    death_rank_ = death_rank;
+    poisoned_.store(true, std::memory_order_release);
   }
-  if (blocker_) {
-    if (!poisoned_) {
-      poison_claim_ = true;
-      poison_reason_ = why;
-      death_rank_ = death_rank;
-      poisoned_ = true;
-    }
-    blocker_->notify(*this);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!poisoned_) {
-      poison_claim_ = true;
-      poison_reason_ = why;
-      death_rank_ = death_rank;
-      poisoned_ = true;
-    }
-  }
-  cv_.notify_all();
-}
-
-std::size_t Mailbox::pending() const {
-  if (parallel_ || blocker_) return pending_;
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pending_;
+  nudge();
 }
 
 std::string Mailbox::posted_summary() const {
-  if (parallel_ || blocker_) return posted_summary_unlocked();
-  std::lock_guard<std::mutex> lock(mutex_);
-  return posted_summary_unlocked();
+  std::vector<const PostedRecv*> slots;
+  for (const auto& [key, dq] : posted_) {
+    (void)key;
+    for (const PostedRecv* s : dq) slots.push_back(s);
+  }
+  std::sort(slots.begin(), slots.end(),
+            [](const PostedRecv* a, const PostedRecv* b) {
+              if (a->src != b->src) return a->src < b->src;
+              return a->tag < b->tag;
+            });
+  std::string out;
+  for (const PostedRecv* s : slots) {
+    if (!out.empty()) out += "; ";
+    out += s->what;
+    out += "(src=" + std::to_string(s->src) +
+           ", tag=" + std::to_string(s->tag) + ")";
+  }
+  return out;
 }
 
 }  // namespace wavepipe

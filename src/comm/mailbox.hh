@@ -17,32 +17,31 @@
 // order (the FIFO guarantee extends across both APIs). Per key, at most one
 // of {queued messages, waiting posted receives} is nonempty.
 //
-// Engine-policy seam: under the threaded engine every operation locks a
-// mutex and blocked receives wait on a condition variable. When a
-// cooperative scheduler is attached (set_blocker), all ranks share one OS
-// thread, so the mailbox skips locking entirely and a blocked receive
-// yields to the scheduler (MailboxBlocker::block) until a deposit or
-// poison notifies it. In parallel mode (enter_parallel, used by
-// WAVEPIPE_ENGINE=parallel) there is no mutex on the message path at all:
-// each sending rank owns a lock-free SPSC channel into this mailbox, a
-// deposit is one channel push plus a Parker unpark, and the consumer side —
-// externally serialized, so the matching maps only ever see one thread at a
-// time — drains the channels whenever it looks for a message and parks on
-// the eventcount when all of them are empty. Under SPMD execution the
-// serialized consumer is simply the owning rank's thread; the tasks backend
-// (sched/parallel_executor) lets any worker thread act as the consumer by
-// holding the rank's Communicator operation lock, which provides both the
-// exclusion and the happens-before hand-off between consecutive consumers.
+// Two modes. In serial mode every operation runs unlocked on one thread:
+// the fiber scheduler's (a cooperative MailboxBlocker is attached with
+// set_blocker, and a blocked receive yields to it until a deposit or
+// poison notifies it), a one-rank run's, or the owning thread's between
+// runs. A serial-mode wait with no blocker attached could never be woken,
+// so it throws EngineError instead of hanging. In parallel mode
+// (enter_parallel, used by WAVEPIPE_ENGINE=parallel) there is no mutex on
+// the message path at all: each sending rank owns a lock-free SPSC channel
+// into this mailbox, a deposit is one channel push plus a Parker unpark,
+// and the consumer side — externally serialized, so the matching maps only
+// ever see one thread at a time — drains the channels whenever it looks
+// for a message and parks on the eventcount when all of them are empty.
+// Under SPMD execution the serialized consumer is simply the owning rank's
+// thread; the tasks backend (sched/parallel_executor) lets any worker
+// thread act as the consumer by holding the rank's Communicator operation
+// lock, which provides both the exclusion and the happens-before hand-off
+// between consecutive consumers.
 // See DESIGN.md §13 and §14 for the full memory-ordering contract.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -97,8 +96,9 @@ class Mailbox {
 
   /// Blocks until a message from `src` with `tag` arrives, then removes and
   /// returns it. Throws CommError if the mailbox gets poisoned while
-  /// waiting. Internally posts a PostedRecv, so it queues FIFO behind any
-  /// earlier irecv on the same key.
+  /// waiting, and EngineError if it would block in serial mode with no
+  /// blocker attached. Internally posts a PostedRecv, so it queues FIFO
+  /// behind any earlier irecv on the same key.
   Message await(int src, int tag);
 
   /// Registers `slot` for its (src, tag) key: claims the oldest queued
@@ -112,8 +112,8 @@ class Mailbox {
 
   /// Blocks until `ready()` returns true, re-evaluating after every deposit
   /// or poison (poison with ready() still false throws CommError). The
-  /// predicate runs under the mailbox's synchronization and must be cheap
-  /// and side-effect-free. This is the wait_any seam: a rank blocked here
+  /// predicate runs on the consumer side and must be cheap and
+  /// side-effect-free. This is the wait_any seam: a rank blocked here
   /// becomes runnable whenever *any* of its pending requests may have
   /// completed.
   void await_until(const std::function<bool()>& ready);
@@ -170,7 +170,7 @@ class Mailbox {
   /// Number of queued (unmatched) messages; used by shutdown checks and
   /// tests that assert no stragglers. Messages delivered into posted
   /// receives never count here.
-  std::size_t pending() const;
+  std::size_t pending() const { return pending_; }
 
   /// Human-readable list of the receives still waiting in this mailbox,
   /// sorted by (src, tag) — e.g. "irecv(src=0, tag=7); recv(src=2, tag=0)".
@@ -179,15 +179,15 @@ class Mailbox {
   std::string posted_summary() const;
 
   /// Drains any parallel-mode channels into the matching structures
-  /// (serialized consumer side only); a no-op in the other modes. The
+  /// (serialized consumer side only); a no-op in serial mode. The
   /// real-time-safe polling seam: Communicator::test calls this so
   /// nonblocking completion checks observe physically arrived messages
   /// without ever blocking or locking.
   void poll();
 
-  /// Attaches (or with nullptr detaches) a cooperative engine. While
-  /// attached the mailbox is single-threaded by contract and takes no
-  /// locks. A Machine attaches for the duration of one fiber-engine run.
+  /// Attaches (or with nullptr detaches) a cooperative engine: serial-mode
+  /// waits yield to it and deposits notify it. A Machine attaches for the
+  /// duration of one fiber-engine run.
   void set_blocker(MailboxBlocker* blocker) { blocker_ = blocker; }
 
   /// Switches the mailbox into parallel (lock-free) mode with one SPSC
@@ -202,7 +202,7 @@ class Mailbox {
 
   /// Leaves parallel mode: drains every channel (unreceived messages land
   /// in the ordinary queues, so pending() is engine-invariant) and restores
-  /// the locked mode. Requires quiescence — the Machine calls it after all
+  /// serial mode. Requires quiescence — the Machine calls it after all
   /// rank threads joined.
   void exit_parallel();
 
@@ -239,13 +239,14 @@ class Mailbox {
            static_cast<std::uint32_t>(tag);
   }
 
-  // The unlocked core operations; the threaded paths call them under
-  // mutex_, the cooperative paths call them directly.
-  std::optional<Message> pop_unlocked(int src, int tag);
-  bool probe_unlocked(int src, int tag) const;
-  void post_recv_unlocked(PostedRecv& slot);
-  void cancel_recv_unlocked(PostedRecv& slot);
-  std::string posted_summary_unlocked() const;
+  // Removes and returns the oldest queued message for (src, tag), if any.
+  std::optional<Message> pop(int src, int tag);
+  // The one blocking loop behind await_completion and await_until: returns
+  // once ready() holds, throws on kill or poison (cancelling `slot`, when
+  // given, on poison), and otherwise parks (parallel), yields to the
+  // blocker (serial), or throws EngineError (serial, no blocker).
+  template <typename Ready>
+  void wait(const Ready& ready, PostedRecv* slot);
   static void complete(PostedRecv& slot, Message m);
   [[noreturn]] void throw_poisoned() const;
   [[noreturn]] void throw_killed() const;
@@ -274,15 +275,13 @@ class Mailbox {
   // Moves every channel message into the matching maps (serialized consumer
   // side only).
   void drain_channels();
-  // Match-or-queue one drained message (shared with the locked deposit
-  // paths' inline matching).
+  // Match-or-queue one message (drained channel messages and serial-mode
+  // deposits alike).
   void absorb(Message m);
   bool poisoned() const {
     return poisoned_.load(std::memory_order_acquire);
   }
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
   // Per-(src, tag) FIFO queues. Drained queues stay in the map (the key
   // space a machine sees is small and reused), so steady-state traffic
   // allocates nothing here beyond the messages themselves.

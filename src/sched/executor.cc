@@ -147,8 +147,8 @@ void check_static_safe(const TaskGraph& graph, const SchedOptions& opts) {
   // Fail fast on the cross-rank deadlock caveat (executor.hh header): a
   // static non-FIFO pick order over a graph that blocks on another rank's
   // sends can deadlock in ways this rank cannot detect from its own graph,
-  // so refuse before running anything rather than hang (threaded/parallel
-  // engines) or unwind mid-graph (fiber engine's detector).
+  // so refuse before running anything rather than hang (parallel engine)
+  // or unwind mid-graph (fiber engine's detector).
   if (opts.adaptive || opts.policy == SchedPolicy::kFifo ||
       opts.allow_unsafe_static)
     return;

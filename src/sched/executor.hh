@@ -104,7 +104,7 @@ struct SchedOptions {
   bool allow_unsafe_static = false;
   /// Executor backend (see SchedBackend). kTasks needs the parallel
   /// engine: run_graph throws a typed ConfigError — never a silent SPMD
-  /// fallback — when the machine runs fibers or threads.
+  /// fallback — when the machine runs fibers.
   SchedBackend backend = SchedBackend::kSpmd;
 
   /// WAVEPIPE_SCHED_POLICY=fifo|diagonal|critical selects the policy;

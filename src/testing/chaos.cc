@@ -156,7 +156,7 @@ RunResult run_chaotic(int size, CostModel costs, const ChaosOptions& opts,
   Machine m(size, costs, opts.trace, eng);
   require(m.engine() == EngineKind::kFibers,
           "run_chaotic needs the fiber engine (this platform fell back to "
-          "threads)");
+          "parallel)");
   if (opts.configure) opts.configure(m);
   // The WAVEPIPE_KILL knob arms a kill on any plan that doesn't carry one
   // already, so every existing chaos test can be re-run with an injected

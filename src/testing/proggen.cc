@@ -436,8 +436,9 @@ ProgramOutcome run_program(const CommProgram& prog,
   const int p = prog.ranks;
   require(p >= 1, "program has no ranks");
   EngineConfig eng;
-  eng.kind = ropts.threads_engine ? EngineKind::kThreads : EngineKind::kFibers;
-  if (!ropts.threads_engine && ropts.random_sched) {
+  eng.kind =
+      ropts.parallel_engine ? EngineKind::kParallel : EngineKind::kFibers;
+  if (!ropts.parallel_engine && ropts.random_sched) {
     eng.sched.kind = SchedKind::kRandom;
     eng.sched.seed = ropts.sched_seed;
     eng.sched.rank_weights = ropts.faults.rank_weights;
@@ -592,8 +593,8 @@ ProgramOutcome run_program(const CommProgram& prog,
   };
 
   ProgramOutcome out;
-  const bool inject = ropts.faults.active() && !ropts.threads_engine &&
-                      p >= 2 && machine.engine() == EngineKind::kFibers;
+  const bool inject = ropts.faults.active() && p >= 2 &&
+                      machine.engine() == EngineKind::kFibers;
   if (inject) {
     FaultInjector injector(machine, ropts.faults);
     machine.set_delivery_interceptor(&injector);
@@ -711,12 +712,9 @@ std::optional<std::string> check_program(const CommProgram& prog,
             check_one(ro, "fault plan #" + std::to_string(i + 1), full))
       return err;
   }
-  if (cfg.check_threads_engine) {
-    ProgramRunOptions ro = base_opts;
-    ro.threads_engine = true;
-    if (auto err = check_one(ro, "threads engine", full)) return err;
-  }
-  return std::nullopt;
+  ProgramRunOptions ro = base_opts;
+  ro.parallel_engine = true;
+  return check_one(ro, "parallel engine", full);
 }
 
 // ---------------------------------------------------------------------------

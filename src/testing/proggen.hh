@@ -13,7 +13,7 @@
 // the one FIFO-per-(src,tag) promises, t_comp+t_comm+t_wait == vtime per
 // rank, every request completes, and no message is left queued. check_
 // program then cross-checks many executions (deterministic baseline, replay,
-// random schedules, fault plans, the threaded engine) for byte-identical
+// random schedules, fault plans, the parallel engine) for byte-identical
 // results; minimize_program shrinks a failing program (ranks → messages →
 // ops) to a small repro, and fuzz_seed ties it together behind a one-line
 // repro command.
@@ -103,7 +103,7 @@ struct ProgramOutcome {
 
 struct ProgramRunOptions {
   CostModel cm = {8.0, 0.5};  // alpha 8, beta 0.5: stamps exercise waiting
-  bool threads_engine = false;
+  bool parallel_engine = false;
   bool random_sched = false;
   std::uint64_t sched_seed = 0;
   FaultPlan faults;  // inactive by default; fiber engine only
@@ -121,7 +121,6 @@ struct FuzzConfig {
   CostModel cm = {8.0, 0.5};
   int random_schedules = 3;
   int fault_plans = 2;
-  bool check_threads_engine = true;
 };
 
 /// First divergence/violation across all configured executions of `prog`,

@@ -206,8 +206,6 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(std::array<int, 2>{2, 2}, Coord{4}, Coord{3},
                         EngineKind::kFibers),
         std::make_tuple(std::array<int, 2>{2, 2}, Coord{4}, Coord{3},
-                        EngineKind::kThreads),
-        std::make_tuple(std::array<int, 2>{2, 2}, Coord{4}, Coord{3},
                         EngineKind::kParallel),
         std::make_tuple(std::array<int, 2>{4, 2}, Coord{3}, Coord{2},
                         EngineKind::kFibers),

@@ -746,7 +746,7 @@ TEST(Faults, UnreceivedMessagesEndUpInMailboxesAfterChaos) {
 
 TEST(Machine, InterceptorRequiresFiberEngine) {
   EngineConfig eng;
-  eng.kind = EngineKind::kThreads;
+  eng.kind = EngineKind::kParallel;
   Machine m(2, {}, TraceConfig{}, eng);
   FaultInjector injector(m, FaultPlan::from_seed(1, 2));
   m.set_delivery_interceptor(&injector);
@@ -755,12 +755,19 @@ TEST(Machine, InterceptorRequiresFiberEngine) {
   EXPECT_NO_THROW(m.run([](Communicator&) {}));
 }
 
-TEST(Machine, RandomSchedUnderThreadsEngineIsIgnoredButHarmless) {
+TEST(Machine, RandomSchedUnderParallelEngineIsIgnoredButHarmless) {
   EngineConfig eng;
-  eng.kind = EngineKind::kThreads;
+  eng.kind = EngineKind::kParallel;
   eng.sched.kind = SchedKind::kRandom;
   eng.sched.seed = 3;
+  // Random picks are a fiber policy: any other engine says so, once per
+  // Machine, and keeps OS scheduling.
+  ::testing::internal::CaptureStderr();
   Machine m(2, {}, TraceConfig{}, eng);
+  const std::string warned = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warned.find("fiber-engine policy; the parallel engine"),
+            std::string::npos)
+      << warned;
   const auto res = m.run([](Communicator& comm) {
     if (comm.rank() == 0)
       comm.send_value(1, 11);

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "comm/machine.hh"
@@ -13,6 +14,35 @@ TEST(Machine, SizeValidation) {
   EXPECT_THROW(Machine(0), ContractError);
   EXPECT_NO_THROW(Machine(1));
   EXPECT_NO_THROW(Machine(17));
+}
+
+TEST(Mailbox, SerialWaitWithNoBlockerThrowsTypedError) {
+  // Serial mode with no cooperative engine attached: this thread is the
+  // only one that could deposit, so a wait that would block can never be
+  // woken. It must raise a typed error naming what is posted, not hang.
+  Mailbox mb;
+  try {
+    (void)mb.await(1, 7);
+    FAIL() << "unwakeable wait returned";
+  } catch (const EngineError& e) {
+    EXPECT_NE(std::string(e.what()).find("recv(src=1, tag=7)"),
+              std::string::npos)
+        << e.what();
+  }
+  // The failed receive left nothing registered behind it...
+  EXPECT_EQ(mb.posted_summary(), "");
+  EXPECT_THROW(mb.await_until([] { return false; }), EngineError);
+
+  // ...and waits that need no blocking still complete in serial mode.
+  Message m{};
+  m.src = 1;
+  m.tag = 7;
+  m.elements = 3;
+  mb.deposit(std::move(m));
+  EXPECT_EQ(mb.pending(), 1u);
+  EXPECT_EQ(mb.await(1, 7).elements, 3u);
+  EXPECT_EQ(mb.pending(), 0u);
+  EXPECT_NO_THROW(mb.await_until([] { return true; }));
 }
 
 TEST(P2P, SingleValueRoundTrip) {

@@ -31,7 +31,7 @@ EngineConfig engine(EngineKind kind) {
   return cfg;
 }
 
-const EngineKind kBothEngines[] = {EngineKind::kThreads, EngineKind::kFibers};
+const EngineKind kBothEngines[] = {EngineKind::kFibers, EngineKind::kParallel};
 
 TEST(Requests, IrecvPostedBeforeSendCompletes) {
   for (EngineKind kind : kBothEngines) {

@@ -1,11 +1,11 @@
-// Cross-engine equivalence: the cooperative-fiber engine, the threaded
-// engine, and the lock-free parallel engine must be observationally
-// identical — same computed data, same RunResult (vtime, phases, stats),
-// and byte-identical Chrome traces. Virtual times, stats, and trace stamps
-// depend only on per-rank program order and sender-computed arrival
-// stamps, so this holds by construction for every non-probe program; these
-// tests pin it down against regressions in any engine. The fiber engine is
-// the deterministic oracle the other two are measured against.
+// Cross-engine equivalence: the cooperative-fiber engine and the lock-free
+// parallel engine must be observationally identical — same computed data,
+// same RunResult (vtime, phases, stats), and byte-identical Chrome traces.
+// Virtual times, stats, and trace stamps depend only on per-rank program
+// order and sender-computed arrival stamps, so this holds by construction
+// for every non-probe program; these tests pin it down against regressions
+// in either engine. The fiber engine is the deterministic oracle the
+// parallel engine is measured against.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -43,27 +43,27 @@ EngineRun run_engine(EngineKind kind, int p, CostModel cm, TraceConfig tc,
   return out;
 }
 
-void expect_equivalent(const EngineRun& th, const EngineRun& fi) {
-  EXPECT_EQ(th.result.vtime, fi.result.vtime);
-  EXPECT_EQ(th.result.vtime_max, fi.result.vtime_max);
-  EXPECT_EQ(th.result.stats.size(), fi.result.stats.size());
-  for (std::size_t r = 0; r < th.result.stats.size(); ++r)
-    EXPECT_EQ(th.result.stats[r], fi.result.stats[r]) << "stats rank " << r;
-  EXPECT_EQ(th.result.total, fi.result.total);
-  for (std::size_t r = 0; r < th.result.phases.size(); ++r)
-    EXPECT_EQ(th.result.phases[r], fi.result.phases[r]) << "phases rank " << r;
-  EXPECT_EQ(th.result.phases_total, fi.result.phases_total);
-  EXPECT_EQ(th.extracted, fi.extracted);
+void expect_equivalent(const EngineRun& fi, const EngineRun& pa) {
+  EXPECT_EQ(fi.result.vtime, pa.result.vtime);
+  EXPECT_EQ(fi.result.vtime_max, pa.result.vtime_max);
+  EXPECT_EQ(fi.result.stats.size(), pa.result.stats.size());
+  for (std::size_t r = 0; r < fi.result.stats.size(); ++r)
+    EXPECT_EQ(fi.result.stats[r], pa.result.stats[r]) << "stats rank " << r;
+  EXPECT_EQ(fi.result.total, pa.result.total);
+  for (std::size_t r = 0; r < fi.result.phases.size(); ++r)
+    EXPECT_EQ(fi.result.phases[r], pa.result.phases[r]) << "phases rank " << r;
+  EXPECT_EQ(fi.result.phases_total, pa.result.phases_total);
+  EXPECT_EQ(fi.extracted, pa.extracted);
 
-  ASSERT_EQ(th.result.traces.size(), fi.result.traces.size());
-  for (std::size_t r = 0; r < th.result.traces.size(); ++r) {
-    EXPECT_EQ(th.result.traces[r].dropped, fi.result.traces[r].dropped);
-    EXPECT_EQ(th.result.traces[r].events, fi.result.traces[r].events)
+  ASSERT_EQ(fi.result.traces.size(), pa.result.traces.size());
+  for (std::size_t r = 0; r < fi.result.traces.size(); ++r) {
+    EXPECT_EQ(fi.result.traces[r].dropped, pa.result.traces[r].dropped);
+    EXPECT_EQ(fi.result.traces[r].events, pa.result.traces[r].events)
         << "trace rank " << r;
   }
   std::ostringstream a, b;
-  write_chrome_trace(a, th.result);
-  write_chrome_trace(b, fi.result);
+  write_chrome_trace(a, fi.result);
+  write_chrome_trace(b, pa.result);
   EXPECT_EQ(a.str(), b.str());  // byte-identical export
 }
 
@@ -71,13 +71,11 @@ template <typename Fn>
 void compare_engines(int p, CostModel cm, Fn&& fn) {
   TraceConfig tc;
   tc.enabled = true;
-  const auto th = run_engine(EngineKind::kThreads, p, cm, tc, fn);
   const auto fi = run_engine(EngineKind::kFibers, p, cm, tc, fn);
-  expect_equivalent(th, fi);
-  // The parallel engine inherits the threaded engine's guarantee (virtual
-  // time is a pure function of program order + sender stamps, whatever the
-  // physical interleaving), so for these non-probe workloads the whole
-  // RunResult — vtimes and traces included — must match the fiber oracle.
+  // Virtual time is a pure function of program order + sender stamps,
+  // whatever the physical interleaving, so for these non-probe workloads
+  // the whole RunResult — vtimes and traces included — must match the
+  // fiber oracle.
   const auto pa = run_engine(EngineKind::kParallel, p, cm, tc, fn);
   expect_equivalent(fi, pa);
 }
@@ -319,8 +317,7 @@ TEST(EngineEquivalence, CollectiveAndP2PStorm) {
 TEST(EngineEquivalence, ExceptionPropagation) {
   // A rank failure must poison the machine and rethrow the original
   // exception under every engine.
-  for (EngineKind kind : {EngineKind::kThreads, EngineKind::kFibers,
-                          EngineKind::kParallel}) {
+  for (EngineKind kind : {EngineKind::kFibers, EngineKind::kParallel}) {
     Machine m(3, {}, TraceConfig{}, engine(kind));
     EXPECT_THROW(m.run([](Communicator& comm) {
                    if (comm.rank() == 2)

@@ -1,6 +1,6 @@
 // Fiber-engine robustness: engine selection from the environment, stack
 // sizing and clamping, typed errors for stack overflow and communication
-// deadlock (conditions the threaded engine would SIGSEGV or hang on).
+// deadlock (conditions real OS threads would SIGSEGV or hang on).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -40,7 +40,6 @@ class EnvGuard {
 };
 
 TEST(FiberEngine, ToStringNames) {
-  EXPECT_STREQ(to_string(EngineKind::kThreads), "threads");
   EXPECT_STREQ(to_string(EngineKind::kFibers), "fibers");
   EXPECT_STREQ(to_string(EngineKind::kParallel), "parallel");
 }
@@ -59,10 +58,6 @@ TEST(FiberEngine, FromEnvDefaultsToFibers) {
 
 TEST(FiberEngine, FromEnvSelectsEngine) {
   {
-    EnvGuard e("WAVEPIPE_ENGINE", "threads");
-    EXPECT_EQ(EngineConfig::from_env().kind, EngineKind::kThreads);
-  }
-  {
     EnvGuard e("WAVEPIPE_ENGINE", "fibers");
     EXPECT_EQ(EngineConfig::from_env().kind, EngineKind::kFibers);
   }
@@ -70,18 +65,20 @@ TEST(FiberEngine, FromEnvSelectsEngine) {
     EnvGuard e("WAVEPIPE_ENGINE", "parallel");
     EXPECT_EQ(EngineConfig::from_env().kind, EngineKind::kParallel);
   }
-  {
-    EnvGuard e("WAVEPIPE_ENGINE", "green-threads");
-    // The rejection must name the full valid set.
+  // The rejection must name the full valid set and the rejected value; the
+  // retired one-thread-per-rank engine is rejected like any unknown name.
+  for (const char* bad : {"green-threads", "threads"}) {
+    EnvGuard e("WAVEPIPE_ENGINE", bad);
     try {
       (void)EngineConfig::from_env();
-      FAIL() << "unknown engine accepted";
+      FAIL() << "unknown engine '" << bad << "' accepted";
     } catch (const ConfigError& err) {
       const std::string what = err.what();
-      EXPECT_NE(what.find("threads"), std::string::npos) << what;
-      EXPECT_NE(what.find("fibers"), std::string::npos) << what;
-      EXPECT_NE(what.find("parallel"), std::string::npos) << what;
-      EXPECT_NE(what.find("green-threads"), std::string::npos) << what;
+      EXPECT_NE(what.find("'fibers' or 'parallel'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(std::string("got '") + bad + "'"),
+                std::string::npos)
+          << what;
     }
   }
 }
@@ -126,9 +123,9 @@ TEST(FiberEngine, FromEnvParsesStackSizes) {
 }
 
 TEST(FiberEngine, MachineHonoursEngineEnv) {
-  EnvGuard e("WAVEPIPE_ENGINE", "threads");
+  EnvGuard e("WAVEPIPE_ENGINE", "parallel");
   Machine m(2);
-  EXPECT_EQ(m.engine(), EngineKind::kThreads);
+  EXPECT_EQ(m.engine(), EngineKind::kParallel);
 }
 
 TEST(FiberEngine, MachineClampsTinyStacks) {
@@ -146,7 +143,7 @@ TEST(FiberEngine, MachineClampsTinyStacks) {
 }
 
 TEST(FiberEngine, DeadlockThrowsTypedError) {
-  // Both ranks receive first: the threaded engine would hang forever; the
+  // Both ranks receive first: real threads would hang forever; the
   // fiber engine sees that every rank is blocked and reports it.
   EngineConfig cfg;
   cfg.kind = EngineKind::kFibers;

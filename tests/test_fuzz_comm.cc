@@ -99,7 +99,7 @@ void run_sweep(std::uint64_t first, int count, const FuzzConfig& cfg) {
 
 TEST(Fuzz, DeterministicClassSeedSweep) {
   // Deterministic-class programs (no wait_any) must be byte-identical
-  // across replay, random schedules, fault plans, and the threads engine.
+  // across replay, random schedules, fault plans, and the parallel engine.
   run_sweep(sweep_base(), 60, FuzzConfig{});
 }
 

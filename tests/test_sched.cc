@@ -422,8 +422,8 @@ TEST(ScheduledSweep3d, ByteIdenticalAcrossPoliciesAndModes) {
       SchedReport rep;
       Machine::run(p, {}, [&](Communicator& comm) {
         Sweep3d app(cfg, grid, comm.rank());
-        // Per-rank report: ranks run concurrently under the threaded and
-        // parallel engines, so only rank 0 may write the shared locals.
+        // Per-rank report: ranks run concurrently under the parallel
+        // engine, so only rank 0 may write the shared locals.
         SchedReport mine;
         const Real f = app.sweep_all_scheduled(comm, opts, so, &mine);
         const Real c = app.checksum(comm);

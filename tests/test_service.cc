@@ -233,8 +233,7 @@ TEST(SweepService, CacheHitIsByteIdenticalAcrossPolicies) {
 
 TEST(SweepService, CacheHitMatchesColdOnEveryEngine) {
   const CostModel costs = test_costs();
-  for (const EngineKind kind :
-       {EngineKind::kFibers, EngineKind::kThreads, EngineKind::kParallel}) {
+  for (const EngineKind kind : {EngineKind::kFibers, EngineKind::kParallel}) {
     ServiceConfig cfg;
     cfg.ranks = 4;
     cfg.costs = costs;

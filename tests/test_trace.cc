@@ -426,7 +426,7 @@ bool is_container(const std::string& name) {
 }
 
 TEST(ChromeExport, ParsesAsStrictJsonWithSoundEventsOnBothEngines) {
-  for (EngineKind kind : {EngineKind::kThreads, EngineKind::kFibers}) {
+  for (EngineKind kind : {EngineKind::kFibers, EngineKind::kParallel}) {
     SCOPED_TRACE(to_string(kind));
     const RunResult res = traced_sweep_on(kind);
 
