@@ -201,7 +201,6 @@ int main(int argc, char** argv) {
   // Default off-env so a stray WAVEPIPE_SCHED_ADAPTIVE=0 in the caller's
   // environment cannot turn the CI gate into a static-mode comparison.
   SchedOptions sched;
-  sched.policy = SchedPolicy::kCriticalPath;
   sched.adaptive = true;
 
   Sweep3dConfig s3cfg;

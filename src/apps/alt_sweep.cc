@@ -156,7 +156,6 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
   std::vector<TaskId> prev_h, prev_g2;  // previous iteration, per chunk
   for (int it = 0; it < iterations; ++it) {
     const std::string is = std::to_string(it);
-    const std::int64_t itbase = static_cast<std::int64_t>(it) * 4 * nc;
     const TagRange vtag =
         tags_.alloc(wavefront_tag_span<2>(), "alt v-wave it " + is);
     const TagRange pretag =
@@ -180,7 +179,6 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
       TaskGraph::Task t1;
       t1.label = "g1" + cs;
       t1.cost = static_cast<double>(reg.size());
-      t1.diagonal = itbase + c;
       t1.run = [this, reg](TaskContext& ctx) {
         apply_statement(reg, g_.local() <<= at(u_.local(), kWest) +
                                                at(u_.local(), kEast) +
@@ -192,7 +190,6 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
       if (pred >= 0) {
         TaskGraph::Task t;
         t.label = "preX" + cs;
-        t.diagonal = itbase + c;
         t.run = [this, top_row, ca = ca, cb = cb,
                  tag = pretag.base + static_cast<int>(c),
                  pred](TaskContext& ctx) {
@@ -206,7 +203,6 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
       if (succ >= 0) {
         TaskGraph::Task t;
         t.label = "rxPre" + cs;
-        t.diagonal = itbase + c;
         t.inflows.push_back({succ, pretag.base + static_cast<int>(c),
                              static_cast<std::size_t>(cb - ca + 1)});
         const Region<2> face({{ghost_row, ca}}, {{ghost_row, cb}});
@@ -217,10 +213,11 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
       }
     }
 
-    LowerOptions lo;
+    // One tile row (block_w = 0): the per-chunk tasks below pair each
+    // column chunk with exactly one wave tile.
+    WaveOptions lo = opts;
     lo.block = b;
-    lo.charge = opts.charge;
-    lo.base_diagonal = itbase + nc;
+    lo.block_w = 0;
     const auto lw =
         lower_wavefront(g, vplan_, layout_, rank_, vtag, "v[i" + is + "]", lo);
     internal_check(
@@ -238,7 +235,6 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
       if (pred >= 0) {
         TaskGraph::Task t;
         t.label = "upG" + cs;
-        t.diagonal = itbase + 2 * nc + c;
         t.run = [this, top_row, ca = ca, cb = cb,
                  tag = uptag.base + static_cast<int>(c),
                  pred](TaskContext& ctx) {
@@ -252,7 +248,6 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
       if (succ >= 0) {
         TaskGraph::Task t;
         t.label = "rxG2" + cs;
-        t.diagonal = itbase + 2 * nc + c;
         t.inflows.push_back({succ, uptag.base + static_cast<int>(c),
                              static_cast<std::size_t>(cb - ca + 1)});
         const Region<2> face({{ghost_row, ca}}, {{ghost_row, cb}});
@@ -265,7 +260,6 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
       TaskGraph::Task t2;
       t2.label = "g2" + cs;
       t2.cost = static_cast<double>(reg.size());
-      t2.diagonal = itbase + 2 * nc + c;
       t2.run = [this, reg](TaskContext& ctx) {
         apply_statement(reg, g_.local() <<= at(u_.local(), kNorth) +
                                                at(u_.local(), kSouth) +
@@ -277,7 +271,6 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
       TaskGraph::Task th;
       th.label = "h" + cs;
       th.cost = static_cast<double>(reg.size());
-      th.diagonal = itbase + 3 * nc + c;
       th.run = [this, reg](TaskContext& ctx) {
         run_serial_on(hplan_, reg);
         ctx.comm.compute(static_cast<double>(reg.size()));

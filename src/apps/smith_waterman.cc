@@ -110,11 +110,7 @@ TaskGraph SmithWaterman::build_fill_graph(const WaveOptions& opts) {
   TagAllocator ta(opts.tag_base);
   const TagRange tags =
       ta.alloc(wavefront_tag_span<2>(2), "smith-waterman fill");
-  LowerOptions lo;
-  lo.block = opts.block;
-  lo.block_w = opts.block_w;
-  lo.charge = opts.charge;
-  lower_wavefront(g, plan_, layout_, rank_, tags, "sw", lo);
+  lower_wavefront(g, plan_, layout_, rank_, tags, "sw", opts);
   return g;
 }
 

@@ -61,7 +61,7 @@ class SmithWaterman {
   WaveReport<2> fill(Communicator& comm, const WaveOptions& opts = {});
 
   /// Fills by lowering the wavefront into a TaskGraph and running it on
-  /// the scheduler (collective; any policy/backend; 1D or 2D frontier).
+  /// the scheduler (collective; either mode or backend; 1D or 2D frontier).
   SchedReport fill_scheduled(
       Communicator& comm, const WaveOptions& opts = {},
       const SchedOptions& sopts = SchedOptions::from_env());

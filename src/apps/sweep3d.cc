@@ -46,14 +46,14 @@ Sweep3d::Sweep3d(const Sweep3dConfig& cfg, const ProcGrid<3>& grid, int rank)
       plans_.push_back(
           compile_octant(phi_, o, quadrature_[static_cast<std::size_t>(a)]));
       // One tag window per (octant, angle) instance, wide enough for the
-      // plan's wavefront phase — the stride is derived from the plan
-      // (wavefront_tag_span), not hardcoded, so instances can never
-      // collide however many angles fly concurrently.
+      // plan's wavefront phase on any grid — two frontier axes when a 2D
+      // processor grid distributes a second upwind dimension — so
+      // instances can never collide however many angles fly concurrently.
       sweep_tags_.push_back(
-          tags_.alloc(wavefront_tag_span<3>(), "sweep octant " +
-                                                   std::to_string(o) +
-                                                   " angle " +
-                                                   std::to_string(a)));
+          tags_.alloc(wavefront_tag_span<3>(2), "sweep octant " +
+                                                    std::to_string(o) +
+                                                    " angle " +
+                                                    std::to_string(a)));
     }
   acc_tag_ = tags_.alloc(6, "flux accumulate");
   init();
@@ -162,8 +162,8 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
   //                         (and, transitively, its tiles' writes) must
   //                         wait until the previous tenant's cells have
   //                         been folded into the flux (WAR).
-  // Everything else — up to `k` instances' tiles, in any order the policy
-  // and message arrivals allow — is the recovered overlap.
+  // Everything else — up to `k` instances' tiles, in any order the
+  // scheduler and message arrivals allow — is the recovered overlap.
   TaskGraph g;
   std::vector<TaskId> zero(static_cast<std::size_t>(total), kNoTask);
   std::vector<TaskId> acc(static_cast<std::size_t>(total), kNoTask);
@@ -182,12 +182,9 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
     z.run = [slot, owned](TaskContext&) { fill_outside(*slot, owned, 0.0); };
     zero[static_cast<std::size_t>(i)] = g.add(std::move(z));
 
-    LowerOptions lo;
-    lo.block = opts.block;
-    lo.charge = opts.charge;
     const auto lw = lower_wavefront(
         g, slot_plans_[static_cast<std::size_t>(i)], layout_, rank_,
-        sweep_tags(o, a), "sweep" + suffix, lo);
+        sweep_tags(o, a), "sweep" + suffix, opts);
     g.add_edge(zero[static_cast<std::size_t>(i)], lw.tiles.front());
 
     TaskGraph::Task t;

@@ -91,9 +91,10 @@ class Sweep3d {
   /// across ranks — the recovery epilogue seam.
   void extract_owned_flux(std::span<Real> out) const;
 
-  /// The tag ranges the app allocated: one wavefront_tag_span<3>() window
-  /// per (octant, angle) instance plus one for accumulation. sweep_octant
-  /// ignores WaveOptions::tag_base in favour of these — the stride between
+  /// The tag ranges the app allocated: one wavefront_tag_span<3>(2) window
+  /// per (octant, angle) instance (wide enough for a 2D processor-grid
+  /// frontier) plus one for accumulation. sweep_octant ignores
+  /// WaveOptions::tag_base in favour of these — the stride between
   /// instances is derived from the plan (via wavefront_tag_span), not
   /// hardcoded by the caller.
   const TagAllocator& tags() const { return tags_; }

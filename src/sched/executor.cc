@@ -13,18 +13,6 @@
 
 namespace wavepipe {
 
-const char* to_string(SchedPolicy p) {
-  switch (p) {
-    case SchedPolicy::kFifo:
-      return "fifo";
-    case SchedPolicy::kDiagonal:
-      return "diagonal";
-    case SchedPolicy::kCriticalPath:
-      return "critical";
-  }
-  return "?";
-}
-
 const char* to_string(SchedBackend b) {
   switch (b) {
     case SchedBackend::kSpmd:
@@ -35,23 +23,30 @@ const char* to_string(SchedBackend b) {
   return "?";
 }
 
+namespace {
+
+[[noreturn]] void throw_backend_error(std::string msg) {
+  msg +=
+      ". Valid combinations: backend 'spmd' in either mode with any engine, "
+      "or backend 'tasks' in adaptive mode with WAVEPIPE_ENGINE=parallel";
+  throw ConfigError(msg);
+}
+
+}  // namespace
+
 SchedOptions SchedOptions::from_env() {
+  // Knobs of the retired policy/escape-hatch settings: a stale environment
+  // must fail loudly, not be ignored into a different schedule.
+  if (std::getenv("WAVEPIPE_SCHED_POLICY"))
+    throw ConfigError(
+        "WAVEPIPE_SCHED_POLICY was removed: the scheduler has two modes, "
+        "adaptive critical-path (WAVEPIPE_SCHED_ADAPTIVE=1, the default) and "
+        "static FIFO (WAVEPIPE_SCHED_ADAPTIVE=0); unset it");
+  if (std::getenv("WAVEPIPE_SCHED_UNSAFE_STATIC"))
+    throw ConfigError(
+        "WAVEPIPE_SCHED_UNSAFE_STATIC was removed: static mode is always "
+        "FIFO (WAVEPIPE_SCHED_ADAPTIVE=0), which needs no opt-in; unset it");
   SchedOptions opts;
-  if (const char* v = std::getenv("WAVEPIPE_SCHED_POLICY")) {
-    const std::string s(v);
-    if (s == "fifo") {
-      opts.policy = SchedPolicy::kFifo;
-    } else if (s == "diagonal") {
-      opts.policy = SchedPolicy::kDiagonal;
-    } else if (s == "critical" || s.empty()) {
-      opts.policy = SchedPolicy::kCriticalPath;
-    } else {
-      throw ConfigError(
-          "WAVEPIPE_SCHED_POLICY expects 'fifo', 'diagonal' or 'critical', "
-          "got '" +
-          s + "'");
-    }
-  }
   if (const char* v = std::getenv("WAVEPIPE_SCHED_ADAPTIVE")) {
     const std::string s(v);
     if (s == "0") {
@@ -61,17 +56,6 @@ SchedOptions SchedOptions::from_env() {
     } else {
       throw ConfigError("WAVEPIPE_SCHED_ADAPTIVE expects '0' or '1', got '" +
                         s + "'");
-    }
-  }
-  if (const char* v = std::getenv("WAVEPIPE_SCHED_UNSAFE_STATIC")) {
-    const std::string s(v);
-    if (s == "0") {
-      opts.allow_unsafe_static = false;
-    } else if (s == "1" || s.empty()) {
-      opts.allow_unsafe_static = true;
-    } else {
-      throw ConfigError(
-          "WAVEPIPE_SCHED_UNSAFE_STATIC expects '0' or '1', got '" + s + "'");
     }
   }
   if (const char* v = std::getenv("WAVEPIPE_SCHED_BACKEND")) {
@@ -85,22 +69,25 @@ SchedOptions SchedOptions::from_env() {
                         "got '" + s + "'");
     }
   }
-  // Cross-validate against an explicit engine selection: the tasks backend
-  // only exists on the parallel engine's threads, and a silent SPMD
-  // fallback would quietly discard the configuration the user asked for.
-  // run_graph re-checks against the machine that actually runs (the
-  // authoritative gate); this early check catches the env-vs-env conflict
-  // at configuration time, before any machine exists.
+  // Cross-validate the tasks backend against the mode and an explicit
+  // engine selection: it only exists adaptive, on the parallel engine's
+  // threads, and a silent SPMD fallback would quietly discard the
+  // configuration the user asked for. run_graph re-checks against the
+  // machine that actually runs (the authoritative gate); this early check
+  // catches the env-vs-env conflict at configuration time, before any
+  // machine exists.
   if (opts.backend == SchedBackend::kTasks) {
+    if (!opts.adaptive)
+      throw_backend_error(
+          "WAVEPIPE_SCHED_BACKEND=tasks requires adaptive mode, but "
+          "WAVEPIPE_SCHED_ADAPTIVE=0 selects static FIFO, which runs on the "
+          "spmd backend only");
     if (const char* e = std::getenv("WAVEPIPE_ENGINE")) {
       const std::string s(e);
-      if (!s.empty() && s != "parallel") {
-        throw ConfigError(
+      if (!s.empty() && s != "parallel")
+        throw_backend_error(
             "WAVEPIPE_SCHED_BACKEND=tasks requires the parallel engine, but "
-            "WAVEPIPE_ENGINE='" + s +
-            "'. Valid combinations: backend 'spmd' with any engine, or "
-            "backend 'tasks' with WAVEPIPE_ENGINE=parallel");
-      }
+            "WAVEPIPE_ENGINE='" + s + "'");
     }
   }
   return opts;
@@ -108,7 +95,7 @@ SchedOptions SchedOptions::from_env() {
 
 namespace sched_internal {
 
-GraphAnalysis analyze_graph(const TaskGraph& graph, SchedPolicy policy) {
+GraphAnalysis analyze_graph(const TaskGraph& graph) {
   GraphAnalysis a;
   const std::size_t n = graph.size();
   a.deps.resize(n);
@@ -130,55 +117,38 @@ GraphAnalysis analyze_graph(const TaskGraph& graph, SchedPolicy policy) {
                          graph.task(static_cast<TaskId>(i)).label + "'");
     }
   }
-  if (policy == SchedPolicy::kCriticalPath) {
-    a.prio.assign(n, 0.0);
-    for (std::size_t i = topo.size(); i-- > 0;) {
-      const TaskId t = topo[i];
-      double tail = 0.0;
-      for (const TaskId s : graph.successors(t))
-        tail = std::max(tail, a.prio[static_cast<std::size_t>(s)]);
-      a.prio[static_cast<std::size_t>(t)] = graph.task(t).cost + tail;
-    }
+  a.prio.assign(n, 0.0);
+  for (std::size_t i = topo.size(); i-- > 0;) {
+    const TaskId t = topo[i];
+    double tail = 0.0;
+    for (const TaskId s : graph.successors(t))
+      tail = std::max(tail, a.prio[static_cast<std::size_t>(s)]);
+    a.prio[static_cast<std::size_t>(t)] = graph.task(t).cost + tail;
   }
   return a;
 }
 
-void check_static_safe(const TaskGraph& graph, const SchedOptions& opts) {
-  // Fail fast on the cross-rank deadlock caveat (executor.hh header): a
-  // static non-FIFO pick order over a graph that blocks on another rank's
-  // sends can deadlock in ways this rank cannot detect from its own graph,
-  // so refuse before running anything rather than hang (parallel engine)
-  // or unwind mid-graph (fiber engine's detector).
-  if (opts.adaptive || opts.policy == SchedPolicy::kFifo ||
-      opts.allow_unsafe_static)
-    return;
-  const std::size_t n = graph.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const TaskGraph::Task& task = graph.task(static_cast<TaskId>(i));
-    if (task.inflows.empty()) continue;
-    throw SchedError(
-        "static " + std::string(to_string(opts.policy)) +
-        " scheduling over a cross-rank graph (task '" + task.label +
-        "' has inflow from rank " + std::to_string(task.inflows.front().src) +
-        ") can deadlock: the pick order may block a receive ahead of the "
-        "send its peer needs. Use adaptive mode, the fifo policy, or set "
-        "SchedOptions::allow_unsafe_static / WAVEPIPE_SCHED_UNSAFE_STATIC=1 "
-        "after verifying the global schedule is consistent");
-  }
+std::pair<double, TaskId> task_key(const GraphAnalysis& analysis,
+                                   bool adaptive, TaskId t) {
+  if (!adaptive) return {0.0, t};
+  return {-analysis.prio[static_cast<std::size_t>(t)], t};
 }
 
-std::pair<double, TaskId> task_key(const TaskGraph& graph,
-                                   const GraphAnalysis& analysis,
-                                   SchedPolicy policy, TaskId t) {
-  switch (policy) {
-    case SchedPolicy::kFifo:
-      return {0.0, t};
-    case SchedPolicy::kDiagonal:
-      return {static_cast<double>(graph.task(t).diagonal), t};
-    case SchedPolicy::kCriticalPath:
-      return {-analysis.prio[static_cast<std::size_t>(t)], t};
+void check_backend(const SchedOptions& opts, const Machine& m) {
+  if (opts.backend != SchedBackend::kTasks) return;
+  // Authoritative gate: whatever the env said, the options and the machine
+  // that is actually running decide. Never a silent SPMD fallback.
+  if (!opts.adaptive)
+    throw_backend_error(
+        "SchedOptions::backend=tasks requires adaptive mode: static FIFO "
+        "runs on the spmd backend only");
+  if (m.engine() != EngineKind::kParallel) {
+    std::string msg =
+        "SchedOptions::backend=tasks requires the parallel engine, but this "
+        "machine runs '";
+    msg += to_string(m.engine());
+    throw_backend_error(msg + "'");
   }
-  return {0.0, t};
 }
 
 }  // namespace sched_internal
@@ -197,11 +167,11 @@ class SchedExecutor : public TaskSink {
 
  private:
   // Smaller key runs first; ties break toward the smaller (earlier) id, so
-  // every policy is a total order and the schedule is reproducible.
+  // both modes are total orders and the schedule is reproducible.
   using Key = std::pair<double, TaskId>;
 
   Key key(TaskId t) const {
-    return sched_internal::task_key(graph_, analysis_, opts_.policy, t);
+    return sched_internal::task_key(analysis_, opts_.adaptive, t);
   }
 
   void release(TaskId t);
@@ -247,7 +217,7 @@ void SchedExecutor::release(TaskId t) {
         static_cast<int>(task.inflows.size());
     report_.max_posted = std::max(report_.max_posted, pending_.size());
   } else {
-    // Static mode posts the irecv lazily, when the policy picks the task —
+    // Static mode posts the irecv lazily, when the task is picked —
     // a blocking wait at that point charges the identical virtual time and
     // keeps the pick order independent of physical arrival.
     ready_.push({key(t), t});
@@ -321,12 +291,10 @@ SchedReport SchedExecutor::run() {
   const std::size_t n = graph_.size();
   report_.tasks = n;
   report_.edges = graph_.edges();
-  report_.policy = opts_.policy;
   report_.adaptive = opts_.adaptive;
   report_.backend = SchedBackend::kSpmd;
-  analysis_ = sched_internal::analyze_graph(graph_, opts_.policy);
+  analysis_ = sched_internal::analyze_graph(graph_);
   deps_ = analysis_.deps;
-  sched_internal::check_static_safe(graph_, opts_);
   inflow_buf_.resize(n);
   missing_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i)
@@ -407,25 +375,15 @@ SchedReport SchedExecutor::run() {
 
 SchedReport run_graph(const TaskGraph& graph, Communicator& comm,
                       const SchedOptions& opts) {
-  if (opts.backend == SchedBackend::kTasks) {
-    // Authoritative engine gate: whatever the env said, the machine that is
-    // actually running decides. Never a silent SPMD fallback.
-    if (comm.machine().engine() != EngineKind::kParallel)
-      throw ConfigError(
-          "SchedOptions::backend=tasks requires the parallel engine, but "
-          "this machine runs '" +
-          std::string(to_string(comm.machine().engine())) +
-          "'. Valid combinations: backend 'spmd' with any engine, or "
-          "backend 'tasks' with WAVEPIPE_ENGINE=parallel");
-    if (comm.size() > 1) return run_graph_tasks(graph, comm, opts);
-    // A one-rank machine runs inline on the calling thread (no worker
-    // pool exists), so the tasks backend degenerates to the SPMD walk —
-    // same single thread, same order, same result.
-  }
+  sched_internal::check_backend(opts, comm.machine());
+  // A one-rank machine runs inline on the calling thread (no worker pool
+  // exists), so the tasks backend degenerates to the SPMD walk — same
+  // single thread, same order, same result. The report's backend field then
+  // stays kSpmd: it names the executor that actually ran, so callers can
+  // see the degeneration rather than infer it.
+  if (opts.backend == SchedBackend::kTasks && comm.size() > 1)
+    return run_graph_tasks(graph, comm, opts);
   SchedExecutor exec(graph, comm, opts);
-  // The report's backend field stays kSpmd here even when kTasks was
-  // requested on a one-rank machine: it names the executor that actually
-  // ran, and callers can see the degeneration rather than infer it.
   return exec.run();
 }
 

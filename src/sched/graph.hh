@@ -97,11 +97,8 @@ class TaskGraph {
   struct Task {
     /// Shown in traces and deadlock reports.
     std::string label;
-    /// Estimated work (elements), the critical-path policy's edge weight.
+    /// Estimated work (elements), the critical-path priority's weight.
     double cost = 1.0;
-    /// Wavefront-diagonal priority key (smaller runs first under the
-    /// diagonal policy); typically fill level / hyperplane index.
-    std::int64_t diagonal = 0;
     /// The messages this task consumes before it may run (empty for none).
     /// Order is the payload order the body sees via TaskContext::inflows;
     /// per-(src, tag) FIFO matching is the caller's responsibility, via
@@ -114,7 +111,7 @@ class TaskGraph {
   };
 
   /// Adds a task and returns its id (ids are dense, in insertion order —
-  /// the FIFO policy's key).
+  /// static FIFO's pick order and every tie-break).
   TaskId add(Task t);
 
   /// Declares that `before` must complete before `after` may start.

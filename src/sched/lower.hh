@@ -49,22 +49,6 @@ struct LoweredWave {
   Coord block_w = 0;
 };
 
-struct LowerOptions {
-  /// Requested tile size along the tile dimension; <= 0 means the whole
-  /// local extent (one tile).
-  Coord block = 0;
-  /// 2D frontiers: requested tile-row height along the wavefront
-  /// dimension; <= 0 means the whole local extent (one tile row).
-  Coord block_w = 0;
-  /// Charge one virtual-time unit of compute per element.
-  bool charge = true;
-  /// Added to the tile index (u+v on a 2D frontier — the tile grid's
-  /// anti-diagonal) to form each task's wavefront-diagonal key, so several
-  /// instances lowered into one graph interleave by global fill level
-  /// under the diagonal policy.
-  std::int64_t base_diagonal = 0;
-};
-
 /// Lowers one plan instance for `rank` into `g`. `tags` must span at least
 /// wavefront_tag_span<R>(tiling.axes) tags and belong to this instance
 /// alone; the wave messages use the same in-window offsets (base + 2R for
@@ -72,11 +56,16 @@ struct LowerOptions {
 /// run_wavefront, so a scheduled rank can interoperate with a rank running
 /// run_wavefront on the same tag base. Tasks are labelled "<label>[j]" (1D)
 /// or "<label>[u,v]" (2D frontier, row-major tile grid).
+///
+/// Of `opts`, lowering reads block, block_w and charge, with run_wavefront's
+/// meaning. It ignores tag_base (the tags come from `tags`), pre_exchange
+/// (see the file comment) and overlap (every outflow send is settled by the
+/// executor after the graph drains).
 template <Rank R>
 LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
                                const Layout<R>& layout, int rank,
                                const TagRange& tags, const std::string& label,
-                               const LowerOptions& opts = {}) {
+                               const WaveOptions& opts = {}) {
   LoweredWave<R> lw;
   lw.tiling = wave_tiling(plan, layout, rank);
   const WaveTiling<R>& t = lw.tiling;
@@ -86,7 +75,6 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
     TaskGraph::Task task;
     task.label = label;
     task.cost = static_cast<double>(t.local.size());
-    task.diagonal = opts.base_diagonal;
     const Region<R> local = t.local;
     const bool charge = opts.charge;
     task.run = [&plan, local, charge](TaskContext& ctx) {
@@ -115,7 +103,6 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
                    (t.axes == 2 ? std::to_string(u) + "," : std::string()) +
                    std::to_string(v) + "]";
       task.cost = static_cast<double>(grid->tile(u, v).size());
-      task.diagonal = opts.base_diagonal + u + v;
       // Declaration order (axis 0, then axis 1) is run_tile's unpack order.
       for (int axis = 0; axis < 2; ++axis) {
         const int src = grid->inflow_peer(axis, u, v);

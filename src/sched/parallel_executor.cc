@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
-#include <queue>
 #include <span>
 #include <sstream>
 #include <string>
@@ -117,7 +116,6 @@ class TaskArena {
   }
 
   SchedReport run(const TaskGraph& graph, Communicator& comm,
-                  const SchedOptions& opts,
                   RecoveryCoordinator* rc = nullptr,
                   recovery_internal::AdoptionDriver* drv = nullptr);
 
@@ -132,16 +130,14 @@ class TaskArena {
   /// Per-rank slot. Split into lock-free fields (deque, dependence counts,
   /// remaining, steals, departed) and consumer-side fields guarded by the
   /// rank's Communicator operation lock (pending inflow requests, buffers,
-  /// outflow sends, the static-mode ready queue, the report).
+  /// outflow sends, the report).
   struct RankSlot final : TaskSink {
-    RankSlot(TaskArena& a, const TaskGraph& g, Communicator& c,
-             const SchedOptions& o)
-        : arena(a), graph(g), comm(c), opts(o) {}
+    RankSlot(TaskArena& a, const TaskGraph& g, Communicator& c)
+        : arena(a), graph(g), comm(c) {}
 
     TaskArena& arena;
     const TaskGraph& graph;
     Communicator& comm;
-    const SchedOptions opts;
     sched_internal::GraphAnalysis analysis;
     int rank = -1;
 
@@ -151,6 +147,9 @@ class TaskArena {
     std::atomic<std::size_t> remaining{0};
     std::atomic<std::size_t> steals{0};
     std::atomic<bool> departed{false};
+    // Set (before `departed`) by a recovered own-rank death: the items of
+    // this rank still in deques are stale, and its heir runs them.
+    std::atomic<bool> dying{false};
     // Workers currently inside run_item on one of this rank's tasks — the
     // departure quiesce gate (see run_item / quiesce for the protocol).
     std::atomic<int> inflight{0};
@@ -163,18 +162,16 @@ class TaskArena {
     // Guarded by comm's operation lock. A task pends once per inflow (the
     // entries are consecutive, in declaration order); `missing` counts the
     // in-flight inflows per task and the task is promoted at zero.
-    std::vector<TaskId> pending;        // adaptive: inflow posted, in flight
+    std::vector<TaskId> pending;        // inflow posted, in flight
     std::vector<std::size_t> pending_k;  // its inflow index (for the log)
     std::vector<Request> pending_req;   // parallel to `pending`
     std::vector<int> missing;
     std::vector<std::vector<std::vector<double>>> inflow_buf;  // [task][in]
     std::vector<Request> sends;
-    std::priority_queue<KeyedTask, std::vector<KeyedTask>, std::greater<>>
-        ready_pq;  // static mode: released tasks in the policy's order
     SchedReport report;
 
     Key key(TaskId t) const {
-      return sched_internal::task_key(graph, analysis, opts.policy, t);
+      return sched_internal::task_key(analysis, /*adaptive=*/true, t);
     }
 
     void task_send(int dst, std::span<const double> payload,
@@ -193,10 +190,8 @@ class TaskArena {
   bool promote(RankSlot& my, RankSlot& q);
   bool assist(RankSlot& my, int r);
   void drain_arrived(RankSlot& q, std::vector<KeyedTask>& got);
-  bool run_stream(RankSlot& my, int r);
-  void run_static_task(RankSlot& q, TaskId t);
   bool find_work(RankSlot& my);
-  bool work_visible(RankSlot& my);
+  bool work_visible();
   void idle_wait(RankSlot& my);
   bool maybe_declare_deadlock(RankSlot& my);
   void depart(RankSlot& my);
@@ -204,7 +199,7 @@ class TaskArena {
   void die_in_arena(RankSlot& my, const RankDeath& rd);
   void quiesce(RankSlot& my);
   void push_ready_items(RankSlot& my, int rank, std::vector<KeyedTask>& items);
-  void release_locked(RankSlot& q, TaskId t, std::vector<KeyedTask>* ready);
+  void release_locked(RankSlot& q, TaskId t, std::vector<KeyedTask>& ready);
 
   void bump() {
     epoch_.fetch_add(1, std::memory_order_seq_cst);
@@ -241,21 +236,6 @@ class TaskArena {
            my.comm.machine().mailbox(my.rank).failed();
   }
 
-  [[noreturn]] void fail_stuck(RankSlot& q, TaskId t, const Error& cause) {
-    // Same shape as the SPMD backend's rethrow_deadlock, so a hang names
-    // the stuck *task* no matter which backend ran it.
-    const TaskGraph::Task& task = q.graph.task(t);
-    std::ostringstream os;
-    os << "scheduler deadlock on rank " << q.comm.rank() << ": stuck on task '"
-       << task.label << "' (";
-    for (std::size_t k = 0; k < task.inflows.size(); ++k)
-      os << (k ? ", " : "") << "inflow src=" << task.inflows[k].src
-         << " tag=" << task.inflows[k].tag;
-    os << "); " << cause.what();
-    set_failed(os.str());
-    throw SchedError(os.str());
-  }
-
   RecoveryCoordinator* recovery() const {
     return rc_.load(std::memory_order_acquire);
   }
@@ -289,24 +269,19 @@ void TaskArena::push_ready_items(RankSlot& my, int rank,
   if (items.empty()) return;
   // Priority as a steal-order hint: sort descending so the best (smallest)
   // key is pushed last — the owner LIFO-pops it next (depth-first along
-  // the policy's preferred path) while thieves FIFO-steal from the other
-  // end, taking the work the owner valued least.
+  // the critical path) while thieves FIFO-steal from the other end, taking
+  // the work the owner valued least.
   std::sort(items.begin(), items.end(), std::greater<>());
   for (const auto& [k, t] : items) my.deque.push(pack_item(rank, t));
 }
 
 /// Releases task `t` of rank q (its dependence count just hit zero).
-/// Caller holds q's comm lock. Adaptive inflow tasks post their irecv and
-/// go to the pending set; other adaptive tasks are appended to `ready` for
-/// the caller to push into its own deque (outside the lock); static tasks
-/// join q's ready queue.
+/// Caller holds q's comm lock. Inflow tasks post their irecvs and go to the
+/// pending set; other tasks are appended to `ready` for the caller to push
+/// into its own deque (outside the lock).
 void TaskArena::release_locked(RankSlot& q, TaskId t,
-                               std::vector<KeyedTask>* ready) {
+                               std::vector<KeyedTask>& ready) {
   const TaskGraph::Task& task = q.graph.task(t);
-  if (!q.opts.adaptive) {
-    q.ready_pq.push({q.key(t), t});
-    return;
-  }
   if (!task.inflows.empty()) {
     auto& bufs = q.inflow_buf[static_cast<std::size_t>(t)];
     bufs.resize(task.inflows.size());
@@ -322,12 +297,12 @@ void TaskArena::release_locked(RankSlot& q, TaskId t,
         static_cast<int>(task.inflows.size());
     q.report.max_posted = std::max(q.report.max_posted, q.pending.size());
   } else {
-    ready->push_back({q.key(t), t});
+    ready.push_back({q.key(t), t});
   }
 }
 
 SchedReport TaskArena::run(const TaskGraph& graph, Communicator& comm,
-                           const SchedOptions& opts, RecoveryCoordinator* rc,
+                           RecoveryCoordinator* rc,
                            recovery_internal::AdoptionDriver* drv) {
   comm.enable_concurrent_ops();
   const int rank = comm.rank();
@@ -339,19 +314,17 @@ SchedReport TaskArena::run(const TaskGraph& graph, Communicator& comm,
                      "ranks of one tasks round passed different recovery "
                      "coordinators");
   }
-  auto owned = std::make_unique<RankSlot>(*this, graph, comm, opts);
+  auto owned = std::make_unique<RankSlot>(*this, graph, comm);
   RankSlot& my = *owned;
   my.rank = rank;
   my.drv = drv;
   std::vector<KeyedTask> ready0;
   try {
-    my.analysis = sched_internal::analyze_graph(graph, opts.policy);
-    sched_internal::check_static_safe(graph, opts);
+    my.analysis = sched_internal::analyze_graph(graph);
     const std::size_t n = graph.size();
     my.report.tasks = n;
     my.report.edges = graph.edges();
-    my.report.policy = opts.policy;
-    my.report.adaptive = opts.adaptive;
+    my.report.adaptive = true;
     my.report.backend = SchedBackend::kTasks;
     my.deps.reset(new std::atomic<int>[n]);
     for (std::size_t i = 0; i < n; ++i)
@@ -364,7 +337,7 @@ SchedReport TaskArena::run(const TaskGraph& graph, Communicator& comm,
     auto l = comm.lock_ops();
     for (std::size_t i = 0; i < n; ++i)
       if (my.analysis.deps[i] == 0)
-        release_locked(my, static_cast<TaskId>(i), &ready0);
+        release_locked(my, static_cast<TaskId>(i), ready0);
   } catch (const std::exception& e) {
     // Peers are already (or about to be) pooled on this round: make them
     // abort with this reason instead of idling until the poison cascade.
@@ -433,14 +406,10 @@ void TaskArena::worker_loop(RankSlot& my) {
       throw RankDeath(my.rank,
                       "rank " + std::to_string(my.rank) +
                           " killed (tasks backend kill point)");
-    if (my.opts.adaptive) {
-      // Own deque first: freshest task, hottest cache.
-      if (my.deque.pop(item)) {
-        run_item(my, item);
-        continue;
-      }
-    } else {
-      if (run_stream(my, my.rank)) continue;
+    // Own deque first: freshest task, hottest cache.
+    if (my.deque.pop(item)) {
+      run_item(my, item);
+      continue;
     }
     if (my.remaining.load(std::memory_order_seq_cst) == 0) break;
     if (find_work(my)) continue;
@@ -449,33 +418,27 @@ void TaskArena::worker_loop(RankSlot& my) {
 }
 
 bool TaskArena::find_work(RankSlot& my) {
-  if (my.opts.adaptive) {
-    // Own promotions first (task affinity), then steals, then assisting
-    // another rank's promotions.
-    RankSlot* mine = live_[static_cast<std::size_t>(my.rank)].load(
-        std::memory_order_acquire);
-    if (mine && promote(my, *mine)) return true;
-    std::int64_t item = 0;
-    for (int off = 1; off < nranks_; ++off) {
-      const auto r = static_cast<std::size_t>((my.rank + off) % nranks_);
-      RankSlot* s = live_[r].load(std::memory_order_acquire);
-      if (s && s->deque.steal(item)) {
-        run_item(my, item);
-        return true;
-      }
+  // Own promotions first (task affinity), then steals, then assisting
+  // another rank's promotions.
+  RankSlot* mine = live_[static_cast<std::size_t>(my.rank)].load(
+      std::memory_order_acquire);
+  if (mine && promote(my, *mine)) return true;
+  std::int64_t item = 0;
+  for (int off = 1; off < nranks_; ++off) {
+    const auto r = static_cast<std::size_t>((my.rank + off) % nranks_);
+    RankSlot* s = live_[r].load(std::memory_order_acquire);
+    if (s && s->deque.steal(item)) {
+      run_item(my, item);
+      return true;
     }
-    for (int off = 1; off < nranks_; ++off)
-      if (assist(my, (my.rank + off) % nranks_)) return true;
-    // Adoption is work too: claim any corpse whose heir this rank is and
-    // step the adopted programs. Interleaved here (not deferred to the
-    // exit barrier) because this rank's own graph may be waiting on the
-    // victim's re-emitted outflow faces.
-    if (my.drv && my.drv->poll()) return true;
-    return false;
   }
   for (int off = 1; off < nranks_; ++off)
-    if (run_stream(my, (my.rank + off) % nranks_)) return true;
-  return false;
+    if (assist(my, (my.rank + off) % nranks_)) return true;
+  // Adoption is work too: claim any corpse whose heir this rank is and
+  // step the adopted programs. Interleaved here (not deferred to the exit
+  // barrier) because this rank's own graph may be waiting on the victim's
+  // re-emitted outflow faces.
+  return my.drv && my.drv->poll();
 }
 
 bool TaskArena::promote(RankSlot& my, RankSlot& q) {
@@ -561,81 +524,6 @@ void TaskArena::drain_arrived(RankSlot& q, std::vector<KeyedTask>& got) {
   }
 }
 
-bool TaskArena::run_stream(RankSlot& my, int r) {
-  RankSlot* q = nullptr;
-  std::unique_lock<std::recursive_mutex> l;
-  if (r == my.rank) {
-    q = live_[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
-    if (!q) return false;
-    l = q->comm.try_lock_ops();
-    if (!l.owns_lock()) return false;
-  } else {
-    std::lock_guard<std::mutex> sl(scan_mu_);
-    q = live_[static_cast<std::size_t>(r)].load(std::memory_order_acquire);
-    if (!q || q->departed.load(std::memory_order_acquire)) return false;
-    l = q->comm.try_lock_ops();
-    if (!l.owns_lock()) return false;
-  }
-  if (q->ready_pq.empty()) return false;
-  const TaskId t = q->ready_pq.top().second;
-  q->ready_pq.pop();
-  // The lock is held across the whole task (recursive, so the task's own
-  // comm calls nest): this rank's operation sequence is exactly the SPMD
-  // static executor's, which is what makes static-mode vtimes, stats,
-  // phases and traces byte-identical to the oracle.
-  run_static_task(*q, t);
-  if (r != my.rank) q->steals.fetch_add(1, std::memory_order_relaxed);
-  l.unlock();
-  q->remaining.fetch_sub(1, std::memory_order_seq_cst);
-  bump();
-  return true;
-}
-
-void TaskArena::run_static_task(RankSlot& q, TaskId t) {
-  const TaskGraph::Task& task = q.graph.task(t);
-  auto& bufs = q.inflow_buf[static_cast<std::size_t>(t)];
-  const double t0 = q.comm.vtime();
-  if (!task.inflows.empty()) {
-    // Blocking receives in declaration order — the SPMD static executor's
-    // exact operation sequence.
-    bufs.resize(task.inflows.size());
-    for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-      bufs[k].resize(task.inflows[k].elements);
-      Request r = q.comm.irecv(task.inflows[k].src,
-                               std::span<double>(bufs[k]),
-                               task.inflows[k].tag);
-      ++q.report.blocked_waits;
-      q.comm.set_wait_context("task '" + task.label + "'");
-      try {
-        q.comm.wait(r);
-      } catch (const EngineError& e) {
-        fail_stuck(q, t, e);
-      } catch (const CommError& e) {
-        fail_stuck(q, t, e);
-      }
-      q.comm.set_wait_context("");
-    }
-  }
-  {
-    std::vector<std::span<const double>> payloads(bufs.size());
-    for (std::size_t k = 0; k < bufs.size(); ++k)
-      payloads[k] = std::span<const double>(bufs[k]);
-    TaskContext ctx(q.comm, q);
-    ctx.inflows = std::span<const std::span<const double>>(payloads);
-    if (!payloads.empty()) ctx.inflow = payloads.front();
-    if (task.run) task.run(ctx);
-  }
-  q.comm.tracer().record(TraceEventType::kTask, t0, q.comm.vtime(),
-                         task.inflows.empty() ? -1 : task.inflows.front().src,
-                         static_cast<int>(t),
-                         static_cast<std::uint64_t>(task.cost));
-  std::vector<std::vector<double>>().swap(bufs);
-  for (const TaskId s : q.graph.successors(t))
-    if (q.deps[static_cast<std::size_t>(s)].fetch_sub(
-            1, std::memory_order_seq_cst) == 1)
-      release_locked(q, s, nullptr);
-}
-
 void TaskArena::run_item(RankSlot& my, std::int64_t v) {
   const int r = item_rank(v);
   RankSlot* qp =
@@ -657,13 +545,10 @@ void TaskArena::run_item(RankSlot& my, std::int64_t v) {
     // A recovered death departs with its unrun items still in deques:
     // they are stale — the heir's adopted program runs them (they were
     // never logged complete), so a worker that drew one just drops it.
-    // Consult the machine through OUR communicator: q departed, so its
-    // Communicator may already be destroyed with the victim's frame
-    // (the machine itself is shared by every rank and outlives them all).
-    Machine& m = my.comm.machine();
-    if (recovery() != nullptr &&
-        (m.rank_dead(q.rank) || m.kill_requested(q.rank)))
-      return;
+    // `dying` is stored before `departed`, so it is visible here. The
+    // machine's kill and death flags are no substitute: between the
+    // victim's clear_kill and mark_dead neither is set.
+    if (q.dying.load(std::memory_order_seq_cst)) return;
     // Otherwise only a failed round departs with items still in deques.
     check_aborted(my);
     internal_check(false, "stolen task raced a non-failed departure");
@@ -700,6 +585,14 @@ void TaskArena::run_item(RankSlot& my, std::int64_t v) {
 
 void TaskArena::finish_task(RankSlot& my, RankSlot& q, TaskId t) {
   if (q.rank != my.rank) q.steals.fetch_add(1, std::memory_order_relaxed);
+  // Log the completion before releasing any successor: once released, a
+  // successor may be stolen, run and logged by another worker, and the
+  // heir replays the log in order, so a successor logged ahead of `t`
+  // would replay against state `t` has not written yet. Logging here is
+  // also before the `remaining` decrement, so a dying rank's quiesce()
+  // (which waits out in-flight finishers) sees every completed task in
+  // the log before its heir snapshots it.
+  if (RecoveryCoordinator* rc = recovery()) rc->log_complete(q.rank, t);
   // Atomic dependence-count decrements; exactly one decrementer observes
   // the count hit zero and owns the release of that successor.
   std::vector<TaskId> zeros;
@@ -711,14 +604,10 @@ void TaskArena::finish_task(RankSlot& my, RankSlot& q, TaskId t) {
     std::vector<KeyedTask> ready;
     {
       auto l = q.comm.lock_ops();
-      for (const TaskId s : zeros) release_locked(q, s, &ready);
+      for (const TaskId s : zeros) release_locked(q, s, ready);
     }
     push_ready_items(my, q.rank, ready);
   }
-  // Log the completion before the `remaining` decrement: a dying rank's
-  // quiesce() waits out in-flight finishers before it harvests, so every
-  // completed task is in the log by the time its heir snapshots it.
-  if (RecoveryCoordinator* rc = recovery()) rc->log_complete(q.rank, t);
   // Decrement `remaining` last: it is the departure gate, so every touch of
   // q's communicator on this completion path happens while departure is
   // still excluded.
@@ -726,7 +615,7 @@ void TaskArena::finish_task(RankSlot& my, RankSlot& q, TaskId t) {
   bump();
 }
 
-bool TaskArena::work_visible(RankSlot& my) {
+bool TaskArena::work_visible() {
   // Deque peeks are lock-free.
   for (int r = 0; r < nranks_; ++r) {
     RankSlot* s =
@@ -740,12 +629,8 @@ bool TaskArena::work_visible(RankSlot& my) {
     if (!s || s->departed.load(std::memory_order_acquire)) continue;
     auto l = s->comm.try_lock_ops();
     if (!l.owns_lock()) continue;  // the holder will bump() when done
-    if (my.opts.adaptive) {
-      for (const Request& req : s->pending_req)
-        if (s->comm.arrived(req)) return true;
-    } else {
-      if (!s->ready_pq.empty()) return true;
-    }
+    for (const Request& req : s->pending_req)
+      if (s->comm.arrived(req)) return true;
   }
   return false;
 }
@@ -757,7 +642,7 @@ void TaskArena::idle_wait(RankSlot& my) {
   const std::uint32_t ticket = signal_.parker.prepare();
   bool skip = aborted(my) ||
               my.remaining.load(std::memory_order_seq_cst) == 0 ||
-              work_visible(my);
+              work_visible();
   // Recovery wake conditions: our own pending kill, a death-board change
   // (a corpse may need adopting), or an adopted program's inflow arrival.
   if (!skip && recovery() != nullptr &&
@@ -802,22 +687,18 @@ bool TaskArena::maybe_declare_deadlock(RankSlot& my) {
       if (!s->deque.empty()) return false;
       auto l = s->comm.try_lock_ops();
       if (!l.owns_lock()) return false;  // someone is mid-operation
-      if (s->opts.adaptive) {
-        TaskId prev = kNoTask;
-        for (std::size_t i = 0; i < s->pending.size(); ++i) {
-          if (s->comm.arrived(s->pending_req[i])) return false;
-          if (s->pending[i] == prev) continue;  // one line per stuck task
-          prev = s->pending[i];
-          const TaskGraph::Task& task = s->graph.task(s->pending[i]);
-          stuck << (any_stuck ? ", " : "") << "task '" << task.label << "' (";
-          for (std::size_t k = 0; k < task.inflows.size(); ++k)
-            stuck << (k ? ", " : "") << "inflow src=" << task.inflows[k].src
-                  << " tag=" << task.inflows[k].tag;
-          stuck << ") on rank " << r;
-          any_stuck = true;
-        }
-      } else {
-        if (!s->ready_pq.empty()) return false;
+      TaskId prev = kNoTask;
+      for (std::size_t i = 0; i < s->pending.size(); ++i) {
+        if (s->comm.arrived(s->pending_req[i])) return false;
+        if (s->pending[i] == prev) continue;  // one line per stuck task
+        prev = s->pending[i];
+        const TaskGraph::Task& task = s->graph.task(s->pending[i]);
+        stuck << (any_stuck ? ", " : "") << "task '" << task.label << "' (";
+        for (std::size_t k = 0; k < task.inflows.size(); ++k)
+          stuck << (k ? ", " : "") << "inflow src=" << task.inflows[k].src
+                << " tag=" << task.inflows[k].tag;
+        stuck << ") on rank " << r;
+        any_stuck = true;
       }
       left += s->remaining.load(std::memory_order_seq_cst);
     }
@@ -869,7 +750,7 @@ void TaskArena::depart(RankSlot& my) {
 
 /// Failure-path counterpart of depart(), called before an exception
 /// leaves run(): the same handshake — flip `departed` under scan_mu_ plus
-/// the comm lock so no scanner (assist / run_stream / work_visible /
+/// the comm lock so no scanner (assist / work_visible /
 /// maybe_declare_deadlock) is left inside this rank's Communicator, then
 /// count the departure so all_departed() can become true and the failed
 /// round gets GC'd from PoolHost — minus the send drain, which is
@@ -889,25 +770,26 @@ void TaskArena::abandon(RankSlot& my) {
 }
 
 /// A recovered own-rank death: depart the arena like abandon() — flip
-/// `departed` under scan_mu_ plus the comm lock, count the departure, wait
-/// out in-flight thieves — but WITHOUT set_failed (the round survives;
-/// the heir completes this rank's program). After the quiesce no other
-/// worker can touch this communicator (departed checks turn thieves away
-/// and every completion it witnessed is in the log), so the harvest runs
+/// `dying` and `departed` under scan_mu_ plus the comm lock, wait out
+/// in-flight thieves — but WITHOUT set_failed (the round survives; the
+/// heir completes this rank's program). After the quiesce no other worker
+/// can touch this communicator (departed checks turn thieves away and
+/// every completion it witnessed is in the log), so the harvest runs
 /// single-threaded: bank arrived inflows, unregister the rest, settle
 /// sends, then disarm the kill and publish the death. mark_dead's release
 /// store against the heir's death-epoch acquire is the mailbox
-/// consumer-side hand-off edge.
+/// consumer-side hand-off edge. The departure is counted only after
+/// that: until the death is on the board the deadlock detector cannot
+/// see it (the kill flag is already cleared), so the dying rank must
+/// still count as a live, non-idle worker.
 void TaskArena::die_in_arena(RankSlot& my, const RankDeath& rd) {
   RecoveryCoordinator* rc = recovery();
-  if (!my.departed.load(std::memory_order_seq_cst)) {
-    {
-      std::lock_guard<std::mutex> sl(scan_mu_);
-      auto l = my.comm.lock_ops();
-      my.departed.store(true, std::memory_order_seq_cst);
-    }
-    departed_n_.fetch_add(1, std::memory_order_seq_cst);
-    bump();
+  const bool count_departure = !my.departed.load(std::memory_order_seq_cst);
+  {
+    std::lock_guard<std::mutex> sl(scan_mu_);
+    auto l = my.comm.lock_ops();
+    my.dying.store(true, std::memory_order_seq_cst);
+    my.departed.store(true, std::memory_order_seq_cst);
   }
   quiesce(my);
   {
@@ -929,6 +811,10 @@ void TaskArena::die_in_arena(RankSlot& my, const RankDeath& rd) {
   Machine& m = my.comm.machine();
   m.clear_kill(my.rank);
   m.mark_dead(my.rank, rd.what());
+  if (count_departure) {
+    departed_n_.fetch_add(1, std::memory_order_seq_cst);
+    bump();
+  }
 }
 
 /// Exit half of the departure handshake (entry half in run_item): after
@@ -980,19 +866,19 @@ std::shared_ptr<TaskArena> join_round(Machine& m, int rank) {
 
 SchedReport run_graph_tasks(const TaskGraph& graph, Communicator& comm,
                             const SchedOptions& opts) {
+  internal_check(opts.adaptive, "the tasks backend requires adaptive mode");
   std::shared_ptr<TaskArena> arena =
       join_round(comm.machine(), comm.rank());
-  return arena->run(graph, comm, opts);
+  return arena->run(graph, comm);
 }
 
 SchedReport run_graph_tasks_recoverable(
     const TaskGraph& graph, Communicator& comm, const SchedOptions& opts,
     RecoveryCoordinator& rc, recovery_internal::AdoptionDriver& drv) {
-  internal_check(opts.adaptive,
-                 "run_graph_tasks_recoverable requires adaptive mode");
+  internal_check(opts.adaptive, "the tasks backend requires adaptive mode");
   std::shared_ptr<TaskArena> arena =
       join_round(comm.machine(), comm.rank());
-  return arena->run(graph, comm, opts, &rc, &drv);
+  return arena->run(graph, comm, &rc, &drv);
 }
 
 }  // namespace wavepipe

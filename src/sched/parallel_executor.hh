@@ -15,13 +15,12 @@
 // to the SPMD/fiber oracle under every steal schedule — conflicting task
 // pairs are edge-ordered by construction (any-topological-order
 // determinism already requires it), and per-(src, tag) message FIFO is
-// preserved because same-key tasks are edge-chained. Adaptive mode is
-// probe-class: virtual times may differ from the SPMD backend because the
-// pick order observes physical arrival. Static mode holds the rank's
-// operation lock across each whole task and picks in the policy's
-// arrival-blind order, reproducing the SPMD backend's per-rank operation
-// sequence exactly — vtimes, stats, phases, and traces are then
-// byte-identical too. Either way wall_seconds is where the win shows.
+// preserved because same-key tasks are edge-chained. The backend runs
+// adaptive critical-path only, which is probe-class: virtual times may
+// differ from the SPMD backend because the pick order observes physical
+// arrival. Static FIFO — the fully invariant oracle mode — stays on the
+// SPMD backend (run_graph rejects the combination with a ConfigError).
+// wall_seconds is where the win shows.
 #pragma once
 
 #include <atomic>
@@ -104,9 +103,9 @@ class WorkStealingDeque {
 };
 
 /// Runs the graph on the work-stealing task pool. Collective over all
-/// ranks of a parallel-engine machine with size >= 2 (run_graph dispatches
-/// here after validating both); each rank's thread enters as one worker
-/// and returns its own rank's report.
+/// ranks of a parallel-engine machine with size >= 2, in adaptive mode
+/// (run_graph dispatches here after validating all three); each rank's
+/// thread enters as one worker and returns its own rank's report.
 SchedReport run_graph_tasks(const TaskGraph& graph, Communicator& comm,
                             const SchedOptions& opts);
 

@@ -135,6 +135,8 @@ AdoptedProgram::AdoptedProgram(RecoveryCoordinator& rc, int victim)
   // byte-for-byte with sends suppressed.
   sink_.suppress = true;
   for (const TaskId t : log_.completed) {
+    internal_check(deps_[static_cast<std::size_t>(t)] == 0,
+                   "logged completion order is not a topological order");
     const TaskGraph::Task& task = prog_.graph.task(t);
     std::vector<std::vector<double>> bufs(task.inflows.size());
     std::vector<std::span<const double>> payloads(task.inflows.size());
@@ -319,9 +321,9 @@ bool AdoptionDriver::wake() {
 class RecoveryExecutor : public TaskSink {
  public:
   RecoveryExecutor(const TaskGraph& graph, Communicator& comm,
-                   const SchedOptions& opts, RecoveryCoordinator& rc,
+                   RecoveryCoordinator& rc,
                    recovery_internal::AdoptionDriver& drv)
-      : graph_(graph), comm_(comm), opts_(opts), rc_(rc), drv_(drv) {}
+      : graph_(graph), comm_(comm), rc_(rc), drv_(drv) {}
 
   SchedReport run();
 
@@ -333,7 +335,7 @@ class RecoveryExecutor : public TaskSink {
   using Key = std::pair<double, TaskId>;
 
   Key key(TaskId t) const {
-    return sched_internal::task_key(graph_, analysis_, opts_.policy, t);
+    return sched_internal::task_key(analysis_, /*adaptive=*/true, t);
   }
 
   void release(TaskId t);
@@ -343,7 +345,6 @@ class RecoveryExecutor : public TaskSink {
 
   const TaskGraph& graph_;
   Communicator& comm_;
-  const SchedOptions opts_;
   RecoveryCoordinator& rc_;
   recovery_internal::AdoptionDriver& drv_;
 
@@ -452,10 +453,9 @@ SchedReport RecoveryExecutor::run() {
   Machine& m = comm_.machine();
   report_.tasks = n;
   report_.edges = graph_.edges();
-  report_.policy = opts_.policy;
   report_.adaptive = true;
   report_.backend = SchedBackend::kSpmd;
-  analysis_ = sched_internal::analyze_graph(graph_, opts_.policy);
+  analysis_ = sched_internal::analyze_graph(graph_);
   deps_ = analysis_.deps;
   inflow_buf_.resize(n);
   missing_.assign(n, 0);
@@ -587,23 +587,12 @@ SchedReport run_recoverable(Communicator& comm, RecoveryCoordinator& rc,
   recovery_internal::AdoptionDriver drv(rc, comm);
   SchedReport report;
   try {
+    sched_internal::check_backend(opts, m);
     RankProgram prog = rc.build(rank);
-    if (opts.backend == SchedBackend::kTasks) {
-      if (m.engine() != EngineKind::kParallel)
-        throw ConfigError(
-            "SchedOptions::backend=tasks requires the parallel engine, but "
-            "this machine runs '" +
-            std::string(to_string(m.engine())) +
-            "'. Valid combinations: backend 'spmd' with any engine, or "
-            "backend 'tasks' with WAVEPIPE_ENGINE=parallel");
-      if (comm.size() > 1) {
-        report = run_graph_tasks_recoverable(prog.graph, comm, opts, rc, drv);
-      } else {
-        RecoveryExecutor exec(prog.graph, comm, opts, rc, drv);
-        report = exec.run();
-      }
+    if (opts.backend == SchedBackend::kTasks && comm.size() > 1) {
+      report = run_graph_tasks_recoverable(prog.graph, comm, opts, rc, drv);
     } else {
-      RecoveryExecutor exec(prog.graph, comm, opts, rc, drv);
+      RecoveryExecutor exec(prog.graph, comm, rc, drv);
       report = exec.run();
     }
     if (prog.epilogue) prog.epilogue();

@@ -26,13 +26,12 @@
 // bounded: one payload copy per consumed inflow of a not-yet-collected
 // rank, O(faces) per rank, freed with the coordinator.
 //
-// Only adaptive mode is recoverable. Static mode's pick order issues
-// *blocking* receives at pick time — at a kill point mid-task there is no
-// posted-set to harvest and no record of which same-key message the next
-// blocking recv would have matched, and a non-FIFO static order can
-// deadlock across ranks even fault-free (see check_static_safe). Recovery
-// therefore fails fast (typed SchedError) on !opts.adaptive rather than
-// pretend. DESIGN.md §16 has the full contract.
+// Only adaptive mode is recoverable. Static FIFO issues *blocking*
+// receives at pick time — at a kill point mid-task there is no posted-set
+// to harvest and no record of which same-key message the next blocking recv
+// would have matched. Static FIFO is the fault-free oracle, not a runtime
+// mode, so recovery fails fast (typed SchedError) on !opts.adaptive rather
+// than pretend. DESIGN.md §16 has the full contract.
 #pragma once
 
 #include <cstdint>

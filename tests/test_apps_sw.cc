@@ -215,14 +215,15 @@ INSTANTIATE_TEST_SUITE_P(
                         EngineKind::kFibers)));
 
 // The same 2D frontier lowered into a TaskGraph and run on the scheduler:
-// multi-inflow tasks (north + west faces) across backends and policies,
-// plus the rank-line case (one tile row, north faces only).
+// multi-inflow tasks (north + west faces) in both modes and on both
+// backends (static FIFO runs on the SPMD backend only), plus the rank-line
+// case (one tile row, north faces only).
 class SwTwoDScheduled
     : public ::testing::TestWithParam<
-          std::tuple<std::array<int, 2>, SchedBackend, SchedPolicy, bool>> {};
+          std::tuple<std::array<int, 2>, SchedBackend, bool>> {};
 
 TEST_P(SwTwoDScheduled, PerCellBitwiseMatchesSerial) {
-  const auto [dims, backend, policy, adaptive] = GetParam();
+  const auto [dims, backend, adaptive] = GetParam();
   const int p = dims[0] * dims[1];
   SmithWatermanConfig cfg;
   cfg.la = 33;
@@ -238,7 +239,6 @@ TEST_P(SwTwoDScheduled, PerCellBitwiseMatchesSerial) {
     w.block_w = 5;
     SchedOptions so;
     so.backend = backend;
-    so.policy = policy;
     so.adaptive = adaptive;
     const auto rep = app.fill_scheduled(comm, w, so);
     EXPECT_GT(rep.tasks, 1u);
@@ -249,27 +249,17 @@ TEST_P(SwTwoDScheduled, PerCellBitwiseMatchesSerial) {
 INSTANTIATE_TEST_SUITE_P(
     BackendsPolicies, SwTwoDScheduled,
     ::testing::Values(
-        std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kFifo, true),
-        std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kFifo, false),
-        std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kDiagonal, true),
-        std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kCriticalPath, true),
-        std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kTasks,
-                        SchedPolicy::kDiagonal, true),
-        std::make_tuple(std::array<int, 2>{4, 2}, SchedBackend::kSpmd,
-                        SchedPolicy::kDiagonal, true),
-        std::make_tuple(std::array<int, 2>{4, 2}, SchedBackend::kTasks,
-                        SchedPolicy::kCriticalPath, true),
-        std::make_tuple(std::array<int, 2>{2, 4}, SchedBackend::kTasks,
-                        SchedPolicy::kFifo, false),
+        std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd, false),
+        std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kSpmd, true),
+        std::make_tuple(std::array<int, 2>{2, 2}, SchedBackend::kTasks, true),
+        std::make_tuple(std::array<int, 2>{4, 2}, SchedBackend::kSpmd, true),
+        std::make_tuple(std::array<int, 2>{4, 2}, SchedBackend::kTasks, true),
+        std::make_tuple(std::array<int, 2>{2, 4}, SchedBackend::kSpmd, false),
+        std::make_tuple(std::array<int, 2>{2, 4}, SchedBackend::kTasks, true),
         // Rank lines: the one-row case of the same tile grid.
-        std::make_tuple(std::array<int, 2>{4, 1}, SchedBackend::kSpmd,
-                        SchedPolicy::kFifo, false),
+        std::make_tuple(std::array<int, 2>{4, 1}, SchedBackend::kSpmd, false),
         std::make_tuple(std::array<int, 2>{4, 1}, SchedBackend::kTasks,
-                        SchedPolicy::kDiagonal, true)));
+                        true)));
 
 TEST(BandedSw, SerialMatchesOracle) {
   BandedSwConfig cfg;

@@ -415,7 +415,7 @@ TEST(Faults, TwoDScheduledTasksBackendValuesMatchChaosOracle) {
     }
 
     SchedOptions stat;
-    stat.policy = SchedPolicy::kFifo;
+    stat.backend = SchedBackend::kSpmd;
     stat.adaptive = false;
     const auto fifo = body_with(stat);
     const auto sbase = run_deterministic(p, cm, fifo);
@@ -473,7 +473,7 @@ TEST(Faults, ScheduledSweep3dByteIdenticalUnderChaos) {
     }
 
     SchedOptions stat;
-    stat.policy = SchedPolicy::kFifo;
+    stat.backend = SchedBackend::kSpmd;
     stat.adaptive = false;
     const auto fifo = body_with(stat);
     const auto sbase = run_deterministic(p, cm, fifo);
@@ -530,7 +530,7 @@ TEST(Faults, ScheduledAltSweepByteIdenticalUnderChaos) {
     }
 
     SchedOptions stat;
-    stat.policy = SchedPolicy::kFifo;
+    stat.backend = SchedBackend::kSpmd;
     stat.adaptive = false;
     const auto fifo = body_with(stat);
     const auto sbase = run_deterministic(p, cm, fifo);
@@ -603,17 +603,13 @@ TEST(Faults, TasksBackendValuesMatchChaosOracle) {
 }
 
 TEST(Faults, SchedulerDeadlockUnderChaosNamesTheStuckTask) {
-  // The executor's documented static-priority deadlock (rank 0's pick
-  // order blocks on a receive whose sender rank 1 is itself blocked) must
-  // surface as a typed error naming the stuck *task* — never hang — even
-  // while the fault injector holds messages in limbo. Static pick order is
-  // a pure function of graph + policy, so the deadlock fires under every
-  // seed.
+  // A graph that genuinely deadlocks — each rank's "handshake" task waits
+  // for the peer's handshake before sending its own — must surface as a
+  // typed error naming the stuck *task*, never hang, even while the fault
+  // injector holds the warm-up exchange's messages in limbo. Static FIFO's
+  // pick order is a pure function of the graph, so the deadlock fires at
+  // the same task under every seed.
   const CostModel cm = t3e_like().costs;
-  AltSweepConfig cfg;
-  cfg.n = 48;
-  cfg.iterations = 4;
-  const ProcGrid<2> grid = ProcGrid<2>::along_dim(2, 0);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     ChaosOptions opts;
     opts.random_sched = true;
@@ -623,23 +619,37 @@ TEST(Faults, SchedulerDeadlockUnderChaosNamesTheStuckTask) {
     opts.faults.max_delay_steps = 25;
     try {
       run_chaotic(2, cm, opts, [&](Communicator& comm) {
-        AltSweep app(cfg, grid, comm.rank());
-        WaveOptions wopts;
-        wopts.block = 8;
-        wopts.overlap = true;
+        const int peer = 1 - comm.rank();
+        TaskGraph g;
+        const TaskId tx =
+            g.add({.label = "warmup-tx", .run = [peer](TaskContext& ctx) {
+                     const double v[4] = {1.0, 2.0, 3.0, 4.0};
+                     ctx.send(peer, std::span<const double>(v), 4);
+                   }});
+        TaskGraph::Task rx;
+        rx.label = "warmup-rx";
+        rx.inflows.push_back({peer, 4, 4});
+        const TaskId rxid = g.add(std::move(rx));
+        TaskGraph::Task hs;
+        hs.label = "handshake";
+        hs.inflows.push_back({peer, 5, 1});
+        hs.run = [peer](TaskContext& ctx) {
+          const double v = 5.0;
+          ctx.send(peer, std::span<const double>(&v, 1), 5);
+        };
+        const TaskId h = g.add(std::move(hs));
+        g.add_edge(tx, h);
+        g.add_edge(rxid, h);
         SchedOptions so;
-        so.policy = SchedPolicy::kCriticalPath;
+        so.backend = SchedBackend::kSpmd;
         so.adaptive = false;
-        // Opt past the executor's fail-fast: this test exists to prove the
-        // *runtime* deadlock is detected and reported under chaos.
-        so.allow_unsafe_static = true;
-        app.iterate_scheduled(comm, cfg.iterations, wopts, so);
+        run_graph(g, comm, so);
       });
       FAIL() << "seed " << seed << ": deadlock did not throw";
     } catch (const Error& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
-      EXPECT_NE(what.find("task '"), std::string::npos)
+      EXPECT_NE(what.find("task 'handshake'"), std::string::npos)
           << "report should name the stuck task: " << what;
     }
   }

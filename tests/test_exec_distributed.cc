@@ -460,14 +460,13 @@ void execute(const WavefrontPlan<R>& plan, const Layout<R>& layout,
   TaskGraph g;
   TagAllocator ta(500);
   const TagRange tags = ta.alloc(wavefront_tag_span<R>(1), "chain");
-  LowerOptions lo;
+  WaveOptions lo;
   lo.block = block;
   const auto lw = lower_wavefront(g, plan, layout, comm.rank(), tags, "w", lo);
   EXPECT_EQ(lw.wtiles, 1);
   EXPECT_EQ(lw.block_w, 0);
   SchedOptions so;
   so.backend = SchedBackend::kSpmd;
-  so.policy = SchedPolicy::kFifo;
   so.adaptive = false;
   run_graph(g, comm, so);
 }

@@ -375,7 +375,7 @@ TEST(ParallelSuite, ScheduledSweepMatchesFiberOracle) {
     const ProcGrid<3> grid = ProcGrid<3>::along_dim(p, 0);
     auto run_one = [&](EngineKind kind, bool adaptive, double& flux) {
       SchedOptions so;
-      so.policy = adaptive ? SchedPolicy::kCriticalPath : SchedPolicy::kFifo;
+      so.backend = SchedBackend::kSpmd;
       so.adaptive = adaptive;
       Machine m(p, {}, TraceConfig{}, engine(kind));
       return m.run([&](Communicator& comm) {
@@ -691,45 +691,6 @@ TEST(TasksBackend, ScheduledAltSweepValuesMatchFiberOracle) {
   }
 }
 
-TEST(TasksBackend, StaticFifoFullRunResultMatchesFiberOracle) {
-  // Static FIFO holds the rank's operation lock across whole tasks and
-  // picks arrival-blind, replaying the SPMD backend's per-rank operation
-  // sequence exactly: the *entire* RunResult must match the fiber oracle,
-  // not just the values.
-  Sweep3dConfig cfg;
-  cfg.n = 12;
-  cfg.iterations = 1;
-  WaveOptions wopts;
-  wopts.block = 3;
-  for (int p : {2, 4}) {
-    SCOPED_TRACE("p=" + std::to_string(p));
-    const ProcGrid<3> grid = ProcGrid<3>::along_dim(p, 0);
-    auto run_one = [&](EngineKind kind, SchedBackend backend, double& flux) {
-      SchedOptions so;
-      so.policy = SchedPolicy::kFifo;
-      so.adaptive = false;
-      so.backend = backend;
-      Machine m(p, {}, TraceConfig{}, engine(kind));
-      return m.run([&](Communicator& comm) {
-        const Real v = sweep3d_spmd_scheduled(comm, cfg, grid, wopts, so);
-        if (comm.rank() == 0) flux = v;
-      });
-    };
-    double fi_flux = 0.0, tk_flux = 0.0;
-    const RunResult fi =
-        run_one(EngineKind::kFibers, SchedBackend::kSpmd, fi_flux);
-    const RunResult tk =
-        run_one(EngineKind::kParallel, SchedBackend::kTasks, tk_flux);
-    EXPECT_EQ(fi_flux, tk_flux);
-    EXPECT_EQ(fi.vtime, tk.vtime);
-    EXPECT_EQ(fi.vtime_max, tk.vtime_max);
-    EXPECT_EQ(fi.total, tk.total);
-    ASSERT_EQ(fi.stats.size(), tk.stats.size());
-    for (std::size_t r = 0; r < fi.stats.size(); ++r)
-      EXPECT_EQ(fi.stats[r], tk.stats[r]) << "stats rank " << r;
-  }
-}
-
 TEST(TasksBackend, DeadlockNamesTheStuckTask) {
   // Rank 0's only task consumes a message rank 1 never sends. Rank 1's
   // worker departs; rank 0's worker goes idle with a pending inflow that
@@ -817,11 +778,11 @@ TEST(TasksBackend, TaskBodyThrowQuiescesStolenWorkBeforeTeardown) {
       TaskGraph g;
       SchedOptions so;
       so.backend = SchedBackend::kTasks;
-      // FIFO keys + bomb-first: the bomb gets the best steal-order key, so
-      // rank 0's owner LIFO-pops it while rank 1 FIFO-steals fan tasks from
-      // the other end — the throw is guaranteed to land on the rank whose
-      // tasks are being stolen, not on the thief.
-      so.policy = SchedPolicy::kFifo;
+      // Equal critical paths + bomb-first: the tie-break by task id gives
+      // the bomb the best steal-order key, so rank 0's owner LIFO-pops it
+      // while rank 1 FIFO-steals fan tasks from the other end — the throw
+      // is guaranteed to land on the rank whose tasks are being stolen, not
+      // on the thief.
       if (comm.rank() == 0) {
         g.add({.label = "bomb", .run = [](TaskContext&) {
                  std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -477,7 +477,6 @@ TEST(Recovery, StaticModeFailsFastTyped) {
   Machine m(2, cm, TraceConfig{}, ec);
   rc.attach(m);
   SchedOptions so;
-  so.policy = SchedPolicy::kFifo;
   so.adaptive = false;
   EXPECT_THROW(
       m.run([&](Communicator& comm) { run_recoverable(comm, rc, so); }),

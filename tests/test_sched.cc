@@ -1,10 +1,11 @@
 // The tile-task dataflow scheduler (sched/): tag-allocator and task-graph
-// units, executor policy/mode semantics, env-var parsing, byte-identity of
+// units, the two executor modes, env-var parsing, byte-identity of
 // the scheduled applications against their sequential executors, the
 // multi-wavefront overlap win the scheduler exists for, and deadlock
 // reports that name the stuck task.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -183,10 +184,39 @@ double run_on(int p, const SchedOptions& so, BuildFn build,
       .vtime_max;
 }
 
+// A genuine cross-rank cycle on two ranks: each rank's "handshake" task
+// waits for the peer's handshake message before sending its own, so no
+// schedule in either mode can run it. A warm-up exchange first gives the
+// graph real traffic that completes before the cycle blocks.
+void build_handshake_cycle(TaskGraph& g, int rank) {
+  const int peer = 1 - rank;
+  TaskGraph::Task tx;
+  tx.label = "warmup-tx";
+  tx.run = [peer](TaskContext& ctx) {
+    const double v = 1.0;
+    ctx.send(peer, std::span<const double>(&v, 1), 4);
+  };
+  const TaskId txid = g.add(std::move(tx));
+  TaskGraph::Task rx;
+  rx.label = "warmup-rx";
+  rx.inflows.push_back({peer, 4, 1});
+  const TaskId rxid = g.add(std::move(rx));
+  TaskGraph::Task hs;
+  hs.label = "handshake";
+  hs.inflows.push_back({peer, 5, 1});
+  hs.run = [peer](TaskContext& ctx) {
+    const double v = 2.0;
+    ctx.send(peer, std::span<const double>(&v, 1), 5);
+  };
+  const TaskId h = g.add(std::move(hs));
+  g.add_edge(txid, h);
+  g.add_edge(rxid, h);
+}
+
 TEST(Executor, FifoRunsInInsertionOrder) {
   std::vector<std::string> order;
   SchedOptions so;
-  so.policy = SchedPolicy::kFifo;
+  so.backend = SchedBackend::kSpmd;
   so.adaptive = false;
   run_on(1, so, [&](TaskGraph& g, int) {
     for (const char* name : {"a", "b", "c"})
@@ -196,25 +226,9 @@ TEST(Executor, FifoRunsInInsertionOrder) {
   EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c"}));
 }
 
-TEST(Executor, DiagonalPolicyOrdersByKey) {
-  std::vector<std::string> order;
-  SchedOptions so;
-  so.policy = SchedPolicy::kDiagonal;
-  so.adaptive = false;
-  run_on(1, so, [&](TaskGraph& g, int) {
-    const auto body = [&order](const char* name) {
-      return [&order, name](TaskContext&) { order.push_back(name); };
-    };
-    g.add({.label = "late", .diagonal = 2, .run = body("late")});
-    g.add({.label = "early", .diagonal = 0, .run = body("early")});
-    g.add({.label = "mid", .diagonal = 1, .run = body("mid")});
-  });
-  EXPECT_EQ(order, (std::vector<std::string>{"early", "mid", "late"}));
-}
-
 TEST(Executor, CriticalPathPrefersTheLongChain) {
   // y (cost 1) is runnable alongside the x1 -> x2 chain (cost 10 each);
-  // the critical-path policy must start the chain first, FIFO must not.
+  // adaptive mode must start the chain first, static FIFO must not.
   const auto build = [](std::vector<std::string>& order) {
     return [&order](TaskGraph& g, int) {
       const auto body = [&order](const char* name) {
@@ -229,10 +243,10 @@ TEST(Executor, CriticalPathPrefersTheLongChain) {
   };
   std::vector<std::string> crit, fifo;
   SchedOptions so;
-  so.adaptive = false;
-  so.policy = SchedPolicy::kCriticalPath;
+  so.backend = SchedBackend::kSpmd;
+  so.adaptive = true;
   run_on(1, so, build(crit));
-  so.policy = SchedPolicy::kFifo;
+  so.adaptive = false;
   run_on(1, so, build(fifo));
   EXPECT_EQ(crit, (std::vector<std::string>{"x1", "x2", "y"}));
   EXPECT_EQ(fifo, (std::vector<std::string>{"y", "x1", "x2"}));
@@ -264,9 +278,8 @@ TEST(Executor, CycleIsATypedError) {
 TEST(Executor, InflowAndSendsMoveDataBetweenRanks) {
   for (const bool adaptive : {true, false}) {
     SchedOptions so;
+    so.backend = SchedBackend::kSpmd;
     so.adaptive = adaptive;
-    // One task per rank: trivially consistent, so static critical is safe.
-    so.allow_unsafe_static = true;
     std::vector<double> got;
     Machine::run(2, {}, [&](Communicator& comm) {
       TaskGraph g;
@@ -294,49 +307,118 @@ TEST(Executor, InflowAndSendsMoveDataBetweenRanks) {
 }
 
 TEST(SchedOptionsEnv, ParsesPolicyAndMode) {
+  // The mode is the only pickup knob left: adaptive critical-path or
+  // static FIFO. Every value of the retired policy knob is refused.
   EnvGuard pol("WAVEPIPE_SCHED_POLICY");
   EnvGuard ada("WAVEPIPE_SCHED_ADAPTIVE");
+  EnvGuard backend("WAVEPIPE_SCHED_BACKEND");  // static needs spmd
 
   ::unsetenv("WAVEPIPE_SCHED_POLICY");
   ::unsetenv("WAVEPIPE_SCHED_ADAPTIVE");
-  EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kCriticalPath);
+  ::unsetenv("WAVEPIPE_SCHED_BACKEND");
   EXPECT_TRUE(SchedOptions::from_env().adaptive);
-
-  ::setenv("WAVEPIPE_SCHED_POLICY", "fifo", 1);
-  EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kFifo);
-  ::setenv("WAVEPIPE_SCHED_POLICY", "diagonal", 1);
-  EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kDiagonal);
-  ::setenv("WAVEPIPE_SCHED_POLICY", "critical", 1);
-  EXPECT_EQ(SchedOptions::from_env().policy, SchedPolicy::kCriticalPath);
-  ::setenv("WAVEPIPE_SCHED_POLICY", "greedy", 1);
-  EXPECT_THROW(SchedOptions::from_env(), ConfigError);
-
-  ::setenv("WAVEPIPE_SCHED_POLICY", "fifo", 1);
   ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "0", 1);
   EXPECT_FALSE(SchedOptions::from_env().adaptive);
   ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "1", 1);
   EXPECT_TRUE(SchedOptions::from_env().adaptive);
   ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "maybe", 1);
   EXPECT_THROW(SchedOptions::from_env(), ConfigError);
+
+  ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "1", 1);
+  for (const char* v : {"fifo", "diagonal", "critical", ""}) {
+    ::setenv("WAVEPIPE_SCHED_POLICY", v, 1);
+    EXPECT_THROW(SchedOptions::from_env(), ConfigError) << "'" << v << "'";
+  }
 }
 
-TEST(SchedOptionsEnv, ParsesUnsafeStaticOptIn) {
+TEST(SchedOptionsEnv, RejectsRemovedKnobs) {
+  // A stale environment must not be ignored silently: the error names the
+  // removed knob and the mode that replaced it.
+  EnvGuard pol("WAVEPIPE_SCHED_POLICY");
   EnvGuard unsafe("WAVEPIPE_SCHED_UNSAFE_STATIC");
+  EnvGuard backend("WAVEPIPE_SCHED_BACKEND");
+  ::unsetenv("WAVEPIPE_SCHED_POLICY");
   ::unsetenv("WAVEPIPE_SCHED_UNSAFE_STATIC");
-  EXPECT_FALSE(SchedOptions::from_env().allow_unsafe_static);
-  ::setenv("WAVEPIPE_SCHED_UNSAFE_STATIC", "1", 1);
-  EXPECT_TRUE(SchedOptions::from_env().allow_unsafe_static);
-  ::setenv("WAVEPIPE_SCHED_UNSAFE_STATIC", "0", 1);
-  EXPECT_FALSE(SchedOptions::from_env().allow_unsafe_static);
-  ::setenv("WAVEPIPE_SCHED_UNSAFE_STATIC", "yes", 1);
-  EXPECT_THROW(SchedOptions::from_env(), ConfigError);
+  ::unsetenv("WAVEPIPE_SCHED_BACKEND");
+  EXPECT_NO_THROW(SchedOptions::from_env());
+  const auto expect_rejected = [](const char* knob, const char* value,
+                                  const char* replacement) {
+    EnvGuard g(knob);
+    ::setenv(knob, value, 1);
+    try {
+      SchedOptions::from_env();
+      ADD_FAILURE() << knob << "=" << value << " was accepted";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(knob), std::string::npos) << what;
+      EXPECT_NE(what.find("removed"), std::string::npos) << what;
+      EXPECT_NE(what.find(replacement), std::string::npos) << what;
+    }
+  };
+  expect_rejected("WAVEPIPE_SCHED_POLICY", "critical",
+                  "adaptive critical-path");
+  expect_rejected("WAVEPIPE_SCHED_POLICY", "fifo", "static FIFO");
+  expect_rejected("WAVEPIPE_SCHED_UNSAFE_STATIC", "1", "static mode is always");
+  expect_rejected("WAVEPIPE_SCHED_UNSAFE_STATIC", "0", "FIFO");
+}
+
+TEST(SchedOptionsEnv, StaticTasksIsAConfigError) {
+  // Static FIFO runs on the SPMD backend only. The combination is refused
+  // from the environment, before any machine exists...
+  EnvGuard backend("WAVEPIPE_SCHED_BACKEND");
+  EnvGuard ada("WAVEPIPE_SCHED_ADAPTIVE");
+  EnvGuard eng("WAVEPIPE_ENGINE");
+  ::setenv("WAVEPIPE_SCHED_BACKEND", "tasks", 1);
+  ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "0", 1);
+  ::setenv("WAVEPIPE_ENGINE", "parallel", 1);
+  try {
+    SchedOptions::from_env();
+    ADD_FAILURE() << "static + tasks was accepted from the environment";
+  } catch (const ConfigError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("adaptive"), std::string::npos) << what;
+    EXPECT_NE(what.find("Valid combinations"), std::string::npos) << what;
+  }
+  ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "1", 1);
+  EXPECT_EQ(SchedOptions::from_env().backend, SchedBackend::kTasks);
+  ::setenv("WAVEPIPE_SCHED_BACKEND", "spmd", 1);
+  ::setenv("WAVEPIPE_SCHED_ADAPTIVE", "0", 1);
+  EXPECT_FALSE(SchedOptions::from_env().adaptive);
+
+  // ...and by run_graph, with no silent SPMD fallback, on every engine and
+  // machine size (a one-rank machine included) and before any task runs.
+  SchedOptions so;
+  so.backend = SchedBackend::kTasks;
+  so.adaptive = false;
+  for (const EngineKind kind : {EngineKind::kFibers, EngineKind::kParallel})
+    for (const int p : {1, 2}) {
+      SCOPED_TRACE(std::string(to_string(kind)) + " p=" + std::to_string(p));
+      EngineConfig ec;
+      ec.kind = kind;
+      bool ran = false;
+      try {
+        Machine::run(p, {}, ec, [&](Communicator& comm) {
+          TaskGraph g;
+          g.add({.label = "never",
+                 .run = [&ran](TaskContext&) { ran = true; }});
+          run_graph(g, comm, so);
+        });
+        ADD_FAILURE() << "run_graph accepted static + tasks";
+      } catch (const ConfigError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("adaptive"), std::string::npos) << what;
+      }
+      EXPECT_FALSE(ran);
+    }
 }
 
 TEST(SchedOptionsEnv, ParsesBackendSelection) {
   EnvGuard backend("WAVEPIPE_SCHED_BACKEND");
   EnvGuard eng("WAVEPIPE_ENGINE");
+  EnvGuard ada("WAVEPIPE_SCHED_ADAPTIVE");  // tasks needs adaptive mode
   ::unsetenv("WAVEPIPE_SCHED_BACKEND");
   ::unsetenv("WAVEPIPE_ENGINE");
+  ::unsetenv("WAVEPIPE_SCHED_ADAPTIVE");
   EXPECT_EQ(SchedOptions::from_env().backend, SchedBackend::kSpmd);
   ::setenv("WAVEPIPE_SCHED_BACKEND", "spmd", 1);
   EXPECT_EQ(SchedOptions::from_env().backend, SchedBackend::kSpmd);
@@ -351,6 +433,8 @@ TEST(SchedOptionsEnv, TasksBackendCrossValidatesAgainstEngineEnv) {
   // machine exists — and the error spells out the valid combinations.
   EnvGuard backend("WAVEPIPE_SCHED_BACKEND");
   EnvGuard eng("WAVEPIPE_ENGINE");
+  EnvGuard ada("WAVEPIPE_SCHED_ADAPTIVE");  // tasks needs adaptive mode
+  ::unsetenv("WAVEPIPE_SCHED_ADAPTIVE");
   ::setenv("WAVEPIPE_SCHED_BACKEND", "tasks", 1);
   ::setenv("WAVEPIPE_ENGINE", "parallel", 1);
   EXPECT_EQ(SchedOptions::from_env().backend, SchedBackend::kTasks);
@@ -378,12 +462,6 @@ TEST(SchedOptionsEnv, BackendNamesRoundTrip) {
   EXPECT_STREQ(to_string(SchedBackend::kTasks), "tasks");
 }
 
-TEST(SchedOptionsEnv, PolicyNamesRoundTrip) {
-  EXPECT_STREQ(to_string(SchedPolicy::kFifo), "fifo");
-  EXPECT_STREQ(to_string(SchedPolicy::kDiagonal), "diagonal");
-  EXPECT_STREQ(to_string(SchedPolicy::kCriticalPath), "critical");
-}
-
 TEST(ScheduledSweep3d, ByteIdenticalAcrossPoliciesAndModes) {
   Sweep3dConfig cfg;
   cfg.n = 8;
@@ -405,41 +483,100 @@ TEST(ScheduledSweep3d, ByteIdenticalAcrossPoliciesAndModes) {
     }
   });
 
-  for (const SchedPolicy pol :
-       {SchedPolicy::kFifo, SchedPolicy::kDiagonal, SchedPolicy::kCriticalPath})
-    for (const bool adaptive : {true, false}) {
-      SchedOptions so;
-      so.policy = pol;
-      so.adaptive = adaptive;
-      // The sweep lowering releases each tile's outflow before any
-      // priority-inverted receive, so its static priority schedules are
-      // globally consistent: opt past the executor's fail-fast to prove
-      // the results stay byte-identical.
-      so.allow_unsafe_static = true;
-      SCOPED_TRACE(std::string("policy=") + to_string(pol) +
-                   " adaptive=" + (adaptive ? "1" : "0"));
-      Real flux = 0.0, cs = 0.0;
-      SchedReport rep;
+  // The two modes, and adaptive on both backends (the tasks backend needs
+  // the parallel engine; the SPMD runs take the engine from the
+  // environment).
+  struct Mode {
+    bool adaptive;
+    SchedBackend backend;
+  };
+  for (const Mode mode : {Mode{false, SchedBackend::kSpmd},
+                          Mode{true, SchedBackend::kSpmd},
+                          Mode{true, SchedBackend::kTasks}}) {
+    SchedOptions so;
+    so.adaptive = mode.adaptive;
+    so.backend = mode.backend;
+    SCOPED_TRACE(std::string("adaptive=") + (mode.adaptive ? "1" : "0") +
+                 " backend=" + to_string(mode.backend));
+    EngineConfig ec = EngineConfig::from_env();
+    if (mode.backend == SchedBackend::kTasks) ec.kind = EngineKind::kParallel;
+    Real flux = 0.0, cs = 0.0;
+    SchedReport rep;
+    Machine::run(p, {}, ec, [&](Communicator& comm) {
+      Sweep3d app(cfg, grid, comm.rank());
+      // Per-rank report: ranks run concurrently under the parallel
+      // engine, so only rank 0 may write the shared locals.
+      SchedReport mine;
+      const Real f = app.sweep_all_scheduled(comm, opts, so, &mine);
+      const Real c = app.checksum(comm);
+      if (comm.rank() == 0) {
+        flux = f;
+        cs = c;
+        rep = mine;
+      }
+    });
+    // Bitwise, not approximate: scheduling reorders execution, never
+    // arithmetic (accumulation is serialized by explicit edges).
+    EXPECT_EQ(flux, seq_flux);
+    EXPECT_EQ(cs, seq_sum);
+    EXPECT_GT(rep.tasks, 8u);  // at least one task per (octant, angle)
+    EXPECT_EQ(rep.adaptive, mode.adaptive);
+    EXPECT_EQ(rep.backend, mode.backend);
+  }
+}
+
+TEST(ScheduledSweep3d, TwoDFrontierGridsMatchBlockingSweepBitwise) {
+  // A 2D processor grid distributes a second upwind dimension, so every
+  // (octant, angle) instance needs two frontier axes' worth of wave tags;
+  // the scheduled sweep must agree with the blocking one bit for bit in
+  // both modes. The scheduled sweep also honours block_w like sweep_all.
+  Sweep3dConfig cfg;
+  cfg.n = 8;
+  cfg.angles = 2;
+  for (const std::array<int, 3> dims :
+       {std::array<int, 3>{2, 2, 1}, std::array<int, 3>{2, 1, 2}}) {
+    const ProcGrid<3> grid(dims);
+    const int p = grid.size();
+    for (const Coord block_w : {Coord{0}, Coord{2}}) {
+      WaveOptions opts;
+      opts.block = 2;
+      opts.block_w = block_w;
+      SCOPED_TRACE(grid.describe() + " block_w=" + std::to_string(block_w));
+      Real blocking = 0.0;
       Machine::run(p, {}, [&](Communicator& comm) {
-        Sweep3d app(cfg, grid, comm.rank());
-        // Per-rank report: ranks run concurrently under the parallel
-        // engine, so only rank 0 may write the shared locals.
-        SchedReport mine;
-        const Real f = app.sweep_all_scheduled(comm, opts, so, &mine);
-        const Real c = app.checksum(comm);
-        if (comm.rank() == 0) {
-          flux = f;
-          cs = c;
-          rep = mine;
-        }
+        const Real f = sweep3d_spmd(comm, cfg, grid, opts);
+        if (comm.rank() == 0) blocking = f;
       });
-      // Bitwise, not approximate: scheduling reorders execution, never
-      // arithmetic (accumulation is serialized by explicit edges).
-      EXPECT_EQ(flux, seq_flux);
-      EXPECT_EQ(cs, seq_sum);
-      EXPECT_GT(rep.tasks, 8u);  // at least one task per (octant, angle)
-      EXPECT_EQ(rep.policy, pol);
+      std::size_t tasks[2] = {0, 0};
+      for (const bool adaptive : {false, true}) {
+        SchedOptions so;
+        so.backend = SchedBackend::kSpmd;
+        so.adaptive = adaptive;
+        SCOPED_TRACE(std::string("adaptive=") + (adaptive ? "1" : "0"));
+        Real scheduled = 0.0;
+        Machine::run(p, {}, [&](Communicator& comm) {
+          Sweep3d app(cfg, grid, comm.rank());
+          SchedReport rep;
+          const Real f = app.sweep_all_scheduled(comm, opts, so, &rep);
+          if (comm.rank() == 0) {
+            scheduled = f;
+            tasks[adaptive ? 1 : 0] = rep.tasks;
+          }
+        });
+        EXPECT_EQ(scheduled, blocking);
+      }
+      EXPECT_EQ(tasks[0], tasks[1]);
+      if (block_w > 0) {
+        // Each rank owns 4 cells along every distributed dimension, so
+        // block_w = 2 cuts a 2D-frontier instance's tiles into two rows.
+        WaveOptions whole = opts;
+        whole.block_w = 0;
+        Sweep3d app(cfg, grid, 0);
+        EXPECT_GT(app.build_sweep_graph(opts).size(),
+                  app.build_sweep_graph(whole).size());
+      }
     }
+  }
 }
 
 TEST(ScheduledSweep3d, OverlapWinsAtLeastTenPercentAtP8) {
@@ -511,11 +648,10 @@ TEST(ScheduledAltSweep, MatchesPipelinedBitwise) {
     });
 
     // Adaptive critical-path (the default) and static FIFO (the fully
-    // schedule-invariant mode; static priority policies are excluded by the
-    // executor's documented cross-rank caveat).
+    // schedule-invariant mode).
     for (const bool adaptive : {true, false}) {
       SchedOptions so;
-      so.policy = adaptive ? SchedPolicy::kCriticalPath : SchedPolicy::kFifo;
+      so.backend = SchedBackend::kSpmd;
       so.adaptive = adaptive;
       SCOPED_TRACE("p=" + std::to_string(p) +
                    " adaptive=" + (adaptive ? "1" : "0"));
@@ -556,102 +692,28 @@ TEST(ScheduledAltSweep, IterateDispatchesTheScheduledStrategy) {
   EXPECT_EQ(scheduled, pipelined);
 }
 
-TEST(Deadlock, StaticPriorityOverCrossRankGraphFailsFast) {
-  // The resolved cross-rank caveat: a static non-FIFO schedule over a
-  // graph with any cross-rank inflow is refused with a typed SchedError
-  // *before* a single task runs, instead of gambling on the runtime
-  // deadlock the next test reproduces. Works under every engine — no
-  // deadlock detector needed, nothing ever blocks.
-  for (const SchedPolicy pol :
-       {SchedPolicy::kDiagonal, SchedPolicy::kCriticalPath}) {
-    SCOPED_TRACE(std::string("policy=") + to_string(pol));
-    SchedOptions so;
-    so.policy = pol;
-    so.adaptive = false;
-    bool receiver_ran = false;
-    try {
-      Machine::run(2, {}, [&](Communicator& comm) {
-        TaskGraph g;
-        if (comm.rank() == 0) {
-          g.add({.label = "tx", .run = [](TaskContext& ctx) {
-                   const double v = 1.0;
-                   ctx.send(1, std::span<const double>(&v, 1), 3);
-                 }});
-        } else {
-          TaskGraph::Task rx;
-          rx.label = "rx";
-          rx.inflows.push_back({0, 3, 1});
-          rx.run = [&receiver_ran](TaskContext&) { receiver_ran = true; };
-          g.add(std::move(rx));
-        }
-        run_graph(g, comm, so);
-      });
-      FAIL() << "static non-FIFO over a cross-rank graph did not fail fast";
-    } catch (const SchedError& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("can deadlock"), std::string::npos) << what;
-      EXPECT_NE(what.find("task 'rx'"), std::string::npos) << what;
-      EXPECT_NE(what.find("WAVEPIPE_SCHED_UNSAFE_STATIC"), std::string::npos)
-          << "the error should name the escape hatch: " << what;
-    }
-    EXPECT_FALSE(receiver_ran) << "fail-fast must precede execution";
-
-    // The same schedule with the opt-in set runs to completion (this pair
-    // of graphs is trivially consistent).
-    so.allow_unsafe_static = true;
-    Machine::run(2, {}, [&](Communicator& comm) {
-      TaskGraph g;
-      if (comm.rank() == 0) {
-        g.add({.label = "tx", .run = [](TaskContext& ctx) {
-                 const double v = 1.0;
-                 ctx.send(1, std::span<const double>(&v, 1), 3);
-               }});
-      } else {
-        TaskGraph::Task rx;
-        rx.label = "rx";
-        rx.inflows.push_back({0, 3, 1});
-        rx.run = [&receiver_ran](TaskContext&) { receiver_ran = true; };
-        g.add(std::move(rx));
-      }
-      run_graph(g, comm, so);
-    });
-    EXPECT_TRUE(receiver_ran);
-  }
-}
-
 TEST(Deadlock, ReportNamesTheStuckTask) {
-  // Deterministic reproduction of the executor's documented static-mode
-  // hazard: static blocking under a priority policy ranks a receive above
-  // the send its peer is waiting on. The fiber engine must detect the
-  // all-blocked state and the report must say which *tasks* are stuck, not
-  // just which receives.
-  AltSweepConfig cfg;
-  cfg.n = 48;
-  cfg.iterations = 4;
-  const ProcGrid<2> grid = ProcGrid<2>::along_dim(2, 0);
-  WaveOptions opts;
-  opts.block = 8;
-  opts.overlap = true;
+  // Static FIFO on a graph that genuinely deadlocks: both ranks block on
+  // their handshake inflow. The fiber engine must detect the all-blocked
+  // state and the report must say which *task* is stuck, not just which
+  // receive.
   SchedOptions so;
-  so.policy = SchedPolicy::kCriticalPath;
+  so.backend = SchedBackend::kSpmd;
   so.adaptive = false;
-  // Opt past the fail-fast: this test exercises the runtime detector that
-  // backstops schedules asserted consistent but actually not.
-  so.allow_unsafe_static = true;
-
   EngineConfig eng;
   eng.kind = EngineKind::kFibers;  // deadlock detection needs the fiber engine
   Machine m(2, t3e_like().costs, TraceConfig{}, eng);
   try {
     m.run([&](Communicator& comm) {
-      AltSweep app(cfg, grid, comm.rank());
-      app.iterate_scheduled(comm, cfg.iterations, opts, so);
+      TaskGraph g;
+      build_handshake_cycle(g, comm.rank());
+      run_graph(g, comm, so);
     });
-    FAIL() << "static critical-path deadlock did not throw";
+    FAIL() << "static FIFO deadlock did not throw";
   } catch (const Error& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("deadlock"), std::string::npos) << what;
-    EXPECT_NE(what.find("task '"), std::string::npos)
+    EXPECT_NE(what.find("task 'handshake'"), std::string::npos)
         << "report should name the stuck task: " << what;
   }
 }

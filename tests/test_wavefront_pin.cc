@@ -159,7 +159,7 @@ Pin sw_blocking(const ProcGrid<2>& grid, WaveOptions opts) {
 Pin sw_lowered(const ProcGrid<2>& grid, WaveOptions opts) {
   const auto cfg = sw_config();
   SchedOptions so;
-  so.policy = SchedPolicy::kFifo;
+  so.backend = SchedBackend::kSpmd;
   so.adaptive = false;
   return pin_run(grid.size(), [&](Communicator& comm) {
     SmithWaterman app(cfg, grid, comm.rank());
