@@ -126,6 +126,42 @@ BENCHMARK(BM_EngineStorm)
     ->ArgsProduct({{0, 1}, {2, 8}})
     ->Iterations(20);
 
+// One-way stream on the parallel engine: rank 0 sends `kStreamMsgs`
+// messages of `elems` doubles to rank 1, which receives them in order —
+// the transport cost of one face message with no reply to wait for. 48
+// doubles (384 B) is a SWEEP3D face at n = 24, b = 2: past
+// MessagePayload::kInlineBytes, so the payload itself is a heap buffer.
+// Reports wall nanoseconds per message, run start and join included
+// (amortized over the stream).
+void BM_EngineStream(benchmark::State& state) {
+  constexpr int kStreamMsgs = 20000;
+  const std::size_t elems = static_cast<std::size_t>(state.range(0));
+  Machine m(2, {}, TraceConfig{}, engine_cfg(EngineKind::kParallel));
+  double seconds = 0.0;
+  for (auto _ : state) {
+    Timer t;
+    m.run([elems](Communicator& comm) {
+      std::vector<double> buf(elems, 1.0);
+      for (int i = 0; i < kStreamMsgs; ++i) {
+        if (comm.rank() == 0) {
+          buf[0] = static_cast<double>(i);
+          comm.send(1, std::span<const double>(buf), 7);
+        } else {
+          comm.recv(0, std::span<double>(buf), 7);
+          if (buf[0] != static_cast<double>(i))
+            throw Error("stream message out of order");
+        }
+      }
+    });
+    seconds += t.seconds();
+  }
+  state.SetLabel(to_string(m.engine()));
+  state.counters["ns_per_msg"] =
+      1e9 * seconds /
+      (static_cast<double>(state.iterations()) * kStreamMsgs);
+}
+BENCHMARK(BM_EngineStream)->ArgName("elems")->Arg(48)->Iterations(20);
+
 void BM_Barrier(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   Machine m(p);

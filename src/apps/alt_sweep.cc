@@ -193,7 +193,7 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
         t.run = [this, top_row, ca = ca, cb = cb,
                  tag = pretag.base + static_cast<int>(c),
                  pred](TaskContext& ctx) {
-          std::vector<Real> buf;
+          std::vector<Real>& buf = ctx.scratch();
           pack_region_into(u_.local(),
                            Region<2>({{top_row, ca}}, {{top_row, cb}}), buf);
           ctx.send(pred, std::span<const Real>(buf), tag);
@@ -238,7 +238,7 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
         t.run = [this, top_row, ca = ca, cb = cb,
                  tag = uptag.base + static_cast<int>(c),
                  pred](TaskContext& ctx) {
-          std::vector<Real> buf;
+          std::vector<Real>& buf = ctx.scratch();
           pack_region_into(u_.local(),
                            Region<2>({{top_row, ca}}, {{top_row, cb}}), buf);
           ctx.send(pred, std::span<const Real>(buf), tag);

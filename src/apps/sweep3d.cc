@@ -97,9 +97,11 @@ WaveReport<3> Sweep3d::sweep_octant(int octant, Communicator& comm,
                                     const WaveOptions& opts, int angle) {
   require(octant >= 0 && octant < 8, "octant must be in [0, 8)");
   require(angle >= 0 && angle < cfg_.angles, "angle out of quadrature range");
-  // Vacuum boundary: the inflow fluff must be zero. phi's fluff may hold
-  // stale values from the previous sweep's wave messages, so reset it.
-  fill_outside(phi_, layout_.owned(rank_), 0.0);
+  // Vacuum boundary: the inflow fluff must be zero, and stays zero from
+  // init() on. Only wave messages write phi's fluff, and only on faces
+  // with an upwind peer — which every later sweep reading that face
+  // overwrites again before its first read. A face without a peer is never
+  // written, so no per-sweep reset is needed.
   WaveOptions o = opts;
   o.pre_exchange = false;  // inflow is either wave-fed or vacuum
   // The instance's allocated tag window supersedes opts.tag_base: the old
@@ -130,6 +132,7 @@ void Sweep3d::ensure_slots(int slots) {
   const int total = 8 * cfg_.angles;
   const int k = std::min(slots, total);
   if (static_cast<int>(slot_phi_.size()) == k) return;
+  kept_.reset();  // its tasks point at the slots and plans dropped here
   slot_plans_.clear();
   slot_phi_.clear();
   for (int s = 0; s < k; ++s)
@@ -148,7 +151,6 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
   ensure_slots(slots);
   const int total = 8 * cfg_.angles;
   const int k = static_cast<int>(slot_phi_.size());
-  for (auto& s : slot_phi_) s->fill(0.0);
 
   const Region<3> owned = layout_.owned(rank_);
   const double acc_cost =
@@ -156,16 +158,17 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
 
   // One graph holding every (octant, angle) instance. Intra-instance order
   // is the lowered tile chain; the inter-instance constraints are:
-  //   acc(i-1) -> acc(i)    flux accumulates in sweep_all's exact order,
-  //                         so the reduction is bit-identical;
-  //   acc(i-k) -> zero(i)   instance i reuses slot i % k: its vacuum reset
-  //                         (and, transitively, its tiles' writes) must
-  //                         wait until the previous tenant's cells have
-  //                         been folded into the flux (WAR).
+  //   acc(i-1) -> acc(i)      flux accumulates in sweep_all's exact order,
+  //                           so the reduction is bit-identical;
+  //   acc(i-k) -> tile0(i)    instance i reuses slot i % k: its first tile
+  //                           (and, transitively, every later one) must
+  //                           wait until the previous tenant's cells have
+  //                           been folded into the flux (WAR).
   // Everything else — up to `k` instances' tiles, in any order the
-  // scheduler and message arrivals allow — is the recovered overlap.
+  // scheduler and message arrivals allow — is the recovered overlap. The
+  // slots need no vacuum reset, for sweep_octant's reason: a slot's fluff
+  // is zero from allocation and written only on faces the wave feeds.
   TaskGraph g;
-  std::vector<TaskId> zero(static_cast<std::size_t>(total), kNoTask);
   std::vector<TaskId> acc(static_cast<std::size_t>(total), kNoTask);
   for (int i = 0; i < total; ++i) {
     const int o = i / cfg_.angles;
@@ -174,18 +177,9 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
         "[o" + std::to_string(o) + ",a" + std::to_string(a) + "]";
     DenseArray<Real, 3>* slot = slot_phi_[static_cast<std::size_t>(i % k)].get();
 
-    // Vacuum boundary: reset the slot's fluff, exactly as sweep_octant
-    // does before a sequential sweep (uncharged bookkeeping).
-    TaskGraph::Task z;
-    z.label = "zero" + suffix;
-    z.cost = 0.0;
-    z.run = [slot, owned](TaskContext&) { fill_outside(*slot, owned, 0.0); };
-    zero[static_cast<std::size_t>(i)] = g.add(std::move(z));
-
     const auto lw = lower_wavefront(
         g, slot_plans_[static_cast<std::size_t>(i)], layout_, rank_,
         sweep_tags(o, a), "sweep" + suffix, opts);
-    g.add_edge(zero[static_cast<std::size_t>(i)], lw.tiles.front());
 
     TaskGraph::Task t;
     t.label = "acc" + suffix;
@@ -201,8 +195,7 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
       g.add_edge(acc[static_cast<std::size_t>(i - 1)],
                  acc[static_cast<std::size_t>(i)]);
     if (i >= k)
-      g.add_edge(acc[static_cast<std::size_t>(i - k)],
-                 zero[static_cast<std::size_t>(i)]);
+      g.add_edge(acc[static_cast<std::size_t>(i - k)], lw.tiles.front());
   }
   return g;
 }
@@ -236,8 +229,17 @@ Real Sweep3d::sweep_all_scheduled(Communicator& comm, const WaveOptions& opts,
   require(comm.rank() == rank_,
           "sweep_all_scheduled must run on the rank this instance was "
           "built for");
-  TaskGraph g = build_sweep_graph(opts, slots);
-  const SchedReport rep = run_graph(g, comm, sched);
+  // Build once: the graph is rerun every call until its lowering inputs
+  // change (ensure_slots also drops it when the slots are reallocated).
+  const bool same = kept_ && kept_->block == opts.block &&
+                    kept_->block_w == opts.block_w &&
+                    kept_->charge == opts.charge && kept_->slots == slots;
+  if (!same) {
+    TaskGraph g = build_sweep_graph(opts, slots);
+    kept_.emplace(KeptGraph{std::move(g), opts.block, opts.block_w,
+                            opts.charge, slots});
+  }
+  const SchedReport rep = run_graph(kept_->graph, comm, sched);
   if (report) *report = rep;
   mirror_last_slot();
   return total_flux(comm);

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "exec/driver.hh"
@@ -71,15 +72,18 @@ class Sweep3d {
   /// are in flight at once over per-slot angular-flux buffers, so opposite
   /// octants fill each other's pipeline bubbles. Flux accumulation is
   /// serialized in (octant, angle) order by explicit edges, so the result
-  /// (flux, phi, checksum) is bit-identical to sweep_all's. Collective.
+  /// (flux, phi, checksum) is bit-identical to sweep_all's. The graph is
+  /// built on the first call and rerun by later ones; it is rebuilt only
+  /// when block, block_w, charge or slots change. Collective.
   Real sweep_all_scheduled(Communicator& comm, const WaveOptions& opts = {},
                            const SchedOptions& sched = SchedOptions::from_env(),
                            SchedReport* report = nullptr, int slots = 4);
 
-  /// The graph sweep_all_scheduled runs (all instances, zero/acc chains
+  /// The graph sweep_all_scheduled runs (all instances, acc chain
   /// included), without running it — comm-free and deterministic for a
   /// given (cfg, grid, rank), so it doubles as the recovery
-  /// ProgramFactory seam. Resets the slot angular-flux buffers.
+  /// ProgramFactory seam. Builds a fresh graph on every call;
+  /// sweep_all_scheduled keeps the one it built and reruns it.
   TaskGraph build_sweep_graph(const WaveOptions& opts = {}, int slots = 4);
 
   /// The comm-free tail of a scheduled sweep: mirrors the last slot's
@@ -144,6 +148,16 @@ class Sweep3d {
   // them (instance i uses slot i % slots). Built on first use.
   std::vector<std::unique_ptr<DenseArray<Real, 3>>> slot_phi_;
   std::vector<WavefrontPlan<3>> slot_plans_;  // [octant * angles + angle]
+  // The graph sweep_all_scheduled reruns, with the WaveOptions fields and
+  // slot count lowering read (the rest of WaveOptions does not reach it).
+  struct KeptGraph {
+    TaskGraph graph;
+    Coord block;
+    Coord block_w;
+    bool charge;
+    int slots;
+  };
+  std::optional<KeptGraph> kept_;
 };
 
 /// SPMD driver: init + iterations full sweeps; returns total flux.

@@ -13,6 +13,7 @@
 // drains while the rank packs, unpacks, and stalls on its neighbours.
 #pragma once
 
+#include <array>
 #include <source_location>
 #include <span>
 #include <vector>
@@ -30,23 +31,83 @@ constexpr Direction<R> face_shift(Rank d, Coord amount) {
   return dir;
 }
 
+namespace detail {
+
+/// Walks `face` (inside `a`'s region, possibly empty) as pencils and calls
+/// `copy(elem, pos, count, elem_stride, pos_stride)` for each: `count`
+/// elements starting at raw() offset `elem`, `elem_stride` apart, whose
+/// canonical (for_each-order) positions in the face start at `pos`,
+/// `pos_stride` apart. Pencils run along the face's longest dimension,
+/// preferring the storage-contiguous one on ties — so a row-major face is
+/// a few contiguous runs in canonical order, and a column-major face keeps
+/// canonical payload order by striding through the payload (or the array,
+/// for faces one element thick along the contiguous dimension, like a
+/// wavefront's face across the distributed dimension).
+template <typename T, Rank R, typename Copy>
+void for_each_face_pencil(const DenseArray<T, R>& a, const Region<R>& face,
+                          Copy&& copy) {
+  if (face.empty()) return;
+  std::array<Coord, R> pos_stride{};  // canonical: dimension R-1 innermost
+  pos_stride[R - 1] = 1;
+  for (Rank d = R - 1; d > 0; --d)
+    pos_stride[d - 1] = pos_stride[d] * face.extent(d);
+  Rank pd = contiguous_dim(a.order(), R);
+  for (Rank d = 0; d < R; ++d)
+    if (face.extent(d) > face.extent(pd)) pd = d;
+  const Coord count = face.extent(pd);
+  const Coord es = a.stride(pd);
+  const Coord ps = pos_stride[pd];
+  // Odometer over the other dimensions; the pencil dimension stays at lo.
+  Idx<R> i = face.lo();
+  while (true) {
+    Coord pos = 0;
+    for (Rank d = 0; d < R; ++d) pos += (i.v[d] - face.lo(d)) * pos_stride[d];
+    copy(a.offset(i), static_cast<std::size_t>(pos), count, es, ps);
+    Rank d = R;
+    while (d > 0) {
+      --d;
+      if (d == pd) {
+        if (d == 0) return;
+        continue;
+      }
+      if (i.v[d] < face.hi(d)) {
+        ++i.v[d];
+        break;
+      }
+      i.v[d] = face.lo(d);
+      if (d == 0) return;
+    }
+  }
+}
+
+}  // namespace detail
+
+/// Appends `face`'s values to `buf` in canonical (for_each) order: the
+/// building block for bundled messages and persistent send buffers. Copies
+/// whole pencils (detail::for_each_face_pencil), not elements.
+template <typename T, Rank R>
+void pack_region_into(const DenseArray<T, R>& a, const Region<R>& face,
+                      std::vector<T>& buf) {
+  const std::size_t base = buf.size();
+  buf.resize(base + static_cast<std::size_t>(face.size()));
+  T* out = buf.data() + base;
+  const T* src = a.raw().data();
+  detail::for_each_face_pencil(
+      a, face,
+      [&](std::size_t e, std::size_t p, Coord n, Coord es, Coord ps) {
+        for (Coord k = 0; k < n; ++k)
+          out[p + static_cast<std::size_t>(k * ps)] =
+              src[e + static_cast<std::size_t>(k * es)];
+      });
+}
+
 /// Packs the values of `a` on `face` (global indices, must be inside the
 /// allocated region) into a flat buffer in canonical order.
 template <typename T, Rank R>
 std::vector<T> pack_region(const DenseArray<T, R>& a, const Region<R>& face) {
   std::vector<T> buf;
-  buf.reserve(static_cast<std::size_t>(face.size()));
-  for_each(face, [&](const Idx<R>& i) { buf.push_back(a(i)); });
+  pack_region_into(a, face, buf);
   return buf;
-}
-
-/// Appends `face`'s values to `buf` (canonical order): the building block
-/// for bundled messages and persistent send buffers.
-template <typename T, Rank R>
-void pack_region_into(const DenseArray<T, R>& a, const Region<R>& face,
-                      std::vector<T>& buf) {
-  buf.reserve(buf.size() + static_cast<std::size_t>(face.size()));
-  for_each(face, [&](const Idx<R>& i) { buf.push_back(a(i)); });
 }
 
 /// Unpacks a flat buffer (canonical order) into `a` on `face`. Takes a
@@ -57,8 +118,14 @@ void unpack_region(DenseArray<T, R>& a, const Region<R>& face,
                    std::span<const T> buf) {
   require(static_cast<Coord>(buf.size()) == face.size(),
           "unpack buffer size mismatch");
-  std::size_t k = 0;
-  for_each(face, [&](const Idx<R>& i) { a(i) = buf[k++]; });
+  T* dst = a.raw().data();
+  detail::for_each_face_pencil(
+      a, face,
+      [&](std::size_t e, std::size_t p, Coord n, Coord es, Coord ps) {
+        for (Coord k = 0; k < n; ++k)
+          dst[e + static_cast<std::size_t>(k * es)] =
+              buf[p + static_cast<std::size_t>(k * ps)];
+      });
 }
 
 /// Vector convenience overload (template deduction cannot convert a

@@ -9,7 +9,10 @@
 // message payload — happens-before the consumer's read after a successful
 // pop(), because the value write is sequenced before the release store of
 // the `next` pointer the consumer acquires. There is no CAS, no retry
-// loop, and no mutex anywhere on the push/pop path.
+// loop, and no mutex anywhere on the push/pop path. Consumed nodes go back
+// to the producer through the consumer's release store of its head pointer
+// (acquired by the producer before reuse), so a steady stream allocates
+// and frees no nodes.
 //
 // Parker is the park/unpark half: an eventcount a consumer uses to sleep
 // when every channel is empty without a lock on the producer's hot path.
@@ -42,21 +45,33 @@
 
 namespace wavepipe {
 
-/// Unbounded lock-free SPSC FIFO. Exactly one thread may call push() and
-/// exactly one thread may call pop()/peek_empty(); the two may run
-/// concurrently. Destruction requires external quiescence (no concurrent
-/// push/pop), which the Machine guarantees by joining rank threads first.
+/// Unbounded lock-free SPSC FIFO with a node cache (Vyukov's unbounded
+/// SPSC queue). Exactly one thread may call push() and exactly one thread
+/// may call pop()/pop_batch()/peek_empty(); the two may run concurrently.
+/// Destruction requires external quiescence (no concurrent push/pop), which
+/// the Machine guarantees by joining rank threads first.
+///
+/// Node recycling: the list runs first_ -> ... -> head_ -> ... -> tail_.
+/// Nodes before the consumer's head_ (the current dummy) are consumed; the
+/// producer takes them back from first_ instead of allocating, re-reading
+/// head_ (acquire, against the consumer's release store after each pop)
+/// only when its cached copy says the cache is used up. A steady stream
+/// therefore allocates nothing on either side once the queue has grown to
+/// its peak depth, and the consumer never frees: nodes live until the
+/// queue dies. The cache is as deep as the deepest burst the queue ever
+/// held.
 template <typename T>
 class SpscQueue {
  public:
-  SpscQueue() : head_(new Node), tail_(head_) {}
+  SpscQueue() : head_(new Node), tail_(head_.load()), first_(tail_),
+                head_copy_(tail_) {}
 
   SpscQueue(const SpscQueue&) = delete;
   SpscQueue& operator=(const SpscQueue&) = delete;
   SpscQueue(SpscQueue&&) = delete;
 
   ~SpscQueue() {
-    Node* n = head_;
+    Node* n = first_;
     while (n) {
       Node* next = n->next.load(std::memory_order_relaxed);
       delete n;
@@ -66,7 +81,8 @@ class SpscQueue {
 
   /// Producer side. Never blocks, never fails.
   void push(T value) {
-    Node* n = new Node;
+    Node* n = alloc_node();
+    n->next.store(nullptr, std::memory_order_relaxed);
     n->value = std::move(value);
     // The release store publishes the node (and everything written into it
     // above) to the consumer's matching acquire load in pop().
@@ -76,13 +92,13 @@ class SpscQueue {
 
   /// Consumer side: pops the oldest element into `out`; false when empty.
   bool pop(T& out) {
-    Node* next = head_->next.load(std::memory_order_acquire);
+    Node* h = head_.load(std::memory_order_relaxed);
+    Node* next = h->next.load(std::memory_order_acquire);
     if (!next) return false;
     out = std::move(next->value);
-    // head_ is the consumed dummy; the producer moved past it before the
-    // acquire above could observe `next`, so deleting it here races nothing.
-    delete head_;
-    head_ = next;
+    // `next` becomes the dummy and `h` joins the producer's cache: the
+    // release store orders the move above before the producer reuses it.
+    head_.store(next, std::memory_order_release);
     return true;
   }
 
@@ -92,27 +108,35 @@ class SpscQueue {
   /// lets the caller amortize everything *around* the pops — the mailbox
   /// drains a whole burst per matching pass instead of interleaving one
   /// match-dispatch per message (see Mailbox::kDrainBatch for how the
-  /// default is chosen). Elements already appended stay popped even if the
-  /// caller
-  /// stops early (e.g. a poison observed mid-batch): the queue has no
-  /// un-pop, exactly like repeated pop() calls.
+  /// default is chosen) — and hands the consumed nodes back with one
+  /// release store. Elements already appended stay popped even if the
+  /// caller stops early (e.g. a poison observed mid-batch): the queue has
+  /// no un-pop, exactly like repeated pop() calls.
   std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
+    Node* h = head_.load(std::memory_order_relaxed);
     std::size_t n = 0;
     while (n < max) {
-      Node* next = head_->next.load(std::memory_order_acquire);
+      Node* next = h->next.load(std::memory_order_acquire);
       if (!next) break;
       out.push_back(std::move(next->value));
-      delete head_;
-      head_ = next;
+      h = next;
       ++n;
     }
+    if (n > 0) head_.store(h, std::memory_order_release);
     return n;
   }
 
   /// Consumer side: true when no element is ready. (A concurrent push may
   /// make this stale immediately — callers re-check after Parker::prepare.)
   bool peek_empty() const {
-    return head_->next.load(std::memory_order_acquire) == nullptr;
+    return head_.load(std::memory_order_relaxed)
+               ->next.load(std::memory_order_acquire) == nullptr;
+  }
+
+  /// Nodes ever allocated, the initial dummy included. Stops growing once
+  /// the cache covers the peak depth; for tests and probes. Any thread.
+  std::size_t allocated_nodes() const {
+    return allocated_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -121,11 +145,27 @@ class SpscQueue {
     T value{};
   };
 
-  // On separate cache lines: head_ is written only by the consumer, tail_
-  // only by the producer; sharing a line would make every push/pop pair a
-  // coherence miss.
-  alignas(64) Node* head_;  // consumer-owned (dummy node)
-  alignas(64) Node* tail_;  // producer-owned (last node)
+  Node* alloc_node() {
+    if (first_ == head_copy_) {
+      head_copy_ = head_.load(std::memory_order_acquire);
+      if (first_ == head_copy_) {
+        allocated_.fetch_add(1, std::memory_order_relaxed);
+        return new Node;
+      }
+    }
+    Node* n = first_;
+    first_ = n->next.load(std::memory_order_relaxed);
+    return n;
+  }
+
+  // On separate cache lines: head_ is written only by the consumer, the
+  // rest only by the producer; sharing a line would make every push/pop
+  // pair a coherence miss.
+  alignas(64) std::atomic<Node*> head_;  // consumer-owned (dummy node)
+  alignas(64) Node* tail_;               // producer-owned (last node)
+  Node* first_;                          // producer: oldest cached node
+  Node* head_copy_;                      // producer: last head_ it read
+  std::atomic<std::size_t> allocated_{1};
 };
 
 /// Eventcount: lets one consumer sleep until a producer signals that new

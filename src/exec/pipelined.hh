@@ -37,8 +37,10 @@
 
 #include <array>
 #include <source_location>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "array/ghost.hh"
 #include "comm/machine.hh"
@@ -370,7 +372,8 @@ struct WaveGrid {
   int tag0;                       // axis-0 face tag; axis 1 uses tag0 + 1
 
   /// `tag_base` is the start of the instance's wavefront_tag_span window:
-  /// the face tags sit just past the ghost pre-exchange's 2R tags.
+  /// the face tags sit just past the ghost pre-exchange's 2R tags. Every
+  /// face a tile will pack or unpack is computed here, once per grid.
   WaveGrid(const WavefrontPlan<R>& p, const WaveTiling<R>& tiling,
            Coord block, Coord block_w, int tag_base)
       : plan(&p),
@@ -380,7 +383,28 @@ struct WaveGrid {
         bj(tiling.clamp_block(block)),
         mi(tiling.wtiles(block_w)),
         mj(tiling.tiles(block)),
-        tag0(tag_base + 2 * static_cast<int>(R)) {}
+        tag0(tag_base + 2 * static_cast<int>(R)) {
+    const std::array<int, 2> pred{t.pred, t.pred2};
+    const std::array<int, 2> succ{t.succ, t.succ2};
+    for (int axis = 0; axis < 2; ++axis) {
+      const auto a = static_cast<std::size_t>(axis);
+      const Coord len = axis == 0 ? mj : mi;
+      for (const bool inflow : {true, false}) {
+        if ((inflow ? pred[a] : succ[a]) < 0) continue;  // never travels
+        auto& fs = faces_[a][inflow ? 1 : 0];
+        fs.reserve(static_cast<std::size_t>(len) * uses.size());
+        for (Coord k = 0; k < len; ++k)
+          for (const auto& u : uses) fs.push_back(face(axis, k, inflow, u));
+      }
+      if (pred[a] < 0) continue;
+      auto& sizes = inflow_sizes_[a];
+      sizes.assign(static_cast<std::size_t>(len), 0);
+      for (Coord k = 0; k < len; ++k)
+        for (const Region<R>& f : faces(axis, k, /*inflow=*/true))
+          sizes[static_cast<std::size_t>(k)] +=
+              static_cast<std::size_t>(f.size());
+    }
+  }
 
   int tag(int axis) const { return tag0 + axis; }
 
@@ -400,37 +424,20 @@ struct WaveGrid {
 
   Region<R> tile(Coord u, Coord v) const { return t.tile2(bw, bj, u, v); }
 
-  /// The bundled faces along `axis` for the k-th column (axis 0) or row
-  /// (axis 1). Axis-0 faces span the column's range along the tile
-  /// dimension; axis-1 faces span the row's range along w plus the corner
-  /// extension.
-  std::vector<Region<R>> faces(int axis, Coord k, bool inflow) const {
-    std::vector<Region<R>> fs;
-    fs.reserve(uses.size());
-    const Region<R>& reg = plan->region;
-    for (const auto& u : uses) {
-      if (axis == 0) {
-        const auto [a, b] = t.tile_range(bj, k);
-        fs.push_back(wave_face(t.local, u.prime_halo.v[t.w], t.w, t.travel,
-                               inflow, t.tdim, t.tsign, a, b, /*ext=*/0,
-                               reg.lo(t.tdim), reg.hi(t.tdim)));
-      } else {
-        const auto [a, b] = t.wtile_range(bw, k);
-        fs.push_back(wave_face(t.local, u.prime_halo.v[t.tdim], t.tdim,
-                               t.tsign, inflow, t.w, t.travel, a, b,
-                               /*ext=*/u.prime_halo.v[t.w], reg.lo(t.w),
-                               reg.hi(t.w)));
-      }
-    }
-    return fs;
+  /// The bundled faces (one per wave array, in payload order) along `axis`
+  /// for the k-th column (axis 0) or row (axis 1). Only faces that travel
+  /// exist: an axis without an inflow (outflow) peer has no inflow
+  /// (outflow) faces.
+  std::span<const Region<R>> faces(int axis, Coord k, bool inflow) const {
+    return std::span<const Region<R>>(
+               faces_[static_cast<std::size_t>(axis)][inflow ? 1 : 0])
+        .subspan(static_cast<std::size_t>(k) * uses.size(), uses.size());
   }
 
   /// Elements in the k-th inflow message along `axis`.
   std::size_t inflow_size(int axis, Coord k) const {
-    std::size_t n = 0;
-    for (const auto& f : faces(axis, k, /*inflow=*/true))
-      n += static_cast<std::size_t>(f.size());
-    return n;
+    return inflow_sizes_[static_cast<std::size_t>(axis)]
+                        [static_cast<std::size_t>(k)];
   }
 
   /// Runs twice per tile: the message is built only when the check fails.
@@ -446,7 +453,7 @@ struct WaveGrid {
     throw ContractError(what, loc);
   }
 
-  void unpack(const std::vector<Region<R>>& fs,
+  void unpack(std::span<const Region<R>> fs,
               std::span<const Real> payload) const {
     std::size_t off = 0;
     for (std::size_t ui = 0; ui < fs.size(); ++ui) {
@@ -458,7 +465,7 @@ struct WaveGrid {
     }
   }
 
-  void pack(const std::vector<Region<R>>& fs, std::vector<Real>& buf) const {
+  void pack(std::span<const Region<R>> fs, std::vector<Real>& buf) const {
     buf.clear();
     for (std::size_t ui = 0; ui < fs.size(); ++ui) {
       if (fs[ui].size() == 0) continue;
@@ -491,6 +498,28 @@ struct WaveGrid {
     }
     return tl;
   }
+
+ private:
+  /// Axis-0 faces span the column's range along the tile dimension; axis-1
+  /// faces span the row's range along w plus the corner extension.
+  Region<R> face(int axis, Coord k, bool inflow, const ArrayUse<R>& u) const {
+    const Region<R>& reg = plan->region;
+    if (axis == 0) {
+      const auto [a, b] = t.tile_range(bj, k);
+      return wave_face(t.local, u.prime_halo.v[t.w], t.w, t.travel, inflow,
+                       t.tdim, t.tsign, a, b, /*ext=*/0, reg.lo(t.tdim),
+                       reg.hi(t.tdim));
+    }
+    const auto [a, b] = t.wtile_range(bw, k);
+    return wave_face(t.local, u.prime_halo.v[t.tdim], t.tdim, t.tsign, inflow,
+                     t.w, t.travel, a, b, /*ext=*/u.prime_halo.v[t.w],
+                     reg.lo(t.w), reg.hi(t.w));
+  }
+
+  // [axis][inflow ? 1 : 0]: faces of stream position k at
+  // [k * uses.size(), (k + 1) * uses.size()).
+  std::array<std::array<std::vector<Region<R>>, 2>, 2> faces_;
+  std::array<std::vector<std::size_t>, 2> inflow_sizes_;  // [axis][k]
 };
 
 /// The blocking tile loop over the grid. Tiles run in anti-diagonal order:

@@ -134,6 +134,30 @@ std::pair<double, TaskId> task_key(const GraphAnalysis& analysis,
   return {-analysis.prio[static_cast<std::size_t>(t)], t};
 }
 
+InflowSlab::InflowSlab(const TaskGraph& graph) {
+  const std::size_t n = graph.size();
+  first_.resize(n + 1);
+  std::size_t inflows = 0, elements = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    first_[i] = inflows;
+    for (const TaskInflow& in : graph.task(static_cast<TaskId>(i)).inflows) {
+      ++inflows;
+      elements += in.elements;
+    }
+  }
+  first_[n] = inflows;
+  // Uninitialized: every element is written by its receive before any
+  // task reads it.
+  data_ = std::make_unique_for_overwrite<double[]>(elements);
+  views_.reserve(inflows);
+  const double* at = data_.get();
+  for (std::size_t i = 0; i < n; ++i)
+    for (const TaskInflow& in : graph.task(static_cast<TaskId>(i)).inflows) {
+      views_.emplace_back(at, in.elements);
+      at += in.elements;
+    }
+}
+
 void check_backend(const SchedOptions& opts, const Machine& m) {
   if (opts.backend != SchedBackend::kTasks) return;
   // Authoritative gate: whatever the env said, the options and the machine
@@ -157,7 +181,7 @@ class SchedExecutor : public TaskSink {
  public:
   SchedExecutor(const TaskGraph& graph, Communicator& comm,
                 const SchedOptions& opts)
-      : graph_(graph), comm_(comm), opts_(opts) {}
+      : graph_(graph), comm_(comm), opts_(opts), slab_(graph) {}
 
   SchedReport run();
 
@@ -196,7 +220,8 @@ class SchedExecutor : public TaskSink {
   std::vector<TaskId> pending_;
   std::vector<Request> pending_req_;
   std::vector<int> missing_;
-  std::vector<std::vector<std::vector<double>>> inflow_buf_;  // [task][inflow]
+  sched_internal::InflowSlab slab_;
+  std::vector<double> scratch_;  // TaskContext::scratch
   std::vector<Request> sends_;
   SchedReport report_;
 };
@@ -204,12 +229,9 @@ class SchedExecutor : public TaskSink {
 void SchedExecutor::release(TaskId t) {
   const TaskGraph::Task& task = graph_.task(t);
   if (opts_.adaptive && !task.inflows.empty()) {
-    auto& bufs = inflow_buf_[static_cast<std::size_t>(t)];
-    bufs.resize(task.inflows.size());
     for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-      bufs[k].resize(task.inflows[k].elements);
       pending_req_.push_back(comm_.irecv(task.inflows[k].src,
-                                         std::span<double>(bufs[k]),
+                                         slab_.buffer(t, k),
                                          task.inflows[k].tag));
       pending_.push_back(t);
     }
@@ -226,15 +248,12 @@ void SchedExecutor::release(TaskId t) {
 
 void SchedExecutor::run_task(TaskId t) {
   const TaskGraph::Task& task = graph_.task(t);
-  auto& bufs = inflow_buf_[static_cast<std::size_t>(t)];
   const double t0 = comm_.vtime();
   if (!opts_.adaptive && !task.inflows.empty()) {
     // Static mode receives the inflows blocking, one by one in declaration
     // order — the deterministic schedule every rank can replay.
-    bufs.resize(task.inflows.size());
     for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-      bufs[k].resize(task.inflows[k].elements);
-      Request r = comm_.irecv(task.inflows[k].src, std::span<double>(bufs[k]),
+      Request r = comm_.irecv(task.inflows[k].src, slab_.buffer(t, k),
                               task.inflows[k].tag);
       ++report_.blocked_waits;
       comm_.set_wait_context("task '" + task.label + "'");
@@ -250,18 +269,12 @@ void SchedExecutor::run_task(TaskId t) {
       comm_.set_wait_context("");
     }
   }
-  std::vector<std::span<const double>> payloads(bufs.size());
-  for (std::size_t k = 0; k < bufs.size(); ++k)
-    payloads[k] = std::span<const double>(bufs[k]);
-  TaskContext ctx(comm_, *this);
-  ctx.inflows = std::span<const std::span<const double>>(payloads);
-  if (!payloads.empty()) ctx.inflow = payloads.front();
+  TaskContext ctx(comm_, *this, scratch_, slab_.payloads(t));
   if (task.run) task.run(ctx);
   comm_.tracer().record(TraceEventType::kTask, t0, comm_.vtime(),
                         task.inflows.empty() ? -1 : task.inflows.front().src,
                         static_cast<int>(t),
                         static_cast<std::uint64_t>(task.cost));
-  std::vector<std::vector<double>>().swap(bufs);
   for (const TaskId s : graph_.successors(t))
     if (--deps_[static_cast<std::size_t>(s)] == 0) release(s);
 }
@@ -295,7 +308,6 @@ SchedReport SchedExecutor::run() {
   report_.backend = SchedBackend::kSpmd;
   analysis_ = sched_internal::analyze_graph(graph_);
   deps_ = analysis_.deps;
-  inflow_buf_.resize(n);
   missing_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i)
     if (deps_[i] == 0) release(static_cast<TaskId>(i));

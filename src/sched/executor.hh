@@ -45,6 +45,8 @@
 // mode and is reported this way.
 #pragma once
 
+#include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -137,6 +139,37 @@ GraphAnalysis analyze_graph(const TaskGraph& graph);
 /// smaller (earlier) task id, so both are total orders.
 std::pair<double, TaskId> task_key(const GraphAnalysis& analysis,
                                    bool adaptive, TaskId t);
+
+/// One run's inflow storage, shared by every executor: all inflow payloads
+/// of every task in one flat slab, allocated once per run, with each task's
+/// offset precomputed from the graph. Receives land in buffer(t, k) and the
+/// body sees payloads(t), so running a task allocates nothing. The slab
+/// holds the whole run's inflow bytes at once — one graph's share of the
+/// messages this rank consumes.
+class InflowSlab {
+ public:
+  explicit InflowSlab(const TaskGraph& graph);
+
+  /// Receive buffer of task t's k-th inflow.
+  std::span<double> buffer(TaskId t, std::size_t k) {
+    const std::span<const double> v = views_[first_[index(t)] + k];
+    return {data_.get() + (v.data() - data_.get()), v.size()};
+  }
+
+  /// Task t's payloads in declaration order (TaskContext::inflows).
+  std::span<const std::span<const double>> payloads(TaskId t) const {
+    const std::size_t i = index(t);
+    return std::span<const std::span<const double>>(views_).subspan(
+        first_[i], first_[i + 1] - first_[i]);
+  }
+
+ private:
+  static std::size_t index(TaskId t) { return static_cast<std::size_t>(t); }
+
+  std::unique_ptr<double[]> data_;
+  std::vector<std::size_t> first_;  // [task] first inflow's index; n + 1
+  std::vector<std::span<const double>> views_;  // [inflow]
+};
 
 /// The backend gate shared by run_graph and run_recoverable: kTasks needs
 /// the parallel engine that `m` actually runs, and adaptive mode. Throws

@@ -72,7 +72,7 @@ struct TaskInflow {
 /// the task declared none) — the overwhelmingly common single-inflow case.
 /// send() issues a nonblocking send whose completion the executor settles
 /// in posting order after the graph drains — the payload is copied out
-/// immediately, so temporaries are fine.
+/// immediately, so temporaries (and the scratch buffer) are fine.
 class TaskContext {
  public:
   Communicator& comm;
@@ -83,13 +83,29 @@ class TaskContext {
     sink_.task_send(dst, payload, tag);
   }
 
+  /// An empty buffer owned by the executor running the task, for packing
+  /// outflow payloads without a per-task allocation: its capacity survives
+  /// from task to task. Valid until the body returns. Each executor thread
+  /// (the SPMD rank, a tasks-backend worker, an heir stepping an adopted
+  /// program) owns its own, so it is never thread_local — fibers share one
+  /// thread.
+  std::vector<double>& scratch() {
+    scratch_.clear();
+    return scratch_;
+  }
+
  private:
   friend class SchedExecutor;
   friend class TaskArena;
   friend class RecoveryExecutor;
   friend class AdoptedProgram;
-  TaskContext(Communicator& c, TaskSink& s) : comm(c), sink_(s) {}
+  TaskContext(Communicator& c, TaskSink& s, std::vector<double>& scratch,
+              std::span<const std::span<const double>> payloads)
+      : comm(c), inflows(payloads), sink_(s), scratch_(scratch) {
+    if (!payloads.empty()) inflow = payloads.front();
+  }
   TaskSink& sink_;
+  std::vector<double>& scratch_;
 };
 
 class TaskGraph {

@@ -112,10 +112,11 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
             {src, grid->tag(axis), grid->inflow_size(axis, k)});
       }
       task.run = [grid, u, v, charge = opts.charge](TaskContext& ctx) {
-        std::vector<Real> buf;
+        // Each outflow is packed into the executor's scratch buffer; send()
+        // copies it out, so both axes can share it.
         grid->run_tile(
             ctx.comm, charge, u, v, ctx.inflows,
-            [&buf](int) -> std::vector<Real>& { return buf; },
+            [&ctx](int) -> std::vector<Real>& { return ctx.scratch(); },
             [&](int axis, int peer, std::span<const Real> payload) {
               ctx.send(peer, payload, grid->tag(axis));
             });

@@ -133,7 +133,7 @@ class TaskArena {
   /// outflow sends, the report).
   struct RankSlot final : TaskSink {
     RankSlot(TaskArena& a, const TaskGraph& g, Communicator& c)
-        : arena(a), graph(g), comm(c) {}
+        : arena(a), graph(g), comm(c), slab(g) {}
 
     TaskArena& arena;
     const TaskGraph& graph;
@@ -159,6 +159,13 @@ class TaskArena {
     // thread — adoption work never migrates to thieves.
     recovery_internal::AdoptionDriver* drv = nullptr;
 
+    // Worker-owned: touched only by this slot's own thread, whichever
+    // rank's task it is running, and reused so the per-task path
+    // (run_item, finish_task, promotion) allocates nothing.
+    std::vector<double> scratch;   // TaskContext::scratch
+    std::vector<TaskId> zeros;     // successors whose count hit zero
+    std::vector<KeyedTask> ready;  // released or promoted, to push
+
     // Guarded by comm's operation lock. A task pends once per inflow (the
     // entries are consecutive, in declaration order); `missing` counts the
     // in-flight inflows per task and the task is promoted at zero.
@@ -166,7 +173,9 @@ class TaskArena {
     std::vector<std::size_t> pending_k;  // its inflow index (for the log)
     std::vector<Request> pending_req;   // parallel to `pending`
     std::vector<int> missing;
-    std::vector<std::vector<std::vector<double>>> inflow_buf;  // [task][in]
+    // Receives write it under the lock; a task's payloads are read by the
+    // one worker that runs it, after the promotion that handed it over.
+    sched_internal::InflowSlab slab;
     std::vector<Request> sends;
     SchedReport report;
 
@@ -273,6 +282,7 @@ void TaskArena::push_ready_items(RankSlot& my, int rank,
   // the work the owner valued least.
   std::sort(items.begin(), items.end(), std::greater<>());
   for (const auto& [k, t] : items) my.deque.push(pack_item(rank, t));
+  items.clear();
 }
 
 /// Releases task `t` of rank q (its dependence count just hit zero).
@@ -283,12 +293,9 @@ void TaskArena::release_locked(RankSlot& q, TaskId t,
                                std::vector<KeyedTask>& ready) {
   const TaskGraph::Task& task = q.graph.task(t);
   if (!task.inflows.empty()) {
-    auto& bufs = q.inflow_buf[static_cast<std::size_t>(t)];
-    bufs.resize(task.inflows.size());
     for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-      bufs[k].resize(task.inflows[k].elements);
       q.pending_req.push_back(q.comm.irecv(task.inflows[k].src,
-                                           std::span<double>(bufs[k]),
+                                           q.slab.buffer(t, k),
                                            task.inflows[k].tag));
       q.pending.push_back(t);
       q.pending_k.push_back(k);
@@ -314,12 +321,12 @@ SchedReport TaskArena::run(const TaskGraph& graph, Communicator& comm,
                      "ranks of one tasks round passed different recovery "
                      "coordinators");
   }
-  auto owned = std::make_unique<RankSlot>(*this, graph, comm);
-  RankSlot& my = *owned;
-  my.rank = rank;
-  my.drv = drv;
-  std::vector<KeyedTask> ready0;
+  std::unique_ptr<RankSlot> owned;
   try {
+    owned = std::make_unique<RankSlot>(*this, graph, comm);
+    RankSlot& my = *owned;
+    my.rank = rank;
+    my.drv = drv;
     my.analysis = sched_internal::analyze_graph(graph);
     const std::size_t n = graph.size();
     my.report.tasks = n;
@@ -329,7 +336,6 @@ SchedReport TaskArena::run(const TaskGraph& graph, Communicator& comm,
     my.deps.reset(new std::atomic<int>[n]);
     for (std::size_t i = 0; i < n; ++i)
       my.deps[i].store(my.analysis.deps[i], std::memory_order_relaxed);
-    my.inflow_buf.resize(n);
     my.missing.assign(n, 0);
     my.remaining.store(n, std::memory_order_seq_cst);
 
@@ -337,7 +343,7 @@ SchedReport TaskArena::run(const TaskGraph& graph, Communicator& comm,
     auto l = comm.lock_ops();
     for (std::size_t i = 0; i < n; ++i)
       if (my.analysis.deps[i] == 0)
-        release_locked(my, static_cast<TaskId>(i), ready0);
+        release_locked(my, static_cast<TaskId>(i), my.ready);
   } catch (const std::exception& e) {
     // Peers are already (or about to be) pooled on this round: make them
     // abort with this reason instead of idling until the poison cascade.
@@ -349,13 +355,14 @@ SchedReport TaskArena::run(const TaskGraph& graph, Communicator& comm,
     bump();
     throw;
   }
+  RankSlot& my = *owned;
   {
     std::lock_guard<std::mutex> sl(scan_mu_);
     storage_[static_cast<std::size_t>(rank)] = std::move(owned);
     live_[static_cast<std::size_t>(rank)].store(&my,
                                                 std::memory_order_release);
   }
-  push_ready_items(my, rank, ready0);
+  push_ready_items(my, rank, my.ready);
   registered_.fetch_add(1, std::memory_order_seq_cst);
   bump();
 
@@ -445,11 +452,10 @@ bool TaskArena::promote(RankSlot& my, RankSlot& q) {
   // Own rank only (q cannot depart under us — we *are* its thread).
   auto l = q.comm.try_lock_ops();
   if (!l.owns_lock()) return false;
-  std::vector<KeyedTask> got;
-  drain_arrived(q, got);
+  drain_arrived(q, my.ready);
   l.unlock();
-  if (got.empty()) return false;
-  push_ready_items(my, q.rank, got);
+  if (my.ready.empty()) return false;
+  push_ready_items(my, q.rank, my.ready);
   bump();
   return true;
 }
@@ -473,28 +479,31 @@ bool TaskArena::assist(RankSlot& my, int r) {
     held = q->comm.try_lock_ops();
     if (!held.owns_lock()) return false;
   }
-  std::vector<KeyedTask> got;
   try {
-    drain_arrived(*q, got);
+    drain_arrived(*q, my.ready);
   } catch (const RankDeath& rd) {
     // The kill armed between the check above and the drain's wait. The
     // death is q's, not ours: back off and let q's thread die properly.
+    // Tasks promoted before the throw are dropped: their inflows are
+    // logged, so q's heir runs them.
     if (recovery() == nullptr || rd.rank() != q->rank) throw;
     held.unlock();
+    my.ready.clear();
     return false;
   }
   held.unlock();
-  if (got.empty()) return false;
+  if (my.ready.empty()) return false;
   // The promoted tasks go into *my* deque (Chase–Lev push is owner-only);
   // q's worker can steal them back, and usually this worker — idle, or it
   // would not be assisting — just runs them.
-  push_ready_items(my, q->rank, got);
+  push_ready_items(my, q->rank, my.ready);
   bump();
   return true;
 }
 
 /// Moves every arrived pending inflow of q into `got` (consuming the
-/// requests). Caller holds q's comm lock.
+/// requests). Caller holds q's comm lock; `got` is the caller's worker-
+/// owned buffer, empty on entry.
 void TaskArena::drain_arrived(RankSlot& q, std::vector<KeyedTask>& got) {
   RecoveryCoordinator* rc = recovery();
   for (std::size_t i = 0; i < q.pending.size();) {
@@ -510,8 +519,7 @@ void TaskArena::drain_arrived(RankSlot& q, std::vector<KeyedTask>& got) {
       if (rc)
         rc->log_inflow(
             q.rank, t, q.pending_k[i],
-            std::span<const double>(
-                q.inflow_buf[static_cast<std::size_t>(t)][q.pending_k[i]]));
+            q.slab.payloads(t)[q.pending_k[i]]);
       q.pending.erase(q.pending.begin() + static_cast<std::ptrdiff_t>(i));
       q.pending_k.erase(q.pending_k.begin() + static_cast<std::ptrdiff_t>(i));
       q.pending_req.erase(q.pending_req.begin() +
@@ -555,31 +563,27 @@ void TaskArena::run_item(RankSlot& my, std::int64_t v) {
   }
   const TaskId t = item_task(v);
   const TaskGraph::Task& task = q.graph.task(t);
-  auto& bufs = q.inflow_buf[static_cast<std::size_t>(t)];
+  // The clock read and the trace record need q's lock; with tracing off
+  // (fixed for the Communicator's lifetime) neither happens.
+  const bool traced = q.comm.tracer().enabled();
   double t0 = 0.0;
-  {
+  if (traced) {
     auto l = q.comm.lock_ops();
     t0 = q.comm.vtime();
   }
   {
     // The body runs unlocked — this is the real-parallelism window. Its
     // comm calls (TaskContext::send, compute, ...) self-lock.
-    std::vector<std::span<const double>> payloads(bufs.size());
-    for (std::size_t k = 0; k < bufs.size(); ++k)
-      payloads[k] = std::span<const double>(bufs[k]);
-    TaskContext ctx(q.comm, q);
-    ctx.inflows = std::span<const std::span<const double>>(payloads);
-    if (!payloads.empty()) ctx.inflow = payloads.front();
+    TaskContext ctx(q.comm, q, my.scratch, q.slab.payloads(t));
     if (task.run) task.run(ctx);
   }
-  {
+  if (traced) {
     auto l = q.comm.lock_ops();
     q.comm.tracer().record(TraceEventType::kTask, t0, q.comm.vtime(),
                            task.inflows.empty() ? -1 : task.inflows.front().src,
                            static_cast<int>(t),
                            static_cast<std::uint64_t>(task.cost));
   }
-  std::vector<std::vector<double>>().swap(bufs);
   finish_task(my, q, t);
 }
 
@@ -595,18 +599,17 @@ void TaskArena::finish_task(RankSlot& my, RankSlot& q, TaskId t) {
   if (RecoveryCoordinator* rc = recovery()) rc->log_complete(q.rank, t);
   // Atomic dependence-count decrements; exactly one decrementer observes
   // the count hit zero and owns the release of that successor.
-  std::vector<TaskId> zeros;
+  my.zeros.clear();
   for (const TaskId s : q.graph.successors(t))
     if (q.deps[static_cast<std::size_t>(s)].fetch_sub(
             1, std::memory_order_seq_cst) == 1)
-      zeros.push_back(s);
-  if (!zeros.empty()) {
-    std::vector<KeyedTask> ready;
+      my.zeros.push_back(s);
+  if (!my.zeros.empty()) {
     {
       auto l = q.comm.lock_ops();
-      for (const TaskId s : zeros) release_locked(q, s, ready);
+      for (const TaskId s : my.zeros) release_locked(q, s, my.ready);
     }
-    push_ready_items(my, q.rank, ready);
+    push_ready_items(my, q.rank, my.ready);
   }
   // Decrement `remaining` last: it is the departure gate, so every touch of
   // q's communicator on this completion path happens while departure is
@@ -796,10 +799,8 @@ void TaskArena::die_in_arena(RankSlot& my, const RankDeath& rd) {
     auto l = my.comm.lock_ops();
     for (std::size_t i = 0; i < my.pending.size(); ++i) {
       if (my.comm.cancel(my.pending_req[i])) {
-        const auto t = static_cast<std::size_t>(my.pending[i]);
         rc->log_inflow(my.rank, my.pending[i], my.pending_k[i],
-                       std::span<const double>(
-                           my.inflow_buf[t][my.pending_k[i]]));
+                       my.slab.payloads(my.pending[i])[my.pending_k[i]]);
       }
     }
     my.pending.clear();

@@ -119,13 +119,13 @@ void AdoptedProgram::ProxySink::task_send(int dst,
 AdoptedProgram::AdoptedProgram(RecoveryCoordinator& rc, int victim)
     : rc_(rc), victim_(victim), prog_(rc.build(victim)),
       log_(rc.snapshot(victim)),
-      proxy_(std::make_unique<Communicator>(rc.machine(), victim)) {
+      proxy_(std::make_unique<Communicator>(rc.machine(), victim)),
+      slab_(prog_.graph) {
   sink_.owner = this;
   const std::size_t n = prog_.graph.size();
   deps_.resize(n);
   for (std::size_t i = 0; i < n; ++i)
     deps_[i] = prog_.graph.predecessors(static_cast<TaskId>(i));
-  inflow_buf_.resize(n);
   missing_.assign(n, 0);
   remaining_ = n;
 
@@ -138,18 +138,13 @@ AdoptedProgram::AdoptedProgram(RecoveryCoordinator& rc, int victim)
     internal_check(deps_[static_cast<std::size_t>(t)] == 0,
                    "logged completion order is not a topological order");
     const TaskGraph::Task& task = prog_.graph.task(t);
-    std::vector<std::vector<double>> bufs(task.inflows.size());
-    std::vector<std::span<const double>> payloads(task.inflows.size());
     for (std::size_t k = 0; k < task.inflows.size(); ++k) {
       const auto* logged = log_.logged(t, k);
       internal_check(logged && logged->has_value(),
                      "completed task replayed without a logged inflow");
-      bufs[k] = **logged;
-      payloads[k] = std::span<const double>(bufs[k]);
+      copy_logged(t, k, **logged);
     }
-    TaskContext ctx(*proxy_, sink_);
-    ctx.inflows = std::span<const std::span<const double>>(payloads);
-    if (!payloads.empty()) ctx.inflow = payloads.front();
+    TaskContext ctx(*proxy_, sink_, scratch_, slab_.payloads(t));
     if (task.run) task.run(ctx);
     --remaining_;
     for (const TaskId s : prog_.graph.successors(t))
@@ -166,23 +161,26 @@ AdoptedProgram::AdoptedProgram(RecoveryCoordinator& rc, int victim)
 
 AdoptedProgram::~AdoptedProgram() = default;  // proxy dtor cancels slots
 
+void AdoptedProgram::copy_logged(TaskId t, std::size_t k,
+                                 const std::vector<double>& logged) {
+  const std::span<double> buf = slab_.buffer(t, k);
+  internal_check(logged.size() == buf.size(),
+                 "logged inflow size does not match the task's");
+  std::copy(logged.begin(), logged.end(), buf.begin());
+}
+
 void AdoptedProgram::release(TaskId t) {
   const TaskGraph::Task& task = prog_.graph.task(t);
-  auto& bufs = inflow_buf_[static_cast<std::size_t>(t)];
-  bufs.resize(task.inflows.size());
   int miss = 0;
   for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-    bufs[k].resize(task.inflows[k].elements);
     const auto* logged = log_.logged(t, k);
     if (logged && logged->has_value()) {
       // The victim consumed this message before dying: it left the mailbox
       // then, so per-key FIFO for the heir's live receives starts after it.
-      internal_check((*logged)->size() == bufs[k].size(),
-                     "logged inflow size does not match the task's");
-      bufs[k] = **logged;
+      copy_logged(t, k, **logged);
     } else {
       pending_req_.push_back(proxy_->irecv(task.inflows[k].src,
-                                           std::span<double>(bufs[k]),
+                                           slab_.buffer(t, k),
                                            task.inflows[k].tag));
       pending_.push_back(t);
       pending_k_.push_back(k);
@@ -229,15 +227,8 @@ bool AdoptedProgram::step() {
 
 void AdoptedProgram::run_adopted_task(TaskId t) {
   const TaskGraph::Task& task = prog_.graph.task(t);
-  auto& bufs = inflow_buf_[static_cast<std::size_t>(t)];
-  std::vector<std::span<const double>> payloads(bufs.size());
-  for (std::size_t k = 0; k < bufs.size(); ++k)
-    payloads[k] = std::span<const double>(bufs[k]);
-  TaskContext ctx(*proxy_, sink_);
-  ctx.inflows = std::span<const std::span<const double>>(payloads);
-  if (!payloads.empty()) ctx.inflow = payloads.front();
+  TaskContext ctx(*proxy_, sink_, scratch_, slab_.payloads(t));
   if (task.run) task.run(ctx);
-  std::vector<std::vector<double>>().swap(bufs);
   --remaining_;
   for (const TaskId s : prog_.graph.successors(t))
     if (--deps_[static_cast<std::size_t>(s)] == 0 &&
@@ -323,7 +314,7 @@ class RecoveryExecutor : public TaskSink {
   RecoveryExecutor(const TaskGraph& graph, Communicator& comm,
                    RecoveryCoordinator& rc,
                    recovery_internal::AdoptionDriver& drv)
-      : graph_(graph), comm_(comm), rc_(rc), drv_(drv) {}
+      : graph_(graph), comm_(comm), rc_(rc), drv_(drv), slab_(graph) {}
 
   SchedReport run();
 
@@ -357,7 +348,8 @@ class RecoveryExecutor : public TaskSink {
   std::vector<std::size_t> pending_k_;  // its inflow index
   std::vector<Request> pending_req_;
   std::vector<int> missing_;
-  std::vector<std::vector<std::vector<double>>> inflow_buf_;  // [task][k]
+  sched_internal::InflowSlab slab_;
+  std::vector<double> scratch_;  // TaskContext::scratch
   std::vector<Request> sends_;
   SchedReport report_;
 };
@@ -368,12 +360,9 @@ void RecoveryExecutor::release(TaskId t) {
     ready_.push({key(t), t});
     return;
   }
-  auto& bufs = inflow_buf_[static_cast<std::size_t>(t)];
-  bufs.resize(task.inflows.size());
   for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-    bufs[k].resize(task.inflows[k].elements);
     pending_req_.push_back(comm_.irecv(task.inflows[k].src,
-                                       std::span<double>(bufs[k]),
+                                       slab_.buffer(t, k),
                                        task.inflows[k].tag));
     pending_.push_back(t);
     pending_k_.push_back(k);
@@ -385,14 +374,8 @@ void RecoveryExecutor::release(TaskId t) {
 
 void RecoveryExecutor::run_task(TaskId t) {
   const TaskGraph::Task& task = graph_.task(t);
-  auto& bufs = inflow_buf_[static_cast<std::size_t>(t)];
   const double t0 = comm_.vtime();
-  std::vector<std::span<const double>> payloads(bufs.size());
-  for (std::size_t k = 0; k < bufs.size(); ++k)
-    payloads[k] = std::span<const double>(bufs[k]);
-  TaskContext ctx(comm_, *this);
-  ctx.inflows = std::span<const std::span<const double>>(payloads);
-  if (!payloads.empty()) ctx.inflow = payloads.front();
+  TaskContext ctx(comm_, *this, scratch_, slab_.payloads(t));
   // No kill point between the body's buffered sends and log_complete:
   // task bodies are receive-free by the recovery contract (inflows carry
   // all incoming data), so a task either completes-and-logs or never ran —
@@ -403,7 +386,6 @@ void RecoveryExecutor::run_task(TaskId t) {
                         static_cast<int>(t),
                         static_cast<std::uint64_t>(task.cost));
   rc_.log_complete(comm_.rank(), t);
-  std::vector<std::vector<double>>().swap(bufs);
   for (const TaskId s : graph_.successors(t))
     if (--deps_[static_cast<std::size_t>(s)] == 0) release(s);
 }
@@ -415,11 +397,9 @@ void RecoveryExecutor::die(const RankDeath& rd) {
   // heir could never re-receive it), unregister the rest, and settle the
   // outstanding sends (their payloads were deposited at post).
   for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (comm_.cancel(pending_req_[i])) {
-      const auto t = static_cast<std::size_t>(pending_[i]);
+    if (comm_.cancel(pending_req_[i]))
       rc_.log_inflow(rank, pending_[i], pending_k_[i],
-                     std::span<const double>(inflow_buf_[t][pending_k_[i]]));
-    }
+                     slab_.payloads(pending_[i])[pending_k_[i]]);
   }
   pending_.clear();
   pending_k_.clear();
@@ -457,7 +437,6 @@ SchedReport RecoveryExecutor::run() {
   report_.backend = SchedBackend::kSpmd;
   analysis_ = sched_internal::analyze_graph(graph_);
   deps_ = analysis_.deps;
-  inflow_buf_.resize(n);
   missing_.assign(n, 0);
 
   try {
@@ -478,9 +457,7 @@ SchedReport RecoveryExecutor::run() {
           comm_.wait(pending_req_[i]);
           const TaskId t = pending_[i];
           const std::size_t k = pending_k_[i];
-          rc_.log_inflow(
-              rank, t, k,
-              std::span<const double>(inflow_buf_[static_cast<std::size_t>(t)][k]));
+          rc_.log_inflow(rank, t, k, slab_.payloads(t)[k]);
           pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
           pending_k_.erase(pending_k_.begin() +
                            static_cast<std::ptrdiff_t>(i));

@@ -222,6 +222,8 @@ class AdoptedProgram {
 
   void release(TaskId t);
   void run_adopted_task(TaskId t);
+  // Copies a logged payload into the task's slab buffer (sizes checked).
+  void copy_logged(TaskId t, std::size_t k, const std::vector<double>& logged);
 
   RecoveryCoordinator& rc_;
   int victim_;
@@ -236,7 +238,8 @@ class AdoptedProgram {
   std::vector<std::size_t> pending_k_;     // its inflow index
   std::vector<Request> pending_req_;
   std::vector<int> missing_;
-  std::vector<std::vector<std::vector<double>>> inflow_buf_;  // [task][k]
+  sched_internal::InflowSlab slab_;
+  std::vector<double> scratch_;  // TaskContext::scratch
   std::vector<Request> sends_;
   std::size_t remaining_ = 0;
   bool finished_ = false;

@@ -2,8 +2,12 @@
 // diagonal stencils and multi-width halos.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "array/io.hh"
 #include "comm/machine.hh"
+#include "support/rng.hh"
 
 namespace wavepipe {
 namespace {
@@ -167,6 +171,70 @@ TEST(Ghost, BundledExchangeSendsOneMessagePerNeighborDirection) {
   // Same payload either way; the saving is per-message latency (alpha).
   EXPECT_EQ(bundled.total.elements_sent, separate.total.elements_sent);
   EXPECT_LT(bundled.vtime_max, separate.vtime_max);
+}
+
+// pack_region_into / unpack_region copy whole pencils; the element-wise
+// for_each walk is the reference they must match, element for element, in
+// canonical payload order.
+template <Rank R>
+void check_pencil_pack(SplitMix64& rng, StorageOrder order) {
+  Idx<R> lo, hi;
+  for (Rank d = 0; d < R; ++d) {
+    lo.v[d] = rng.uniform_int(-3, 3);
+    hi.v[d] = lo.v[d] + rng.uniform_int(0, 6);
+  }
+  const Region<R> whole(lo, hi);
+  DenseArray<double, R> a("a", whole, order);
+  for (double& x : a.raw()) x = rng.uniform(-1.0, 1.0);
+
+  for (int trial = 0; trial < 40; ++trial) {
+    // Random sub-box; one trial in four collapses it to a single element
+    // and one in eight empties it.
+    Idx<R> flo, fhi;
+    for (Rank d = 0; d < R; ++d) {
+      flo.v[d] = rng.uniform_int(lo.v[d], hi.v[d]);
+      fhi.v[d] = rng.uniform_int(flo.v[d], hi.v[d]);
+    }
+    if (trial % 4 == 1) fhi = flo;
+    if (trial % 8 == 3) fhi.v[R - 1] = flo.v[R - 1] - 1;
+    const Region<R> face(flo, fhi);
+    SCOPED_TRACE("face " + to_string(face) + " of " + to_string(whole) +
+                 (order == StorageOrder::kRowMajor ? " row-major"
+                                                   : " column-major"));
+
+    std::vector<double> ref{-7.0};  // packing appends after existing data
+    for_each(face, [&](const Idx<R>& i) { ref.push_back(a(i)); });
+    std::vector<double> got{-7.0};
+    pack_region_into(a, face, got);
+    ASSERT_EQ(got, ref);
+    EXPECT_EQ(pack_region(a, face),
+              std::vector<double>(ref.begin() + 1, ref.end()));
+
+    // Unpacking a random payload changes exactly the face, in the same
+    // canonical order.
+    std::vector<double> payload(static_cast<std::size_t>(face.size()));
+    for (double& x : payload) x = rng.uniform(2.0, 3.0);
+    DenseArray<double, R> want("want", whole, order);
+    DenseArray<double, R> have("have", whole, order);
+    want.raw() = a.raw();
+    have.raw() = a.raw();
+    std::size_t k = 0;
+    for_each(face, [&](const Idx<R>& i) { want(i) = payload[k++]; });
+    unpack_region(have, face, std::span<const double>(payload));
+    ASSERT_EQ(have.raw(), want.raw());
+  }
+}
+
+TEST(PencilPack, MatchesElementWiseReferenceAtRanks2And3) {
+  const std::uint64_t seed = test_seed(20261017);
+  SCOPED_TRACE("WAVEPIPE_SEED=" + std::to_string(seed));
+  SplitMix64 rng(seed);
+  for (int rep = 0; rep < 6; ++rep)
+    for (const StorageOrder order :
+         {StorageOrder::kRowMajor, StorageOrder::kColMajor}) {
+      check_pencil_pack<2>(rng, order);
+      check_pencil_pack<3>(rng, order);
+    }
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 // flag any missing release/acquire edge in spsc.hh.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -446,6 +448,96 @@ TEST(Spsc, PopBatchTwoThreadMillionMessageTorture) {
   }
   producer.join();
   EXPECT_TRUE(q.peek_empty());
+}
+
+TEST(Spsc, RecycledNodesCarryMessagesWithoutAllocating) {
+  // The mailbox's element type through the node cache: the consumer starts
+  // on a burst only once all of it is queued and drains it completely
+  // before the producer refills, so the queue's depth peaks at the largest
+  // burst and every burst after the first runs on recycled nodes. Payloads
+  // straddle MessagePayload::kInlineBytes (inline, boundary, heap), and the
+  // consumer alternates pop() and pop_batch() so both hand nodes back.
+  constexpr std::size_t kMessages = 200'000;
+  constexpr std::array<std::size_t, 5> kBytes{0, 64, 65, 384, 4096};
+  constexpr std::array<std::size_t, 6> kBurst{64, 1, 7, 32, 13, 50};
+  static_assert(kBytes[1] == MessagePayload::kInlineBytes);
+  auto byte_of = [](std::size_t i, std::size_t k) {
+    return static_cast<std::byte>((i * 31 + k * 7) & 0xff);
+  };
+
+  SpscQueue<Message> q;
+  std::atomic<std::size_t> produced{0};
+  std::atomic<std::size_t> consumed{0};
+  std::atomic<std::size_t> warm_nodes{0};
+  std::thread producer([&] {
+    std::vector<std::byte> bytes(kBytes.back());
+    std::size_t i = 0;
+    for (std::size_t b = 0; i < kMessages; ++b) {
+      const std::size_t burst =
+          std::min(kBurst[b % kBurst.size()], kMessages - i);
+      for (std::size_t end = i + burst; i < end; ++i) {
+        const std::size_t n = kBytes[i % kBytes.size()];
+        for (std::size_t k = 0; k < n; ++k) bytes[k] = byte_of(i, k);
+        Message m;
+        m.src = static_cast<int>(i % 3);
+        m.tag = static_cast<int>(i);
+        m.elements = n / sizeof(double);
+        m.payload.assign(std::span<const std::byte>(bytes.data(), n));
+        q.push(std::move(m));
+      }
+      produced.store(i, std::memory_order_release);
+      // Drain fully before the refill.
+      while (consumed.load(std::memory_order_acquire) < i)
+        std::this_thread::yield();
+      // The first burst is the largest: from here on nothing allocates.
+      if (b == 0) warm_nodes.store(q.allocated_nodes());
+    }
+  });
+
+  std::vector<Message> batch;
+  std::size_t next = 0;
+  std::size_t bad = 0;
+  auto check = [&](const Message& m) {
+    // Counts (never stops on) a mismatch: the producer waits for every
+    // message to be consumed, so the loop must run to the end.
+    const std::size_t i = next++;
+    const std::size_t n = kBytes[i % kBytes.size()];
+    bool ok = m.tag == static_cast<int>(i) &&
+              m.src == static_cast<int>(i % 3) && m.payload.size() == n;
+    for (std::size_t k = 0; ok && k < n; ++k)
+      ok = m.payload.data()[k] == byte_of(i, k);
+    if (!ok && bad++ == 0)
+      ADD_FAILURE() << "message " << i << " arrived out of order or corrupt";
+  };
+  while (next < kMessages) {
+    if (produced.load(std::memory_order_acquire) == next) {
+      std::this_thread::yield();  // the next burst is not fully queued yet
+      continue;
+    }
+    std::size_t got = 0;
+    if (next % 2 == 0) {
+      batch.clear();
+      got = q.pop_batch(batch, 16);
+      for (const Message& m : batch) check(m);
+    } else {
+      Message m;
+      if (q.pop(m)) {
+        check(m);
+        got = 1;
+      }
+    }
+    if (got == 0) {
+      std::this_thread::yield();
+      continue;
+    }
+    consumed.store(next, std::memory_order_release);
+  }
+  producer.join();
+  EXPECT_EQ(bad, 0u);
+  EXPECT_TRUE(q.peek_empty());
+  // The deepest burst needs one node per message plus the dummy.
+  EXPECT_EQ(warm_nodes.load(), kBurst.front() + 1);
+  EXPECT_EQ(q.allocated_nodes(), warm_nodes.load());
 }
 
 TEST(ParallelEngine, PoisonAfterBurstDeliversMessagesThenTypedError) {

@@ -579,6 +579,130 @@ TEST(ScheduledSweep3d, TwoDFrontierGridsMatchBlockingSweepBitwise) {
   }
 }
 
+// The three scheduler configurations a scheduled sweep can run under.
+struct SweepMode {
+  bool adaptive;
+  SchedBackend backend;
+};
+constexpr std::array<SweepMode, 3> kSweepModes{
+    SweepMode{false, SchedBackend::kSpmd}, SweepMode{true, SchedBackend::kSpmd},
+    SweepMode{true, SchedBackend::kTasks}};
+
+std::string describe(const SweepMode& m) {
+  return std::string("adaptive=") + (m.adaptive ? "1" : "0") +
+         " backend=" + to_string(m.backend);
+}
+
+TEST(ScheduledSweep3d, ReusedGraphMatchesBlockingOverIterations) {
+  // sweep_all_scheduled keeps the graph it lowered and reruns it every
+  // source iteration, with no per-instance vacuum reset of the slots: the
+  // slots' fluff is zero from allocation and only ever overwritten where
+  // the wave feeds it. Several iterations over 1, 3 and 4 slots (slot
+  // reuse within and across graph runs) must still agree with the
+  // blocking sweep bit for bit, flux and checksum alike.
+  Sweep3dConfig cfg;
+  cfg.n = 8;
+  cfg.angles = 2;
+  cfg.iterations = 3;
+  for (const std::array<int, 3> dims :
+       {std::array<int, 3>{4, 1, 1}, std::array<int, 3>{2, 2, 1},
+        std::array<int, 3>{2, 1, 2}}) {
+    const ProcGrid<3> grid(dims);
+    const int p = grid.size();
+    for (const Coord block_w : {Coord{0}, Coord{2}}) {
+      WaveOptions opts;
+      opts.block = 2;
+      opts.block_w = block_w;
+      SCOPED_TRACE(grid.describe() + " block_w=" + std::to_string(block_w));
+      Real flux0 = 0.0, sum0 = 0.0;
+      Machine::run(p, {}, [&](Communicator& comm) {
+        const Real f = sweep3d_spmd(comm, cfg, grid, opts);
+        Sweep3d app(cfg, grid, comm.rank());
+        for (int it = 0; it < cfg.iterations; ++it) app.sweep_all(comm, opts);
+        const Real cs = app.checksum(comm);
+        if (comm.rank() == 0) {
+          flux0 = f;
+          sum0 = cs;
+        }
+      });
+      for (const SweepMode mode : kSweepModes) {
+        for (const int slots : {1, 3, 4}) {
+          SCOPED_TRACE(describe(mode) + " slots=" + std::to_string(slots));
+          SchedOptions so;
+          so.adaptive = mode.adaptive;
+          so.backend = mode.backend;
+          EngineConfig ec = EngineConfig::from_env();
+          if (mode.backend == SchedBackend::kTasks)
+            ec.kind = EngineKind::kParallel;
+          Real flux = 0.0, sum = 0.0;
+          Machine::run(p, {}, ec, [&](Communicator& comm) {
+            Sweep3d app(cfg, grid, comm.rank());
+            Real f = 0.0;
+            for (int it = 0; it < cfg.iterations; ++it)
+              f = app.sweep_all_scheduled(comm, opts, so, nullptr, slots);
+            const Real cs = app.checksum(comm);
+            if (comm.rank() == 0) {
+              flux = f;
+              sum = cs;
+            }
+          });
+          EXPECT_EQ(flux, flux0);
+          EXPECT_EQ(sum, sum0);
+        }
+      }
+    }
+  }
+}
+
+TEST(ScheduledSweep3d, ChangingBlockRebuildsTheKeptGraph) {
+  // One app swept with a different block every call: each call must lower
+  // a fresh graph for its block (the tile count shows it) and stay bitwise
+  // equal to a blocking app swept with the same sequence of blocks.
+  Sweep3dConfig cfg;
+  cfg.n = 8;
+  cfg.angles = 1;
+  const int p = 4;
+  const ProcGrid<3> grid = ProcGrid<3>::along_dim(p, 0);
+  const std::array<Coord, 4> blocks{2, 1, 4, 2};
+  std::array<Real, 4> want{}, got{};
+  std::array<std::size_t, 4> tasks{};
+  Machine::run(p, {}, [&](Communicator& comm) {
+    Sweep3d app(cfg, grid, comm.rank());
+    for (std::size_t c = 0; c < blocks.size(); ++c) {
+      WaveOptions opts;
+      opts.block = blocks[c];
+      app.sweep_all(comm, opts);
+      const Real cs = app.checksum(comm);
+      if (comm.rank() == 0) want[c] = cs;
+    }
+  });
+  for (const SweepMode mode : kSweepModes) {
+    SCOPED_TRACE(describe(mode));
+    SchedOptions so;
+    so.adaptive = mode.adaptive;
+    so.backend = mode.backend;
+    EngineConfig ec = EngineConfig::from_env();
+    if (mode.backend == SchedBackend::kTasks) ec.kind = EngineKind::kParallel;
+    Machine::run(p, {}, ec, [&](Communicator& comm) {
+      Sweep3d app(cfg, grid, comm.rank());
+      for (std::size_t c = 0; c < blocks.size(); ++c) {
+        WaveOptions opts;
+        opts.block = blocks[c];
+        SchedReport rep;
+        app.sweep_all_scheduled(comm, opts, so, &rep);
+        const Real cs = app.checksum(comm);
+        if (comm.rank() == 0) {
+          got[c] = cs;
+          tasks[c] = rep.tasks;
+        }
+      }
+    });
+    EXPECT_EQ(got, want);
+    // 8 instances x (8 / b) tiles + 8 accumulations per rank.
+    EXPECT_EQ(tasks, (std::array<std::size_t, 4>{40, 72, 24, 40}));
+  }
+}
+
 TEST(ScheduledSweep3d, OverlapWinsAtLeastTenPercentAtP8) {
   // The acceptance number: 8 octants x 2 angles on 8 ranks under the T3E
   // calibration — overlapping instances must cut >= 10% off the makespan.
