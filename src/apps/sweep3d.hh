@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "exec/driver.hh"
-#include "exec/unfused.hh"
 #include "sched/executor.hh"
 #include "sched/tags.hh"
 
@@ -113,10 +112,6 @@ class Sweep3d {
   DenseArray<Real, 3>& phi() { return phi_; }
   DenseArray<Real, 3>& flux() { return flux_; }
   Coord wave_elements() const { return cells_.size(); }
-
-  /// Uniprocessor entry points (1x1x1 grid).
-  void octant_fused(int octant) { run_serial(plan_of(octant, 0)); }
-  void octant_unfused(int octant) { run_unfused(plan_of(octant, 0)); }
 
  private:
   WavefrontPlan<3> compile_octant(DenseArray<Real, 3>& phi, int octant,

@@ -292,10 +292,11 @@ class Communicator {
 
   /// Blocks this rank on its own mailbox until `ready()` holds,
   /// re-evaluating after every deposit, nudge, or poison of this mailbox.
-  /// The recovery executor's wait primitive: the predicate may consult
-  /// state beyond this mailbox (an adopted rank's arrivals, the machine's
-  /// death epoch) because machine-level death events nudge every live
-  /// rank's mailbox.
+  /// The wait primitive of recovery (the SPMD executor run with a
+  /// coordinator, and the exit barrier): the predicate may consult state
+  /// beyond this mailbox (an adopted rank's arrivals, the machine's death
+  /// epoch) because machine-level death events nudge every live rank's
+  /// mailbox.
   void block_until(const std::function<bool()>& ready);
 
   /// Waits for every request in order (index 0 first). Equivalent to

@@ -140,11 +140,11 @@ class Machine {
   // ---- rank-death board (kill injection + recovery; DESIGN.md §16) ----
 
   /// Arms recovery semantics for subsequent runs: a rank's own RankDeath is
-  /// swallowed by the machine frame (a recovery executor has arranged an
-  /// heir and marked the death) instead of poisoning the world, and
-  /// messages addressed to dead ranks stay queued for the heir. Off by
-  /// default: an unrecovered kill tears the machine down with typed
-  /// RankDeath poison so peers never hang.
+  /// swallowed by the machine frame (the executor, run with a recovery
+  /// coordinator, has arranged an heir and marked the death) instead of
+  /// poisoning the world, and messages addressed to dead ranks stay queued
+  /// for the heir. Off by default: an unrecovered kill tears the machine
+  /// down with typed RankDeath poison so peers never hang.
   void enable_death_recovery(bool on) { death_recovery_ = on; }
   bool death_recovery() const { return death_recovery_; }
 

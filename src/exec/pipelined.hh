@@ -652,14 +652,6 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
   return rep;
 }
 
-/// Fig 4(a): the naive schedule — the wavefront dimension is serialized.
-template <Rank R>
-WaveReport<R> run_naive(const WavefrontPlan<R>& plan, const Layout<R>& layout,
-                        Communicator& comm, WaveOptions opts = {}) {
-  opts.block = 0;
-  return run_wavefront(plan, layout, comm, opts);
-}
-
 /// Fig 4(b): the pipelined schedule with block size `block`. On a 2D
 /// frontier the block applies to both tile axes unless the caller already
 /// chose a block_w.

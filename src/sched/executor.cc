@@ -10,6 +10,7 @@
 #include "comm/communicator.hh"
 #include "comm/machine.hh"
 #include "sched/parallel_executor.hh"
+#include "sched/recovery.hh"
 
 namespace wavepipe {
 
@@ -180,8 +181,10 @@ void check_backend(const SchedOptions& opts, const Machine& m) {
 class SchedExecutor : public TaskSink {
  public:
   SchedExecutor(const TaskGraph& graph, Communicator& comm,
-                const SchedOptions& opts)
-      : graph_(graph), comm_(comm), opts_(opts), slab_(graph) {}
+                const SchedOptions& opts, RecoveryCoordinator* rc,
+                recovery_internal::AdoptionDriver* drv)
+      : graph_(graph), comm_(comm), opts_(opts), rc_(rc), drv_(drv),
+        slab_(graph) {}
 
   SchedReport run();
 
@@ -200,12 +203,18 @@ class SchedExecutor : public TaskSink {
 
   void release(TaskId t);
   void run_task(TaskId t);
+  void settle_pending(std::size_t i);
+  void block_on_inflows();
+  void die(const RankDeath& rd);
   [[noreturn]] void rethrow_deadlock(const std::vector<TaskId>& stuck,
                                      const Error& cause) const;
 
   const TaskGraph& graph_;
   Communicator& comm_;
   const SchedOptions opts_;
+  // Both null without recovery (run_graph); both set by run_recoverable.
+  RecoveryCoordinator* const rc_;
+  recovery_internal::AdoptionDriver* const drv_;
 
   sched_internal::GraphAnalysis analysis_;
   std::vector<int> deps_;
@@ -218,6 +227,7 @@ class SchedExecutor : public TaskSink {
   // how many of a task's inflows are still in flight, and the task is
   // promoted when its count hits zero.
   std::vector<TaskId> pending_;
+  std::vector<std::size_t> pending_k_;  // its inflow index (the log key)
   std::vector<Request> pending_req_;
   std::vector<int> missing_;
   sched_internal::InflowSlab slab_;
@@ -234,6 +244,7 @@ void SchedExecutor::release(TaskId t) {
                                          slab_.buffer(t, k),
                                          task.inflows[k].tag));
       pending_.push_back(t);
+      pending_k_.push_back(k);
     }
     missing_[static_cast<std::size_t>(t)] =
         static_cast<int>(task.inflows.size());
@@ -270,13 +281,101 @@ void SchedExecutor::run_task(TaskId t) {
     }
   }
   TaskContext ctx(comm_, *this, scratch_, slab_.payloads(t));
+  // No kill point between the body's buffered sends and log_complete:
+  // task bodies are receive-free by the recovery contract (inflows carry
+  // all incoming data), so a task either completes-and-logs or never ran —
+  // the heir never half-replays one.
   if (task.run) task.run(ctx);
   comm_.tracer().record(TraceEventType::kTask, t0, comm_.vtime(),
                         task.inflows.empty() ? -1 : task.inflows.front().src,
                         static_cast<int>(t),
                         static_cast<std::uint64_t>(task.cost));
+  // Logged before any successor is released, so the log's completion order
+  // stays a topological order for the heir's replay.
+  if (rc_) rc_->log_complete(comm_.rank(), t);
   for (const TaskId s : graph_.successors(t))
     if (--deps_[static_cast<std::size_t>(s)] == 0) release(s);
+}
+
+// Consumes pending slot `i` (its request completed), logging the payload
+// when recovering, and promotes its task once no inflow of it remains in
+// flight.
+void SchedExecutor::settle_pending(std::size_t i) {
+  const TaskId t = pending_[i];
+  if (rc_) {
+    const std::size_t k = pending_k_[i];
+    rc_->log_inflow(comm_.rank(), t, k, slab_.payloads(t)[k]);
+  }
+  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+  pending_k_.erase(pending_k_.begin() + static_cast<std::ptrdiff_t>(i));
+  pending_req_.erase(pending_req_.begin() + static_cast<std::ptrdiff_t>(i));
+  if (--missing_[static_cast<std::size_t>(t)] == 0) ready_.push({key(t), t});
+}
+
+// Nothing is runnable: blocks until a posted inflow physically arrived and
+// settles the earliest (wait_any). When recovering, the rank first waits in
+// block_until, so adoption work (a death-board change, an adopted
+// program's arrival) wakes it too; if only adoption work did, it returns
+// without settling and the loop top polls the driver.
+void SchedExecutor::block_on_inflows() {
+  internal_check(!pending_.empty(),
+                 "scheduler starved: tasks remain but none released");
+  ++report_.blocked_waits;
+  {
+    std::string ctx = "scheduler tasks ";
+    for (std::size_t i = 0; i < pending_.size() && i < 3; ++i)
+      ctx += (i ? ", '" : "'") + graph_.task(pending_[i]).label + "'";
+    if (pending_.size() > 3)
+      ctx += ", ... (" + std::to_string(pending_.size()) + " pending)";
+    comm_.set_wait_context(std::move(ctx));
+  }
+  std::size_t idx = 0;
+  try {
+    if (rc_) {
+      const auto any_arrived = [&] {
+        for (const Request& r : pending_req_)
+          if (comm_.arrived(r)) return true;
+        return false;
+      };
+      comm_.block_until([&] { return any_arrived() || drv_->wake(); });
+      if (!any_arrived()) {
+        comm_.set_wait_context("");
+        return;
+      }
+    }
+    idx = comm_.wait_any(std::span<Request>(pending_req_));
+  } catch (const RankDeath& e) {
+    if (rc_) throw;  // a kill with recovery armed: run() harvests
+    rethrow_deadlock(pending_, e);
+  } catch (const EngineError& e) {
+    rethrow_deadlock(pending_, e);
+  } catch (const CommError& e) {
+    rethrow_deadlock(pending_, e);
+  }
+  comm_.set_wait_context("");
+  settle_pending(idx);
+}
+
+// This rank's own death with recovery armed. Harvest: bank every
+// already-arrived posted inflow into the log (the message left the mailbox
+// when it matched; without the log entry the heir could never re-receive
+// it), unregister the rest, and settle the outstanding sends (their
+// payloads were deposited at post). Then publish the death.
+void SchedExecutor::die(const RankDeath& rd) {
+  const int rank = comm_.rank();
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
+    if (comm_.cancel(pending_req_[i]))
+      rc_->log_inflow(rank, pending_[i], pending_k_[i],
+                      slab_.payloads(pending_[i])[pending_k_[i]]);
+  }
+  pending_.clear();
+  pending_k_.clear();
+  pending_req_.clear();
+  for (Request& s : sends_) comm_.cancel(s);
+  sends_.clear();
+  Machine& m = comm_.machine();
+  m.clear_kill(rank);
+  m.mark_dead(rank, rd.what());
 }
 
 void SchedExecutor::rethrow_deadlock(const std::vector<TaskId>& stuck,
@@ -302,6 +401,7 @@ void SchedExecutor::rethrow_deadlock(const std::vector<TaskId>& stuck,
 
 SchedReport SchedExecutor::run() {
   const std::size_t n = graph_.size();
+  const int rank = comm_.rank();
   report_.tasks = n;
   report_.edges = graph_.edges();
   report_.adaptive = opts_.adaptive;
@@ -309,81 +409,78 @@ SchedReport SchedExecutor::run() {
   analysis_ = sched_internal::analyze_graph(graph_);
   deps_ = analysis_.deps;
   missing_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i)
-    if (deps_[i] == 0) release(static_cast<TaskId>(i));
 
-  // Consumes pending slot `i` (its request completed) and promotes its task
-  // once no inflow of it remains in flight.
-  auto settle_pending = [&](std::size_t i) {
-    const TaskId t = pending_[i];
-    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-    pending_req_.erase(pending_req_.begin() + static_cast<std::ptrdiff_t>(i));
-    if (--missing_[static_cast<std::size_t>(t)] == 0)
-      ready_.push({key(t), t});
-  };
-
-  std::size_t done = 0;
-  while (done < n) {
-    if (opts_.adaptive) {
-      // Promote every pending task all of whose inflows have physically
-      // arrived; test() consumes a request without advancing the clock.
-      for (std::size_t i = 0; i < pending_.size();) {
-        if (comm_.test(pending_req_[i])) {
-          settle_pending(i);
-        } else {
-          ++i;
-        }
-      }
-      if (ready_.empty()) {
-        internal_check(!pending_.empty(),
-                       "scheduler starved: tasks remain but none released");
-        ++report_.blocked_waits;
-        {
-          std::string ctx = "scheduler tasks ";
-          for (std::size_t i = 0; i < pending_.size() && i < 3; ++i)
-            ctx += (i ? ", '" : "'") + graph_.task(pending_[i]).label + "'";
-          if (pending_.size() > 3)
-            ctx += ", ... (" + std::to_string(pending_.size()) + " pending)";
-          comm_.set_wait_context(std::move(ctx));
-        }
-        std::size_t idx = 0;
-        try {
-          idx = comm_.wait_any(std::span<Request>(pending_req_));
-        } catch (const EngineError& e) {
-          rethrow_deadlock(pending_, e);
-        } catch (const CommError& e) {
-          rethrow_deadlock(pending_, e);
-        }
-        comm_.set_wait_context("");
-        settle_pending(idx);
-        continue;
-      }
-      const auto [k, t] = ready_.top();
-      ready_.pop();
-      for (const TaskId p : pending_)
-        if (key(p) < k) {
-          ++report_.overtakes;
-          break;
-        }
-      run_task(t);
-    } else {
-      internal_check(!ready_.empty(),
-                     "scheduler starved: tasks remain but none released");
-      const TaskId t = ready_.top().second;
-      ready_.pop();
-      run_task(t);
-    }
-    ++done;
-  }
   try {
-    comm_.wait_all(std::span<Request>(sends_));
-  } catch (const EngineError& e) {
-    throw SchedError("scheduler deadlock on rank " +
-                     std::to_string(comm_.rank()) +
-                     " while draining task sends; " + std::string(e.what()));
+    for (std::size_t i = 0; i < n; ++i)
+      if (deps_[i] == 0) release(static_cast<TaskId>(i));
+
+    std::size_t done = 0;
+    while (done < n) {
+      if (rc_) {
+        // Kill point, then adoption progress (a no-op until a peer dies).
+        if (comm_.machine().kill_requested(rank))
+          throw RankDeath(rank, "rank " + std::to_string(rank) +
+                                    " killed (scheduler kill point)");
+        drv_->poll();
+      }
+      if (opts_.adaptive) {
+        // Promote every pending task all of whose inflows have physically
+        // arrived; test() consumes a request without advancing the clock.
+        for (std::size_t i = 0; i < pending_.size();) {
+          if (comm_.test(pending_req_[i])) {
+            settle_pending(i);
+          } else {
+            ++i;
+          }
+        }
+        if (ready_.empty()) {
+          block_on_inflows();
+          continue;
+        }
+        const auto [k, t] = ready_.top();
+        ready_.pop();
+        for (const TaskId p : pending_)
+          if (key(p) < k) {
+            ++report_.overtakes;
+            break;
+          }
+        run_task(t);
+      } else {
+        internal_check(!ready_.empty(),
+                       "scheduler starved: tasks remain but none released");
+        const TaskId t = ready_.top().second;
+        ready_.pop();
+        run_task(t);
+      }
+      ++done;
+    }
+    try {
+      comm_.wait_all(std::span<Request>(sends_));
+    } catch (const EngineError& e) {
+      throw SchedError("scheduler deadlock on rank " + std::to_string(rank) +
+                       " while draining task sends; " + std::string(e.what()));
+    }
+  } catch (const RankDeath& rd) {
+    if (rc_ && rd.rank() == rank) die(rd);
+    throw;
   }
   return report_;
 }
+
+namespace sched_internal {
+
+SchedReport run_spmd(const TaskGraph& graph, Communicator& comm,
+                     const SchedOptions& opts, RecoveryCoordinator* rc,
+                     recovery_internal::AdoptionDriver* drv) {
+  internal_check((rc == nullptr) == (drv == nullptr),
+                 "run_spmd takes a coordinator and its driver together");
+  internal_check(rc == nullptr || opts.adaptive,
+                 "recovery requires adaptive mode");
+  SchedExecutor exec(graph, comm, opts, rc, drv);
+  return exec.run();
+}
+
+}  // namespace sched_internal
 
 SchedReport run_graph(const TaskGraph& graph, Communicator& comm,
                       const SchedOptions& opts) {
@@ -395,8 +492,7 @@ SchedReport run_graph(const TaskGraph& graph, Communicator& comm,
   // see the degeneration rather than infer it.
   if (opts.backend == SchedBackend::kTasks && comm.size() > 1)
     return run_graph_tasks(graph, comm, opts);
-  SchedExecutor exec(graph, comm, opts);
-  return exec.run();
+  return sched_internal::run_spmd(graph, comm, opts);
 }
 
 }  // namespace wavepipe

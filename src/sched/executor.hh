@@ -36,6 +36,15 @@
 // because payload bytes are FIFO per (src, tag) and every
 // order-sensitive reduction is serialized by explicit edges.
 //
+// Recovery: there is one SPMD executor, with or without a coordinator.
+// run_graph runs it without one; run_recoverable's kSpmd backend runs it
+// with one (see run_spmd), and then it also logs every consumed inflow and
+// every completion, polls the rank's kill flag and adoption driver at the
+// loop top, lets adoption work wake it when it blocks, and on its own
+// death harvests before unwinding (sched/recovery.hh). Promotion and the
+// pick order are the same either way, so a fault-free recoverable run is
+// byte-identical to run_graph.
+//
 // Deadlock reporting: before every blocking wait the executor publishes
 // the stuck task's label as the rank's wait context, so the fiber engine's
 // all-blocked report reads "rank 1 [irecv(src=0, tag=804)] in task
@@ -56,6 +65,10 @@ namespace wavepipe {
 
 class Communicator;
 class Machine;
+class RecoveryCoordinator;
+namespace recovery_internal {
+struct AdoptionDriver;
+}
 
 /// Which executor runs the graph.
 enum class SchedBackend {
@@ -170,6 +183,17 @@ class InflowSlab {
   std::vector<std::size_t> first_;  // [task] first inflow's index; n + 1
   std::vector<std::span<const double>> views_;  // [inflow]
 };
+
+/// The SPMD backend: this rank's own thread walks its graph. run_graph
+/// passes no coordinator; run_recoverable passes its coordinator and this
+/// rank's adoption driver (both or neither), which arms inflow and
+/// completion logging, kill points and adoption polling — adaptive mode
+/// only. On this rank's own death with a coordinator, the RankDeath
+/// escapes after the harvest/mark-dead protocol ran.
+SchedReport run_spmd(const TaskGraph& graph, Communicator& comm,
+                     const SchedOptions& opts,
+                     RecoveryCoordinator* rc = nullptr,
+                     recovery_internal::AdoptionDriver* drv = nullptr);
 
 /// The backend gate shared by run_graph and run_recoverable: kTasks needs
 /// the parallel engine that `m` actually runs, and adaptive mode. Throws

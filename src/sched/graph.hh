@@ -31,7 +31,6 @@ namespace wavepipe {
 class Communicator;
 class SchedExecutor;
 class TaskArena;
-class RecoveryExecutor;
 class AdoptedProgram;
 
 /// A scheduler failure: a dependence cycle, a starved graph (tasks remain
@@ -97,7 +96,6 @@ class TaskContext {
  private:
   friend class SchedExecutor;
   friend class TaskArena;
-  friend class RecoveryExecutor;
   friend class AdoptedProgram;
   TaskContext(Communicator& c, TaskSink& s, std::vector<double>& scratch,
               std::span<const std::span<const double>> payloads)
@@ -132,11 +130,6 @@ class TaskGraph {
 
   /// Declares that `before` must complete before `after` may start.
   void add_edge(TaskId before, TaskId after);
-
-  /// Convenience: add_edge(before, after) unless before == kNoTask.
-  void add_edge_if(TaskId before, TaskId after) {
-    if (before != kNoTask) add_edge(before, after);
-  }
 
   std::size_t size() const { return tasks_.size(); }
   std::size_t edges() const { return edge_count_; }

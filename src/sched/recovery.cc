@@ -1,8 +1,6 @@
 #include "sched/recovery.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "comm/machine.hh"
@@ -74,8 +72,7 @@ RecoveryCoordinator::VictimLog RecoveryCoordinator::snapshot(
   return logs_[static_cast<std::size_t>(victim)];
 }
 
-bool RecoveryCoordinator::claim(int victim, int heir) {
-  (void)heir;
+bool RecoveryCoordinator::claim(int victim) {
   std::lock_guard<std::mutex> l(mu_);
   if (claimed_[static_cast<std::size_t>(victim)]) return false;
   claimed_[static_cast<std::size_t>(victim)] = 1;
@@ -183,7 +180,6 @@ void AdoptedProgram::release(TaskId t) {
                                            slab_.buffer(t, k),
                                            task.inflows[k].tag));
       pending_.push_back(t);
-      pending_k_.push_back(k);
       ++miss;
     }
   }
@@ -207,7 +203,6 @@ bool AdoptedProgram::step() {
       proxy_->wait(pending_req_[i]);
       const TaskId t = pending_[i];
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      pending_k_.erase(pending_k_.begin() + static_cast<std::ptrdiff_t>(i));
       pending_req_.erase(pending_req_.begin() +
                          static_cast<std::ptrdiff_t>(i));
       if (--missing_[static_cast<std::size_t>(t)] == 0) ready_.push(t);
@@ -277,7 +272,7 @@ bool AdoptionDriver::poll() {
       if (v == rank || !m.rank_dead(v)) continue;
       if (rc.finished(v)) continue;  // died after its epilogue: no work left
       if (heir_of(m, v) != rank) continue;
-      if (!rc.claim(v, rank)) continue;
+      if (!rc.claim(v)) continue;
       adopted.push_back(std::make_unique<AdoptedProgram>(rc, v));
       progress = true;
     }
@@ -299,227 +294,6 @@ bool AdoptionDriver::wake() {
 }
 
 }  // namespace recovery_internal
-
-// ---- RecoveryExecutor (SPMD backend) ---------------------------------------
-
-/// The sequential recovery executor: SchedExecutor's adaptive loop with
-/// four changes — every consumed inflow is logged (and its completion), a
-/// kill point is polled at the loop top, blocking goes through
-/// block_until so adoption events (death epochs, adopted arrivals) wake
-/// the rank, and the rank's own RankDeath runs the harvest/mark-dead
-/// protocol before unwinding. Named class (not local) because TaskContext
-/// befriends it.
-class RecoveryExecutor : public TaskSink {
- public:
-  RecoveryExecutor(const TaskGraph& graph, Communicator& comm,
-                   RecoveryCoordinator& rc,
-                   recovery_internal::AdoptionDriver& drv)
-      : graph_(graph), comm_(comm), rc_(rc), drv_(drv), slab_(graph) {}
-
-  SchedReport run();
-
-  void task_send(int dst, std::span<const double> payload, int tag) override {
-    sends_.push_back(comm_.isend(dst, payload, tag));
-  }
-
- private:
-  using Key = std::pair<double, TaskId>;
-
-  Key key(TaskId t) const {
-    return sched_internal::task_key(analysis_, /*adaptive=*/true, t);
-  }
-
-  void release(TaskId t);
-  void run_task(TaskId t);
-  void die(const RankDeath& rd);
-  [[noreturn]] void rethrow_stuck(const Error& cause) const;
-
-  const TaskGraph& graph_;
-  Communicator& comm_;
-  RecoveryCoordinator& rc_;
-  recovery_internal::AdoptionDriver& drv_;
-
-  sched_internal::GraphAnalysis analysis_;
-  std::vector<int> deps_;
-  std::priority_queue<std::pair<Key, TaskId>,
-                      std::vector<std::pair<Key, TaskId>>, std::greater<>>
-      ready_;
-  std::vector<TaskId> pending_;         // task per in-flight inflow
-  std::vector<std::size_t> pending_k_;  // its inflow index
-  std::vector<Request> pending_req_;
-  std::vector<int> missing_;
-  sched_internal::InflowSlab slab_;
-  std::vector<double> scratch_;  // TaskContext::scratch
-  std::vector<Request> sends_;
-  SchedReport report_;
-};
-
-void RecoveryExecutor::release(TaskId t) {
-  const TaskGraph::Task& task = graph_.task(t);
-  if (task.inflows.empty()) {
-    ready_.push({key(t), t});
-    return;
-  }
-  for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-    pending_req_.push_back(comm_.irecv(task.inflows[k].src,
-                                       slab_.buffer(t, k),
-                                       task.inflows[k].tag));
-    pending_.push_back(t);
-    pending_k_.push_back(k);
-  }
-  missing_[static_cast<std::size_t>(t)] =
-      static_cast<int>(task.inflows.size());
-  report_.max_posted = std::max(report_.max_posted, pending_.size());
-}
-
-void RecoveryExecutor::run_task(TaskId t) {
-  const TaskGraph::Task& task = graph_.task(t);
-  const double t0 = comm_.vtime();
-  TaskContext ctx(comm_, *this, scratch_, slab_.payloads(t));
-  // No kill point between the body's buffered sends and log_complete:
-  // task bodies are receive-free by the recovery contract (inflows carry
-  // all incoming data), so a task either completes-and-logs or never ran —
-  // the heir never half-replays one.
-  if (task.run) task.run(ctx);
-  comm_.tracer().record(TraceEventType::kTask, t0, comm_.vtime(),
-                        task.inflows.empty() ? -1 : task.inflows.front().src,
-                        static_cast<int>(t),
-                        static_cast<std::uint64_t>(task.cost));
-  rc_.log_complete(comm_.rank(), t);
-  for (const TaskId s : graph_.successors(t))
-    if (--deps_[static_cast<std::size_t>(s)] == 0) release(s);
-}
-
-void RecoveryExecutor::die(const RankDeath& rd) {
-  const int rank = comm_.rank();
-  // Harvest: bank every already-arrived posted inflow into the log (the
-  // message left the mailbox when it matched; without the log entry the
-  // heir could never re-receive it), unregister the rest, and settle the
-  // outstanding sends (their payloads were deposited at post).
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (comm_.cancel(pending_req_[i]))
-      rc_.log_inflow(rank, pending_[i], pending_k_[i],
-                     slab_.payloads(pending_[i])[pending_k_[i]]);
-  }
-  pending_.clear();
-  pending_k_.clear();
-  pending_req_.clear();
-  for (Request& s : sends_) comm_.cancel(s);
-  sends_.clear();
-  Machine& m = comm_.machine();
-  m.clear_kill(rank);
-  m.mark_dead(rank, rd.what());
-}
-
-void RecoveryExecutor::rethrow_stuck(const Error& cause) const {
-  std::ostringstream os;
-  os << "scheduler deadlock on rank " << comm_.rank()
-     << " (recovery executor): stuck on ";
-  TaskId prev = kNoTask;
-  bool first = true;
-  for (const TaskId id : pending_) {
-    if (id == prev) continue;
-    prev = id;
-    os << (first ? "" : ", ") << "task '" << graph_.task(id).label << "'";
-    first = false;
-  }
-  os << "; " << cause.what();
-  throw SchedError(os.str());
-}
-
-SchedReport RecoveryExecutor::run() {
-  const std::size_t n = graph_.size();
-  const int rank = comm_.rank();
-  Machine& m = comm_.machine();
-  report_.tasks = n;
-  report_.edges = graph_.edges();
-  report_.adaptive = true;
-  report_.backend = SchedBackend::kSpmd;
-  analysis_ = sched_internal::analyze_graph(graph_);
-  deps_ = analysis_.deps;
-  missing_.assign(n, 0);
-
-  try {
-    for (std::size_t i = 0; i < n; ++i)
-      if (deps_[i] == 0) release(static_cast<TaskId>(i));
-
-    std::size_t done = 0;
-    while (done < n) {
-      if (m.kill_requested(rank))
-        throw RankDeath(rank, "rank " + std::to_string(rank) +
-                                  " killed (recovery executor kill point)");
-      bool progress = drv_.poll();
-      // Promote every pending task all of whose inflows have physically
-      // arrived, logging each consumed payload. arrived() (not test())
-      // keeps promotion independent of this rank's virtual clock.
-      for (std::size_t i = 0; i < pending_.size();) {
-        if (comm_.arrived(pending_req_[i])) {
-          comm_.wait(pending_req_[i]);
-          const TaskId t = pending_[i];
-          const std::size_t k = pending_k_[i];
-          rc_.log_inflow(rank, t, k, slab_.payloads(t)[k]);
-          pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-          pending_k_.erase(pending_k_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-          pending_req_.erase(pending_req_.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-          if (--missing_[static_cast<std::size_t>(t)] == 0)
-            ready_.push({key(t), t});
-          progress = true;
-        } else {
-          ++i;
-        }
-      }
-      if (!ready_.empty()) {
-        const TaskId t = ready_.top().second;
-        ready_.pop();
-        run_task(t);
-        ++done;
-        continue;
-      }
-      if (progress) continue;
-      internal_check(!pending_.empty(),
-                     "recovery executor starved: tasks remain but none "
-                     "released");
-      ++report_.blocked_waits;
-      {
-        std::string ctx = "recovery scheduler tasks ";
-        for (std::size_t i = 0; i < pending_.size() && i < 3; ++i)
-          ctx += (i ? ", '" : "'") + graph_.task(pending_[i]).label + "'";
-        if (pending_.size() > 3)
-          ctx += ", ... (" + std::to_string(pending_.size()) + " pending)";
-        comm_.set_wait_context(std::move(ctx));
-      }
-      try {
-        comm_.block_until([&] {
-          for (const Request& r : pending_req_)
-            if (comm_.arrived(r)) return true;
-          return drv_.wake();
-        });
-      } catch (const RankDeath&) {
-        throw;  // the kill: handled by the outer harvest path
-      } catch (const EngineError& e) {
-        rethrow_stuck(e);
-      } catch (const CommError& e) {
-        rethrow_stuck(e);
-      }
-      comm_.set_wait_context("");
-    }
-    try {
-      comm_.wait_all(std::span<Request>(sends_));
-    } catch (const RankDeath&) {
-      throw;
-    } catch (const EngineError& e) {
-      throw SchedError("scheduler deadlock on rank " + std::to_string(rank) +
-                       " while draining task sends; " + std::string(e.what()));
-    }
-  } catch (const RankDeath& rd) {
-    if (rd.rank() != rank) throw;  // a peer's death poison: not ours to heal
-    die(rd);
-    throw;
-  }
-  return report_;
-}
 
 // ---- run_recoverable -------------------------------------------------------
 
@@ -566,20 +340,17 @@ SchedReport run_recoverable(Communicator& comm, RecoveryCoordinator& rc,
   try {
     sched_internal::check_backend(opts, m);
     RankProgram prog = rc.build(rank);
-    if (opts.backend == SchedBackend::kTasks && comm.size() > 1) {
-      report = run_graph_tasks_recoverable(prog.graph, comm, opts, rc, drv);
-    } else {
-      RecoveryExecutor exec(prog.graph, comm, rc, drv);
-      report = exec.run();
-    }
+    report = opts.backend == SchedBackend::kTasks && comm.size() > 1
+                 ? run_graph_tasks_recoverable(prog.graph, comm, opts, rc, drv)
+                 : sched_internal::run_spmd(prog.graph, comm, opts, &rc, &drv);
     if (prog.epilogue) prog.epilogue();
     rc.mark_finished(rank);
     exit_barrier(comm, rc, drv);
   } catch (const RankDeath& rd) {
     if (rd.rank() == rank && !m.rank_dead(rank)) {
-      // Died past the executor's harvest path (exit barrier, send drain
-      // with nothing pending): no posted receives to bank, but the death
-      // must reach the board so the heir rule and machine frame see it.
+      // Died outside the executor's harvest path (the exit barrier): no
+      // posted receives to bank, but the death must reach the board so the
+      // heir rule and machine frame see it.
       m.clear_kill(rank);
       m.mark_dead(rank, rd.what());
     }

@@ -11,6 +11,13 @@
 // machine's death board, and lets its RankDeath reach the machine frame,
 // which swallows a recovered self-death instead of poisoning the world.
 //
+// There is one SPMD executor, with or without a coordinator: run_graph
+// runs SchedExecutor without one, and run_recoverable hands the same loop
+// its coordinator and adoption driver (logging, kill points, adoption
+// polling, the harvest) — exactly as the tasks backend's arena takes an
+// optional coordinator. A fault-free recoverable run is therefore
+// byte-identical to run_graph.
+//
 // Recovery is replay from the inflow log. Every task records the message
 // payloads it consumed and its completion, so a dead rank's execution is
 // reconstructible without checkpoints: the surviving heir (the next live
@@ -144,9 +151,10 @@ class RecoveryCoordinator {
 
   // ---- adoption / exit bookkeeping -------------------------------------
 
-  /// Claims the adoption of `victim` for `heir`; true exactly once per
-  /// victim (belt-and-braces — the cyclic heir rule is already unique).
-  bool claim(int victim, int heir);
+  /// Claims the adoption of `victim` for the calling heir; true exactly
+  /// once per victim (belt-and-braces — the cyclic heir rule is already
+  /// unique).
+  bool claim(int victim);
 
   /// Marks rank `rank`'s program (own or adopted) fully finished —
   /// epilogue included — and nudges every live rank so exit-barrier
@@ -235,7 +243,6 @@ class AdoptedProgram {
   std::queue<TaskId> ready_;  // id order within a release batch: any
                               // topological order computes identical values
   std::vector<TaskId> pending_;            // task per in-flight live inflow
-  std::vector<std::size_t> pending_k_;     // its inflow index
   std::vector<Request> pending_req_;
   std::vector<int> missing_;
   sched_internal::InflowSlab slab_;
@@ -247,10 +254,10 @@ class AdoptedProgram {
 
 namespace recovery_internal {
 
-/// The per-rank adoption engine shared by the SPMD recovery executor, the
-/// tasks-backend arena, and the exit barrier: scans the death board on
-/// epoch changes, claims corpses whose heir this rank is, and steps the
-/// adopted programs. Driven only by its own rank's thread.
+/// The per-rank adoption engine shared by the SPMD executor (when run with
+/// a coordinator), the tasks-backend arena, and the exit barrier: scans the
+/// death board on epoch changes, claims corpses whose heir this rank is,
+/// and steps the adopted programs. Driven only by its own rank's thread.
 struct AdoptionDriver {
   AdoptionDriver(RecoveryCoordinator& rc_in, Communicator& comm);
   ~AdoptionDriver();
@@ -284,9 +291,10 @@ struct AdoptionDriver {
 /// in the exit barrier until every rank's program (adopted ones included)
 /// has finished — so a late kill always still has live ranks to adopt the
 /// corpse. Dispatches on opts.backend exactly like run_graph: kSpmd runs
-/// the sequential recovery executor (any engine), kTasks the work-stealing
-/// arena (parallel engine only). Requires opts.adaptive (typed SchedError
-/// otherwise — see the header comment) and an attached coordinator.
+/// the one SPMD executor with this coordinator (any engine;
+/// sched_internal::run_spmd), kTasks the work-stealing arena (parallel
+/// engine only). Requires opts.adaptive (typed SchedError otherwise — see
+/// the header comment) and an attached coordinator.
 ///
 /// On this rank's own death the RankDeath escapes this call after the
 /// harvest/mark-dead protocol ran; the caller must let it unwind into the

@@ -15,7 +15,7 @@
 #include "dist/layout.hh"        // ProcGrid, BlockDist1D, Layout
 #include "exec/block_select.hh"  // Eq (1) static selection + auto-tuner
 #include "exec/driver.hh"        // parallel statements, global reductions
-#include "exec/pipelined.hh"     // run_naive / run_pipelined / run_wavefront
+#include "exec/pipelined.hh"     // run_pipelined / run_wavefront
 #include "exec/serial.hh"        // run_serial, apply_statement
 #include "exec/unfused.hh"       // the array-semantics baseline executor
 #include "index/index.hh"        // Idx, Direction, the cardinal directions

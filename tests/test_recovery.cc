@@ -6,11 +6,14 @@
 // p in {2,4,8}, every rank is killed at randomized steps across 100+ chaos
 // seeds, and the surviving heir's adopted replay must publish exactly the
 // bytes the dead rank would have. The same recovery path is exercised on
-// the parallel engine (both the SPMD recovery executor and the
-// work-stealing tasks backend) via the coordinator's completion-count kill
-// switch, since the chaos injector is a fiber-engine seam. Negative
-// controls keep the teeth: the same kill without recovery must throw typed
-// (never hang), and static mode must fail fast rather than pretend.
+// the parallel engine (both the one SPMD executor, run with a coordinator,
+// and the work-stealing tasks backend) via the coordinator's
+// completion-count kill switch, since the chaos injector is a fiber-engine
+// seam. A fault-free recoverable run goes through the same SPMD loop as
+// run_graph, so it must match run_graph's values, RunResult and report.
+// Negative controls keep the teeth: the same kill without recovery must
+// throw typed (never hang), and static mode must fail fast rather than
+// pretend.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -212,8 +215,8 @@ TEST(Recovery, SmithWatermanKillSweepMatchesOracle) {
     const SwCase cs = sw_case(p);
     const std::vector<Real> want = cs.oracle(p, cm);
 
-    // Fault-free recovery run first: the recovery executor itself must
-    // reproduce the standard executor's bytes before any killing starts.
+    // Fault-free recovery run first: the executor run with a coordinator
+    // must reproduce the standard run's bytes before any killing starts.
     std::vector<Real> clean(cs.out_elems(), -2.0);
     {
       RecoveryCoordinator rc(cs.factory(&clean));
@@ -277,6 +280,101 @@ TEST(Recovery, Sweep3dKillSweepMatchesOracle) {
       expect_same_bytes(got, want);
     }
     EXPECT_GE(deaths, seeds / 2) << "too few kills fired at p=" << p;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One executor: a fault-free run_recoverable walks the graph through the
+// same SPMD loop as run_graph, so on the deterministic fiber schedule it
+// must reproduce run_graph's values, its whole RunResult (per-rank vtime,
+// phases, stats) and every rank's SchedReport. On the parallel engine only
+// the values are schedule-independent.
+
+struct LoopRun {
+  std::vector<Real> vals;
+  RunResult result;
+  std::vector<SchedReport> reports;
+};
+
+// Runs the factory's graph on every rank, through run_graph or through a
+// fault-free run_recoverable, on the deterministic fiber schedule or on
+// the parallel engine.
+template <typename Case>
+LoopRun run_factory_graph(const Case& cs, int p, const CostModel& cm,
+                          bool recoverable, bool parallel) {
+  LoopRun out;
+  out.vals.assign(cs.out_elems(), -2.0);
+  out.reports.resize(static_cast<std::size_t>(p));
+  RecoveryCoordinator rc(cs.factory(&out.vals));
+  const auto body = [&](Communicator& comm) {
+    SchedReport rep;
+    if (recoverable) {
+      rep = run_recoverable(comm, rc, {});
+    } else {
+      RankProgram prog = rc.build(comm.rank());
+      rep = run_graph(prog.graph, comm, SchedOptions{});
+      prog.epilogue();
+    }
+    out.reports[static_cast<std::size_t>(comm.rank())] = rep;
+  };
+  if (parallel) {
+    EngineConfig ec;
+    ec.kind = EngineKind::kParallel;
+    Machine m(p, cm, TraceConfig{}, ec);
+    if (recoverable) rc.attach(m);
+    out.result = m.run(body);
+  } else {
+    ChaosOptions det;
+    det.random_sched = false;
+    if (recoverable) det.configure = [&](Machine& m) { rc.attach(m); };
+    out.result = run_chaotic(p, cm, det, body);
+  }
+  return out;
+}
+
+template <typename Case>
+void expect_recoverable_equals_run_graph(const Case& cs, int p,
+                                         const CostModel& cm) {
+  const LoopRun plain = run_factory_graph(cs, p, cm, /*recoverable=*/false,
+                                          /*parallel=*/false);
+  const LoopRun rec = run_factory_graph(cs, p, cm, /*recoverable=*/true,
+                                        /*parallel=*/false);
+  expect_same_bytes(rec.vals, plain.vals);
+  EXPECT_EQ(rec.result.vtime, plain.result.vtime);
+  EXPECT_EQ(rec.result.vtime_max, plain.result.vtime_max);
+  EXPECT_EQ(rec.result.phases, plain.result.phases);
+  EXPECT_EQ(rec.result.phases_total, plain.result.phases_total);
+  EXPECT_EQ(rec.result.stats, plain.result.stats);
+  EXPECT_EQ(rec.result.total, plain.result.total);
+  for (int r = 0; r < p; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const SchedReport& a = rec.reports[static_cast<std::size_t>(r)];
+    const SchedReport& b = plain.reports[static_cast<std::size_t>(r)];
+    EXPECT_EQ(a.tasks, b.tasks);
+    EXPECT_EQ(a.edges, b.edges);
+    EXPECT_EQ(a.blocked_waits, b.blocked_waits);
+    EXPECT_EQ(a.overtakes, b.overtakes);
+    EXPECT_EQ(a.max_posted, b.max_posted);
+  }
+  SCOPED_TRACE("parallel engine");
+  for (const bool recoverable : {false, true})
+    expect_same_bytes(
+        run_factory_graph(cs, p, cm, recoverable, /*parallel=*/true).vals,
+        plain.vals);
+}
+
+TEST(Recovery, FaultFreeRecoveryEqualsRunGraph) {
+  const CostModel cm = t3e_like().costs;
+  for (int p : {2, 4}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    {
+      SCOPED_TRACE("Smith-Waterman");
+      expect_recoverable_equals_run_graph(sw_case(p), p, cm);
+    }
+    {
+      SCOPED_TRACE("SWEEP3D");
+      expect_recoverable_equals_run_graph(sweep_case(p), p, cm);
+    }
   }
 }
 
@@ -381,9 +479,9 @@ TEST(Recovery, LimboFlushToDeadRankWithoutRecoveryIsDropped) {
 
 // ---------------------------------------------------------------------------
 // Parallel engine: the chaos injector is a fiber seam, so kills here come
-// from the coordinator's completion-count switch. Both the SPMD recovery
-// executor and the work-stealing tasks backend must recover to the fiber
-// oracle's bytes.
+// from the coordinator's completion-count switch. Both the SPMD executor
+// and the work-stealing tasks backend must recover to the fiber oracle's
+// bytes.
 
 TEST(Recovery, ParallelSpmdKillMatchesFiberOracle) {
   const CostModel cm = t3e_like().costs;
