@@ -16,35 +16,63 @@ Region<2> col_vector(const Region<2>& a) {
   return Region<2>({{a.lo(0), a.lo(1)}}, {{a.lo(0), a.hi(1)}});
 }
 
+// Row/column 0 are the zero boundary; cells are [1..la] x [1..lb].
+Region<2> sw_global(const SmithWatermanConfig& cfg) {
+  return Region<2>({{0, 0}}, {{cfg.la, cfg.lb}});
+}
+Region<2> sw_cells(const SmithWatermanConfig& cfg) {
+  return Region<2>({{1, 1}}, {{cfg.la, cfg.lb}});
+}
+
+// The symbol vectors, each symbol hashed once per allocated row/column.
+// Symbols are small integers, exact as doubles; the boundary row and
+// column get symbols too, which the fill never reads.
+void fill_symbols(const SmithWatermanConfig& cfg, DenseArray<Real, 2>& sym_a,
+                  DenseArray<Real, 2>& sym_b) {
+  sym_a.fill_fn([&cfg](const Idx<2>& i) {
+    return static_cast<Real>(sw_symbol_a(cfg.seed, cfg.alphabet, i.v[0]));
+  });
+  sym_b.fill_fn([&cfg](const Idx<2>& i) {
+    return static_cast<Real>(sw_symbol_b(cfg.seed, cfg.alphabet, i.v[1]));
+  });
+}
+
 }  // namespace
+
+ScanBlock<2> smith_waterman_block(const SmithWatermanConfig& cfg,
+                                  const Region<2>& cells,
+                                  DenseArray<Real, 2>& h,
+                                  DenseArray<Real, 2>& sym_a,
+                                  DenseArray<Real, 2>& sym_b) {
+  const Real g = cfg.gap;
+  return scan(cells,
+              h <<= max_e(0.0,
+                          max_e(prime(h, kNorthWest) +
+                                    select_e(eq_e(flood(sym_a, {1}),
+                                                  flood(sym_b, {0})),
+                                             cfg.match, cfg.mismatch),
+                                max_e(prime(h, kNorth) - g,
+                                      prime(h, kWest) - g))));
+}
 
 SmithWaterman::SmithWaterman(const SmithWatermanConfig& cfg,
                              const ProcGrid<2>& grid, int rank)
     : cfg_(cfg),
       grid_(grid),
       rank_(rank),
-      global_({{0, 0}}, {{cfg.la, cfg.lb}}),
-      cells_({{1, 1}}, {{cfg.la, cfg.lb}}),
+      global_(sw_global(cfg)),
+      cells_(sw_cells(cfg)),
       layout_(global_, grid, Idx<2>{{1, 1}}),
       h_("H", layout_.allocated(rank), cfg.order),
       sym_a_("sym_a", row_vector(layout_.allocated(rank)), cfg.order),
       sym_b_("sym_b", col_vector(layout_.allocated(rank)), cfg.order),
       plan_(compile_fill()) {
   require(cfg.la >= 1 && cfg.lb >= 1, "sequences must be non-empty");
-  fill_symbols();  // H is born zero
+  fill_symbols(cfg_, sym_a_, sym_b_);  // H is born zero
 }
 
 WavefrontPlan<2> SmithWaterman::compile_fill() {
-  const Real g = cfg_.gap;
-  return scan(cells_,
-              h_ <<= max_e(0.0,
-                           max_e(prime(h_, kNorthWest) +
-                                     select_e(eq_e(flood(sym_a_, {1}),
-                                                   flood(sym_b_, {0})),
-                                              cfg_.match, cfg_.mismatch),
-                                 max_e(prime(h_, kNorth) - g,
-                                       prime(h_, kWest) - g))))
-      .compile();
+  return smith_waterman_block(cfg_, cells_, h_, sym_a_, sym_b_).compile();
 }
 
 int sw_symbol_a(std::uint64_t seed, int alphabet, Coord i) {
@@ -82,18 +110,7 @@ int SmithWaterman::symbol_b(Coord j) const {
 
 void SmithWaterman::init() {
   h_.fill(0.0);  // includes the zero boundary row/column and fluff
-  fill_symbols();
-}
-
-void SmithWaterman::fill_symbols() {
-  // Symbols are small integers, exact as doubles; the boundary row and
-  // column get symbols too, which the fill never reads.
-  sym_a_.fill_fn([this](const Idx<2>& i) {
-    return static_cast<Real>(symbol_a(i.v[0]));
-  });
-  sym_b_.fill_fn([this](const Idx<2>& i) {
-    return static_cast<Real>(symbol_b(i.v[1]));
-  });
+  fill_symbols(cfg_, sym_a_, sym_b_);
 }
 
 std::size_t SmithWaterman::resident_elements() const {
@@ -166,11 +183,32 @@ Real SmithWaterman::reference_best_score() const {
   return best;
 }
 
+SmithWatermanScore::SmithWatermanScore(const SmithWatermanConfig& cfg,
+                                       const ProcGrid<2>& grid, int rank)
+    : layout_(sw_global(cfg), grid, Idx<2>{{1, 1}}),
+      // One cell until run_wavefront sizes it.
+      h_("H", Region<2>(layout_.allocated(rank).lo(),
+                        layout_.allocated(rank).lo()),
+         cfg.order),
+      sym_a_("sym_a", row_vector(layout_.allocated(rank)), cfg.order),
+      sym_b_("sym_b", col_vector(layout_.allocated(rank)), cfg.order),
+      plan_(smith_waterman_block(cfg, sw_cells(cfg), h_, sym_a_, sym_b_)
+                .contract(h_)
+                .live_max(h_)
+                .compile()) {
+  require(cfg.la >= 1 && cfg.lb >= 1, "sequences must be non-empty");
+  fill_symbols(cfg, sym_a_, sym_b_);
+}
+
+Real SmithWatermanScore::run(Communicator& comm, const WaveOptions& opts) {
+  const WaveReport<2> rep = run_wavefront(plan_, layout_, comm, opts);
+  // H >= 0 on every cell, so the max is the best score.
+  return comm.allreduce_max(rep.maxima[0]);
+}
+
 Real smith_waterman_spmd(Communicator& comm, const SmithWatermanConfig& cfg,
                          const ProcGrid<2>& grid, const WaveOptions& opts) {
-  SmithWaterman app(cfg, grid, comm.rank());
-  app.fill(comm, opts);
-  return app.best_score(comm);
+  return SmithWatermanScore(cfg, grid, comm.rank()).run(comm, opts);
 }
 
 BandedSmithWaterman::BandedSmithWaterman(const BandedSwConfig& cfg,

@@ -17,8 +17,13 @@
 // The similarity S(i,j) = (a_i == b_j ? match : mismatch) is never
 // materialised: each rank keeps its allocated rows' symbols of a as an
 // [r0..r1] x [c0] array and its columns' symbols of b as [r0] x [c0..c1],
-// and the fill reads them as flood references (expr.hh), so nothing but H
-// is of size la x lb.
+// and the fill reads them as flood references (expr.hh). SmithWaterman
+// keeps H whole, (la/p) x lb per rank on a rank line: h(), per-cell
+// extraction, the scheduled fill and recovery read it after the fill.
+// The score-only path (SmithWatermanScore, smith_waterman_spmd) compiles
+// the same block (smith_waterman_block) with H contracted and a fused max
+// live-out, so on a rank line run_wavefront keeps only a window of H one
+// tile wide (DESIGN.md §21) and no array of size la x lb exists at all.
 //
 // BandedSmithWaterman is the genome-scale variant: only cells within
 // |i - j| <= band are computed (out-of-band neighbours read as 0, the
@@ -45,6 +50,15 @@ struct SmithWatermanConfig {
   std::uint64_t seed = 42;
   StorageOrder order = StorageOrder::kColMajor;
 };
+
+/// The score recurrence over `cells` as a scan block: the one block both
+/// SmithWaterman and SmithWatermanScore compile. `sym_a` and `sym_b` are
+/// the flooded symbol vectors (see the file comment).
+ScanBlock<2> smith_waterman_block(const SmithWatermanConfig& cfg,
+                                  const Region<2>& cells,
+                                  DenseArray<Real, 2>& h,
+                                  DenseArray<Real, 2>& sym_a,
+                                  DenseArray<Real, 2>& sym_b);
 
 class SmithWaterman {
  public:
@@ -107,8 +121,6 @@ class SmithWaterman {
 
  private:
   WavefrontPlan<2> compile_fill();
-  /// The symbol vectors, each symbol hashed once per allocated row/column.
-  void fill_symbols();
 
   SmithWatermanConfig cfg_;
   ProcGrid<2> grid_;
@@ -122,7 +134,35 @@ class SmithWaterman {
   WavefrontPlan<2> plan_;
 };
 
-/// SPMD driver: init + fill; returns the best score.
+/// Score-only Smith-Waterman: smith_waterman_block with H contracted and
+/// a fused max live-out. run_wavefront sizes H: on a tiled rank line a
+/// window of allocated rows x (block + 1) columns, on every other path
+/// (one rank, a 2D frontier) the whole allocated block.
+class SmithWatermanScore {
+ public:
+  SmithWatermanScore(const SmithWatermanConfig& cfg, const ProcGrid<2>& grid,
+                     int rank);
+
+  SmithWatermanScore(const SmithWatermanScore&) = delete;
+  SmithWatermanScore& operator=(const SmithWatermanScore&) = delete;
+
+  /// Fills and returns the best local-alignment score (collective). Every
+  /// run starts from H = 0, so runs may repeat.
+  Real run(Communicator& comm, const WaveOptions& opts = {});
+
+  /// H's storage as the last run left it: the last window, or the whole
+  /// allocated block where no window applies.
+  const DenseArray<Real, 2>& h() const { return h_; }
+
+ private:
+  Layout<2> layout_;
+  DenseArray<Real, 2> h_;
+  DenseArray<Real, 2> sym_a_;
+  DenseArray<Real, 2> sym_b_;
+  WavefrontPlan<2> plan_;
+};
+
+/// SPMD driver: the score-only fill; returns the best score.
 Real smith_waterman_spmd(Communicator& comm, const SmithWatermanConfig& cfg,
                          const ProcGrid<2>& grid,
                          const WaveOptions& opts = {});

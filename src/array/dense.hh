@@ -81,6 +81,19 @@ class DenseArray {
 
   void fill(T v) { data_.assign(data_.size(), v); }
 
+  /// Re-addresses the array as `region` (non-empty): resizes raw() to
+  /// region.size() and recomputes the strides. Values stay where they are
+  /// in raw(), not at their indices; a caller that needs some to survive
+  /// moves them itself. run_wavefront sizes a contracted array's storage
+  /// this way (exec/contracted.hh).
+  void reframe(const Region<R>& region) {
+    require(!region.empty(), "DenseArray needs a non-empty region");
+    region_ = region;
+    for (Rank d = 0; d < R; ++d) extent_[d] = region.extent(d);
+    compute_strides();
+    data_.resize(static_cast<std::size_t>(region.size()));
+  }
+
   /// Sets every element of `where` (contained in the array's region; empty
   /// is fine) to `v`, one storage-order pencil at a time.
   void fill(const Region<R>& where, T v) {

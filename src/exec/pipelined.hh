@@ -21,6 +21,12 @@
 // All wave arrays' face segments for one tile travel as a single bundled
 // message, so the per-message cost matches the paper's alpha + beta*b model.
 //
+// Arrays the block declares contracted (ScanBlock::contract) are sized
+// here, not by their owner: a window one tile wide on a tiled rank line,
+// the whole allocated block elsewhere (exec/contracted.hh). The
+// pre-exchange skips them — nothing reads their old values — and a fused
+// live-out max over one is folded per tile into WaveReport::maxima.
+//
 // The same WaveGrid, and its one tile body, also backs the task
 // scheduler's lowering (sched/lower.hh), so a lowered graph computes the
 // same tiles from byte-identical payloads.
@@ -44,6 +50,7 @@
 
 #include "array/ghost.hh"
 #include "comm/machine.hh"
+#include "exec/contracted.hh"
 #include "exec/serial.hh"
 
 namespace wavepipe {
@@ -80,6 +87,10 @@ struct WaveReport {
   Coord block = 0;
   Coord wtiles = 1;     // 2D only: tile rows along the wavefront dimension
   Coord block_w = 0;    // 2D only: effective block along the wavefront dim
+  /// Per contracted array of the plan (plan.contracted order): this rank's
+  /// fused live-out max over its cells of the scan region; -inf without a
+  /// live max or without cells. The caller reduces across ranks.
+  std::vector<Real> maxima;
 };
 
 /// Width of the tag window one run_wavefront call may touch starting at
@@ -539,7 +550,7 @@ struct WaveGrid {
 /// Request is a no-op).
 template <Rank R>
 void run_wave_grid(const WaveGrid<R>& g, Communicator& comm,
-                   const WaveOptions& opts) {
+                   const WaveOptions& opts, ContractedStore<R>& store) {
   // [axis][slot]
   std::array<std::array<std::vector<Real>, 2>, 2> recv_buf, send_buf;
   std::array<std::array<Request, 2>, 2> recv_req, send_req;
@@ -574,6 +585,7 @@ void run_wave_grid(const WaveGrid<R>& g, Communicator& comm,
         inflows[n_in++] = recv_buf[a][slot_of(axis)];
         post(axis, WaveGrid<R>::along(axis, u, v) + 1);
       }
+      store.enter(g.tile(u, v));
       const Region<R> tile = g.run_tile(
           comm, opts.charge, u, v,
           std::span<const std::span<const Real>>(inflows.data(), n_in),
@@ -589,6 +601,7 @@ void run_wave_grid(const WaveGrid<R>& g, Communicator& comm,
             r = comm.isend(peer, payload, g.tag(axis));
             if (!opts.overlap) comm.wait(r);
           });
+      store.fold(tile);
 
       // One slice per tile spanning its recv-waits, compute, and sends; the
       // tag carries the row-major tile index so a trace shows the wave
@@ -617,11 +630,22 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
 
   const WaveTiling<R> tiling = wave_tiling(plan, layout, rank);
 
+  // Contracted arrays: a window one tile wide on a tiled rank line, the
+  // whole allocated block on every other path.
+  const bool windows =
+      tiling.waved && tiling.axes == 1 && tiling.tdim != tiling.w;
+  detail::ContractedStore<R> store(plan, layout.allocated(rank), tiling.tdim,
+                                   tiling.tsign,
+                                   windows ? tiling.clamp_block(opts.block)
+                                           : 0);
+
   // Old-value ghost exchange, bundled: every array with a nonzero halo
-  // contributes to one message per neighbour per dimension.
+  // contributes to one message per neighbour per dimension. Contracted
+  // arrays have no old values anyone reads (primed reads only).
   if (opts.pre_exchange) {
     std::vector<GhostHalo<Real, R>> bundle;
     for (const auto& use : plan.arrays) {
+      if (plan.is_contracted(use.array->id())) continue;
       bool any = false;
       for (Rank d = 0; d < R; ++d) any = any || use.halo.v[d] > 0;
       if (any) bundle.push_back({use.array, use.halo});
@@ -635,13 +659,16 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
   rep.local_region = tiling.local;
   if (!tiling.waved) {
     run_serial_on(plan, tiling.local);
+    store.fold(tiling.local);
     if (opts.charge) comm.compute(static_cast<double>(tiling.local.size()));
+    rep.maxima = std::move(store.maxima);
     return rep;
   }
 
   const detail::WaveGrid<R> g(plan, tiling, opts.block, opts.block_w,
                               opts.tag_base);
-  detail::run_wave_grid(g, comm, opts);
+  detail::run_wave_grid(g, comm, opts, store);
+  rep.maxima = std::move(store.maxima);
   rep.waved = true;
   rep.axes = tiling.axes;
   rep.tile_dim = tiling.tdim;

@@ -13,10 +13,13 @@
 //     or before the defining statement sees the previous iteration's value,
 //     which contraction would destroy).
 //
-// Like the paper, we expose this as compiler-side analysis. The fused
-// executor still materializes the array (storage is already allocated);
-// the analysis tells a code generator — or a user sizing buffers — which
-// arrays are really scalars. contraction_savings() quantifies the memory.
+// This analysis only reports: the executors still store a candidate in
+// full, and ContractionReport::bytes says how much storage that is. It
+// tells a code generator — or a user sizing buffers — which arrays are
+// really scalars. Storage is contracted only where a block declares it
+// (ScanBlock::contract): a wavefront's own primed recurrence array, which
+// is never a candidate here, kept by run_wavefront as a window one tile
+// wide on a rank line (exec/contracted.hh).
 #pragma once
 
 #include "lang/plan.hh"

@@ -42,6 +42,18 @@ struct ArrayUse {
   const std::string& name() const { return array->name(); }
 };
 
+/// An array the block declares contracted (ScanBlock::contract): its
+/// values are dead outside the block, so run_wavefront sizes its storage
+/// itself — on a rank line a window one tile wide (exec/contracted.hh) —
+/// and starts it at 0, which cells outside the scan region keep. With
+/// `live_max` the executor folds the max over the scan region's cells
+/// per tile, while the window holds them (WaveReport::maxima).
+template <Rank R>
+struct Contracted {
+  DenseArray<Real, R>* array = nullptr;
+  bool live_max = false;
+};
+
 /// A fused region kernel: runs every statement of a block over a
 /// sub-region of its region in the given loop structure.
 template <Rank R>
@@ -66,6 +78,8 @@ struct WavefrontPlan {
   LoopStructure<R> loops{};
   std::vector<Udv<R>> constraints;
   std::vector<ArrayUse<R>> arrays;
+  /// Contracted arrays, in declaration order.
+  std::vector<Contracted<R>> contracted;
 
   /// Depth of the inflow face along the wavefront dimension: max |d_w| over
   /// primed reads. This is how many predecessor rows a wave message carries.
@@ -102,6 +116,12 @@ struct WavefrontPlan {
     for (const auto& u : arrays)
       if (u.array->id() == id) return &u;
     return nullptr;
+  }
+
+  bool is_contracted(const void* id) const {
+    for (const auto& c : contracted)
+      if (c.array->id() == id) return true;
+    return false;
   }
 
   std::string describe() const {

@@ -17,7 +17,10 @@
 // plus two conditions the paper leaves implicit: a primed reference must
 // carry a nonzero direction, and the derived loop structure must exist.
 // A flood reference (expr.hh) is read-only: an array the block reads
-// through one may not also be written or primed in the block.
+// through one may not also be written or primed in the block. An array
+// the block declares contracted (contract(), with an optional fused
+// live_max()) must be written once and read only primed, never forward
+// along a non-wavefront dimension (contraction_error).
 #pragma once
 
 #include <set>
@@ -46,6 +49,28 @@ class ScanBlock {
   ScanBlock& add(const StatementSpec<E>& spec) {
     static_assert(E::rank == R, "statement rank must match the block");
     return add(to_statement(spec));
+  }
+
+  /// Declares `a` contracted: nothing reads its values after the block,
+  /// so run_wavefront may keep a window of it instead of the whole array
+  /// (DESIGN.md §21). Cells outside the scan region read as 0.
+  /// compile() checks that the block allows it (see contraction_error).
+  ScanBlock& contract(DenseArray<Real, R>& a) {
+    contracted_.push_back({&a, false});
+    return *this;
+  }
+
+  /// Declares a fused max live-out over the contracted array `a`: the
+  /// executor folds max(a) over the scan region's cells per tile and
+  /// reports this rank's value (WaveReport::maxima).
+  ScanBlock& live_max(DenseArray<Real, R>& a) {
+    for (auto& c : contracted_) {
+      if (c.array->id() != a.id()) continue;
+      c.live_max = true;
+      return *this;
+    }
+    throw LegalityError("live_max('" + a.name() +
+                        "') needs the array to be contracted first");
   }
 
   /// Installs the fused region kernel (set by the scan(...) builder).
@@ -151,6 +176,13 @@ class ScanBlock {
           "dependences of the primed references (legality condition ii)");
     }
     plan.loops = *loops;
+    for (const auto& c : contracted_) {
+      const std::string why = contraction_error(c.array, plan);
+      if (!why.empty())
+        throw LegalityError("contracted array '" + c.array->name() + "' " +
+                            why);
+    }
+    plan.contracted = contracted_;
 
     // Halo widths and inflow sizing.
     build_array_uses(plan);
@@ -181,6 +213,49 @@ class ScanBlock {
   }
 
  private:
+  /// Why `a` may not be contracted in this block, or "" when it may. It
+  /// needs exactly one writer and primed reads only: an unprimed or flood
+  /// read would see values the window no longer holds, and a pre-exchange
+  /// would be needed to serve it. No primed read may reach forward along
+  /// a non-wavefront dimension's loop direction either: that cell can lie
+  /// in a later tile, which a window one tile wide does not hold.
+  std::string contraction_error(const DenseArray<Real, R>* a,
+                                const WavefrontPlan<R>& plan) const {
+    int declared = 0;
+    for (const auto& c : contracted_) declared += c.array->id() == a->id();
+    if (declared > 1) return "is declared twice";
+    int writers = 0;
+    for (const auto& st : statements_) {
+      writers += st.lhs->id() == a->id();
+      for (const auto& acc : st.reads) {
+        if (acc.array->id() != a->id()) continue;
+        if (acc.flood != 0) return "is flood-read";
+        if (!acc.primed) {
+          std::string why = "has an unprimed read at ";
+          why += to_string(acc.dir);
+          return why;
+        }
+        for (Rank d = 0; d < R; ++d) {
+          if (plan.has_wavefront() && d == plan.wdim()) continue;
+          if (acc.dir.v[d] * plan.loops.step[d] <= 0) continue;
+          std::string why = "has a primed read at ";
+          why += to_string(acc.dir);
+          why += " reaching forward along dimension ";
+          why += std::to_string(d);
+          why += ", into a later tile";
+          return why;
+        }
+      }
+    }
+    if (writers != 1) {
+      std::string why = "has ";
+      why += std::to_string(writers);
+      why += " writers; contraction needs exactly one";
+      return why;
+    }
+    return {};
+  }
+
   void build_array_uses(WavefrontPlan<R>& plan) const {
     auto find_or_add = [&plan](DenseArray<Real, R>* a) -> ArrayUse<R>& {
       for (auto& u : plan.arrays)
@@ -211,6 +286,7 @@ class ScanBlock {
   WavefrontChoice choice_;
   std::vector<Statement<R>> statements_;
   FusedKernel<R> fused_kernel_;
+  std::vector<Contracted<R>> contracted_;
 };
 
 /// Adds typed statement specs to `sb` and installs the fused region

@@ -17,6 +17,9 @@
 //   * no ghost pre-exchange (run_wavefront's pre_exchange): programs that
 //     need old-value halos model them as their own tasks, with edges
 //     expressing their real ordering constraints;
+//   * no contracted arrays (ScanBlock::contract): a plan that declares
+//     one is rejected with a ContractError, since its storage and live-out
+//     belong to run_wavefront's tile loop;
 //   * no inter-instance edges: flux accumulation order, buffer reuse
 //     (WAR) and similar cross-plan constraints are the caller's knowledge
 //     and are declared with TaskGraph::add_edge.
@@ -66,6 +69,12 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
                                const Layout<R>& layout, int rank,
                                const TagRange& tags, const std::string& label,
                                const WaveOptions& opts = {}) {
+  if (!plan.contracted.empty()) {
+    std::string what = "lower_wavefront cannot run contracted array '";
+    what += plan.contracted.front().array->name();
+    what += "': contraction windows and live-outs exist in run_wavefront only";
+    throw ContractError(what, std::source_location::current());
+  }
   LoweredWave<R> lw;
   lw.tiling = wave_tiling(plan, layout, rank);
   const WaveTiling<R>& t = lw.tiling;

@@ -261,6 +261,102 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(std::array<int, 2>{4, 1}, SchedBackend::kTasks,
                         true)));
 
+// Score-only Smith-Waterman (SmithWatermanScore, smith_waterman_spmd): H
+// contracted with a fused max live-out. The score must equal the plain
+// loop's and the full-H fill's bit for bit; on a tiled rank line H keeps
+// allocated rows x (block + 1) columns, elsewhere its whole allocated
+// block; and each rank sends exactly the full run's traffic less H's
+// ghost pre-exchange, which contraction drops.
+class SwContracted
+    : public ::testing::TestWithParam<
+          std::tuple<std::array<int, 2>, StorageOrder, EngineKind>> {};
+
+TEST_P(SwContracted, ScoreStorageAndTrafficMatchFullH) {
+  const auto [dims, order, kind] = GetParam();
+  const int p = dims[0] * dims[1];
+  SmithWatermanConfig cfg;
+  cfg.la = 97;
+  cfg.lb = 131;
+  cfg.order = order;
+  const ProcGrid<2> grid({dims[0], dims[1]});
+  const Layout<2> layout(Region<2>({{0, 0}}, {{cfg.la, cfg.lb}}), grid,
+                         Idx<2>{{1, 1}});
+  const bool rank_line = p > 1 && dims[1] == 1;
+  const Real reference =
+      SmithWaterman(cfg, ProcGrid<2>({1, 1}), 0).reference_best_score();
+  const auto n = static_cast<std::size_t>(p);
+
+  for (const Coord block : {Coord{1}, Coord{5}, Coord{32}, Coord{0}}) {
+    SCOPED_TRACE("block " + std::to_string(block));
+    WaveOptions opts;
+    opts.block = block;
+    opts.block_w = block;
+    std::vector<Real> full_score(n), spmd_score(n), score(n);
+    const RunResult full =
+        Machine::run(p, {}, engine(kind), [&](Communicator& comm) {
+          SmithWaterman app(cfg, grid, comm.rank());
+          app.fill(comm, opts);
+          full_score[static_cast<std::size_t>(comm.rank())] =
+              app.best_score(comm);
+        });
+    const RunResult spmd =
+        Machine::run(p, {}, engine(kind), [&](Communicator& comm) {
+          spmd_score[static_cast<std::size_t>(comm.rank())] =
+              smith_waterman_spmd(comm, cfg, grid, opts);
+        });
+    Machine::run(p, {}, engine(kind), [&](Communicator& comm) {
+      SmithWatermanScore app(cfg, grid, comm.rank());
+      score[static_cast<std::size_t>(comm.rank())] = app.run(comm, opts);
+      const Region<2> alloc = layout.allocated(comm.rank());
+      const Region<2>& h = app.h().region();
+      if (!rank_line) {
+        EXPECT_EQ(h, alloc) << "rank " << comm.rank();
+        return;
+      }
+      const Coord bj = block > 0 ? std::min(block, cfg.lb) : cfg.lb;
+      EXPECT_EQ(h.extent(0), alloc.extent(0)) << "rank " << comm.rank();
+      EXPECT_EQ(h.extent(1), bj + 1) << "rank " << comm.rank();
+      EXPECT_EQ(app.h().raw().size(),
+                static_cast<std::size_t>(alloc.extent(0) * (bj + 1)));
+    });
+    for (std::size_t r = 0; r < n; ++r) {
+      EXPECT_EQ(spmd_score[r], reference) << "rank " << r;
+      EXPECT_EQ(spmd_score[r], full_score[r]) << "rank " << r;
+      EXPECT_EQ(score[r], reference) << "rank " << r;
+    }
+
+    if (kind != EngineKind::kFibers) continue;
+    const RunResult exchange =
+        Machine::run(p, {}, engine(kind), [&](Communicator& comm) {
+          DenseArray<Real, 2> h("H", layout.allocated(comm.rank()), order);
+          exchange_ghosts(h, layout, comm.rank(), comm, Idx<2>{{1, 1}},
+                          opts.tag_base);
+        });
+    for (std::size_t r = 0; r < n; ++r) {
+      CommStats expect = spmd.stats[r];
+      expect += exchange.stats[r];
+      EXPECT_TRUE(full.stats[r] == expect)
+          << "rank " << r << ": full sent " << full.stats[r].messages_sent
+          << " msgs / " << full.stats[r].bytes_sent << " B, contracted "
+          << spmd.stats[r].messages_sent << " / " << spmd.stats[r].bytes_sent
+          << ", H's pre-exchange " << exchange.stats[r].messages_sent << " / "
+          << exchange.stats[r].bytes_sent;
+    }
+    if (p > 1) {
+      EXPECT_GT(exchange.total.messages_sent, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RankLinesAndFrontier, SwContracted,
+    ::testing::Combine(
+        ::testing::Values(std::array<int, 2>{1, 1}, std::array<int, 2>{2, 1},
+                          std::array<int, 2>{3, 1}, std::array<int, 2>{4, 1},
+                          std::array<int, 2>{2, 2}),
+        ::testing::Values(StorageOrder::kColMajor, StorageOrder::kRowMajor),
+        ::testing::Values(EngineKind::kFibers, EngineKind::kParallel)));
+
 TEST(BandedSw, SerialMatchesOracle) {
   BandedSwConfig cfg;
   cfg.n = 500;
