@@ -78,6 +78,13 @@ class AltSweep {
   const Region<2>& interior() const { return interior_; }
   Coord wave_elements() const { return interior_.size(); }
 
+  /// The fields and their transposed twins as init() or the last iteration
+  /// left them (inspection).
+  const DistArray<Real, 2>& u() const { return u_; }
+  const DistArray<Real, 2>& f() const { return f_; }
+  const DistArray<Real, 2>& ut() const { return ut_; }
+  const DistArray<Real, 2>& ft() const { return ft_; }
+
  private:
   void vertical_pipelined(Communicator& comm, const WaveOptions& opts);
   void vertical_by_transpose(Communicator& comm);

@@ -44,6 +44,8 @@ class Sor {
   const Layout<2>& layout() const { return layout_; }
   const Region<2>& interior() const { return interior_; }
   DenseArray<Real, 2>& u() { return u_; }
+  /// The source term as init() left it, h^2 folded in (inspection).
+  const DenseArray<Real, 2>& f() const { return f_; }
   Coord wave_elements() const { return interior_.size(); }
 
   /// Uniprocessor cache-study entry points (1x1 grid).
