@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "array/axis_table.hh"
 #include "sched/sched.hh"
 
 namespace wavepipe {
@@ -59,19 +60,29 @@ void AltSweep::init() {
                       i1 >= cfg_.n - 1;
     return bdry ? static_cast<Real>(i0) * h + static_cast<Real>(i1) * h : 0.0;
   };
-  auto f0 = [&](Coord i0, Coord i1) {
-    const Real xx = static_cast<Real>(i0) * h;
-    const Real yy = static_cast<Real>(i1) * h;
-    return h * h * 5.0 * pi * pi * std::sin(pi * xx) * std::sin(2.0 * pi * yy);
+  // f = h^2 * 5 pi^2 * sin(pi x) * sin(2 pi y) with x along dimension dx
+  // of `a`, one sine table per axis; the products keep the closed form's
+  // left-to-right order (axis_table.hh).
+  const Real scale = h * h * 5.0 * pi * pi;
+  auto fill_f = [&](DenseArray<Real, 2>& a, Rank dx) {
+    const Rank dy = 1 - dx;
+    const AxisTable<Real> sx(a.region(), dx, [&](Coord c) {
+      return std::sin(pi * (static_cast<Real>(c) * h));
+    });
+    const AxisTable<Real> sy(a.region(), dy, [&](Coord c) {
+      return std::sin(2.0 * pi * (static_cast<Real>(c) * h));
+    });
+    a.fill_fn(
+        [&](const Idx<2>& i) { return scale * sx[i.v[dx]] * sy[i.v[dy]]; });
   };
   u_.local().fill_fn([&](const Idx<2>& i) { return u0(i.v[0], i.v[1]); });
-  f_.local().fill_fn([&](const Idx<2>& i) { return f0(i.v[0], i.v[1]); });
+  fill_f(f_.local(), 0);
   g_.local().fill(0.0);
   res_.local().fill(0.0);
   // Transposed twins: coordinates swapped. f is constant, so its transpose
   // is filled once here, locally; u's transpose flows at runtime.
   ut_.local().fill_fn([&](const Idx<2>& i) { return u0(i.v[1], i.v[0]); });
-  ft_.local().fill_fn([&](const Idx<2>& i) { return f0(i.v[1], i.v[0]); });
+  fill_f(ft_.local(), 1);
   gt_.local().fill(0.0);
 }
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "array/axis_table.hh"
+
 namespace wavepipe {
 
 namespace {
@@ -57,15 +59,24 @@ void Tomcatv::init() {
   // one, so residuals demonstrably shrink. The distortion is
   // high-frequency (near-Nyquist oscillation per cell): line relaxation
   // damps rough modes fast, which keeps short convergence tests meaningful.
+  //   x = fj + 0.25 * sin(2.7 fi) * sin(2.9 fj)
+  //   y = fi + 0.25 * cos(2.6 fi) * sin(2.8 fj)
+  // with each factor tabulated per axis in the closed form's operand
+  // order (axis_table.hh).
+  const Region<2>& reg = x_.region();
+  auto table = [&](Rank d, auto fn) {
+    return AxisTable<Real>(reg, d,
+                           [&](Coord c) { return fn(static_cast<Real>(c)); });
+  };
+  const auto xi = table(0, [](Real fi) { return 0.25 * std::sin(2.7 * fi); });
+  const auto xj = table(1, [](Real fj) { return std::sin(2.9 * fj); });
+  const auto yi = table(0, [](Real fi) { return 0.25 * std::cos(2.6 * fi); });
+  const auto yj = table(1, [](Real fj) { return std::sin(2.8 * fj); });
   x_.fill_fn([&](const Idx<2>& i) {
-    const Real fi = static_cast<Real>(i.v[0]);
-    const Real fj = static_cast<Real>(i.v[1]);
-    return fj + 0.25 * std::sin(2.7 * fi) * std::sin(2.9 * fj);
+    return static_cast<Real>(i.v[1]) + xi[i.v[0]] * xj[i.v[1]];
   });
   y_.fill_fn([&](const Idx<2>& i) {
-    const Real fi = static_cast<Real>(i.v[0]);
-    const Real fj = static_cast<Real>(i.v[1]);
-    return fi + 0.25 * std::cos(2.6 * fi) * std::sin(2.8 * fj);
+    return static_cast<Real>(i.v[0]) + yi[i.v[0]] * yj[i.v[1]];
   });
   rx_.fill(0.0);
   ry_.fill(0.0);

@@ -5,13 +5,14 @@
 //  * AppInit walks every allocated cell, fluff included, of the arrays
 //    init() seeds from sin/cos and compares it bit for bit with the
 //    per-element closed form each app once evaluated directly. Each app
-//    now reads per-axis tables instead (DESIGN.md §5); the tables must
+//    now reads per-axis tables instead (DESIGN.md §2); the tables must
 //    reproduce the closed form's operands in its left-to-right order.
 //  * AppRunPin pins whole runs on the fiber oracle under the T3E-like
-//    cost model: the checksum's and residual's bit patterns and a digest
-//    of every rank's virtual time. The app tests' MatchesSerialExactly
-//    compare two runs that share one init(), so a changed initial bit
-//    would pass them; these pins would not move with it.
+//    cost model: the checksum's and residual's bit patterns, a digest of
+//    the final field each rank owns and a digest of every rank's virtual
+//    time. The app tests' MatchesSerialExactly compare two runs that
+//    share one init(), so a changed initial bit would pass them; these
+//    pins would not move with it.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -81,7 +82,8 @@ TEST(AppInit, SorMatchesClosedForm) {
         expect_cells(app.u(), [&](Coord i0, Coord i1) {
           const Real xx = static_cast<Real>(i0) * h;
           const Real yy = static_cast<Real>(i1) * h;
-          const bool boundary = i0 <= 0 || i0 >= n - 1 || i1 <= 0 || i1 >= n - 1;
+          const bool boundary =
+              i0 <= 0 || i0 >= n - 1 || i1 <= 0 || i1 >= n - 1;
           return boundary ? xx * yy : 0.0;
         });
         expect_cells(app.f(), [&](Coord i0, Coord i1) {
@@ -164,6 +166,7 @@ struct RunPin {
   bool overlap;
   std::uint64_t checksum;  // bit patterns of rank 0's results
   std::uint64_t residual;
+  std::uint64_t field;   // FNV-1a over every rank's owned final field
   std::uint64_t clocks;  // FNV-1a over every rank's vtime
 };
 
@@ -178,10 +181,16 @@ const char* kind_name(Kind k) {
 }
 
 std::string pin_name(const RunPin& c) {
+  // Appends only: GCC 12 reports -Wrestrict for "lit" + std::string&&.
   std::string s = kind_name(c.kind);
-  s += "_p" + std::to_string(c.p);
-  if (c.pc != 1) s += "x" + std::to_string(c.pc);
-  s += "_b" + std::to_string(c.block);
+  s += "_p";
+  s += std::to_string(c.p);
+  if (c.pc != 1) {
+    s += "x";
+    s += std::to_string(c.pc);
+  }
+  s += "_b";
+  s += std::to_string(c.block);
   s += c.order == StorageOrder::kColMajor ? "_Col" : "_Row";
   if (c.overlap) s += "_Overlap";
   return s;
@@ -201,13 +210,6 @@ std::uint64_t fnv(const std::vector<double>& vs) {
   return h;
 }
 
-std::string hex(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llxull",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 class AppRunPin : public ::testing::TestWithParam<RunPin> {};
 
 TEST_P(AppRunPin, BitsAndClocksUnchanged) {
@@ -220,9 +222,14 @@ TEST_P(AppRunPin, BitsAndClocksUnchanged) {
   EngineConfig ec;
   ec.kind = EngineKind::kFibers;
   Real checksum = 0.0, residual = 0.0;
+  std::vector<std::vector<Real>> fields(static_cast<std::size_t>(c.p));
   const RunResult r =
       Machine::run(c.p, t3e_like().costs, ec, [&](Communicator& comm) {
         Real cs = 0.0, res = 0.0;
+        auto& field = fields[static_cast<std::size_t>(comm.rank())];
+        auto take = [&](const DenseArray<Real, 2>& a, const Region<2>& owned) {
+          for_each(owned, [&](const Idx<2>& i) { field.push_back(a(i)); });
+        };
         switch (c.kind) {
           case Kind::kSor: {
             SorConfig cfg;
@@ -233,6 +240,7 @@ TEST_P(AppRunPin, BitsAndClocksUnchanged) {
             for (int it = 0; it < cfg.iterations; ++it) app.sweep(comm, opts);
             cs = app.checksum(comm);
             res = app.residual_norm(comm);
+            take(app.u(), app.layout().owned(comm.rank()));
             break;
           }
           case Kind::kTomcatv: {
@@ -244,6 +252,8 @@ TEST_P(AppRunPin, BitsAndClocksUnchanged) {
             for (int it = 0; it < cfg.iterations; ++it) app.iterate(comm, opts);
             cs = app.checksum(comm);
             res = app.residual_norm(comm);
+            take(app.x(), app.layout().owned(comm.rank()));
+            take(app.y(), app.layout().owned(comm.rank()));
             break;
           }
           case Kind::kAltPipelined:
@@ -260,6 +270,7 @@ TEST_P(AppRunPin, BitsAndClocksUnchanged) {
               app.iterate(comm, s, opts);
             cs = app.checksum(comm);
             res = app.residual_norm(comm);
+            take(app.u().local(), app.u().owned());
             break;
           }
         }
@@ -268,11 +279,21 @@ TEST_P(AppRunPin, BitsAndClocksUnchanged) {
           residual = res;
         }
       });
+  std::vector<Real> all;
+  for (const auto& f : fields) all.insert(all.end(), f.begin(), f.end());
+  const std::uint64_t field = fnv(all);
   const std::uint64_t clocks = fnv(r.vtime);
-  const std::string actual = "actual {" + hex(bits(checksum)) + ", " +
-                             hex(bits(residual)) + ", " + hex(clocks) + "}";
+  char actual[128];
+  std::snprintf(
+      actual, sizeof actual,
+      "actual {0x%016llxull, 0x%016llxull, 0x%016llxull, 0x%016llxull}",
+      static_cast<unsigned long long>(bits(checksum)),
+      static_cast<unsigned long long>(bits(residual)),
+      static_cast<unsigned long long>(field),
+      static_cast<unsigned long long>(clocks));
   EXPECT_EQ(bits(checksum), c.checksum) << actual;
   EXPECT_EQ(bits(residual), c.residual) << actual;
+  EXPECT_EQ(field, c.field) << actual;
   EXPECT_EQ(clocks, c.clocks) << actual;
 }
 
@@ -282,153 +303,227 @@ constexpr StorageOrder kRow = StorageOrder::kRowMajor;
 // clang-format off
 INSTANTIATE_TEST_SUITE_P(Pinned, AppRunPin, ::testing::Values(
   RunPin{Kind::kSor, 1, 1, 0, kCol, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0xd713c17d4d3edbfdull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xd713c17d4d3edbfdull},
   RunPin{Kind::kSor, 1, 1, 3, kCol, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0xd713c17d4d3edbfdull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xd713c17d4d3edbfdull},
   RunPin{Kind::kSor, 2, 1, 0, kCol, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0x844c455a68f5ed23ull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0x844c455a68f5ed23ull},
   RunPin{Kind::kSor, 2, 1, 3, kCol, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0x842b4c564be6b373ull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0x842b4c564be6b373ull},
   RunPin{Kind::kSor, 3, 1, 0, kCol, false,
-         0x405148cd1f2abf84ull, 0x3fe1e6a7071d705dull, 0xf2ba1f417605e200ull},
+         0x405148cd1f2abf84ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xf2ba1f417605e200ull},
   RunPin{Kind::kSor, 3, 1, 3, kCol, false,
-         0x405148cd1f2abf84ull, 0x3fe1e6a7071d705dull, 0x918c5292c0a17aa9ull},
+         0x405148cd1f2abf84ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0x918c5292c0a17aa9ull},
   RunPin{Kind::kSor, 4, 1, 0, kCol, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0xda36f0085b2fac83ull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xda36f0085b2fac83ull},
   RunPin{Kind::kSor, 4, 1, 3, kCol, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0xcc07f712ba86e583ull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xcc07f712ba86e583ull},
   RunPin{Kind::kSor, 1, 1, 0, kRow, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0xd713c17d4d3edbfdull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xd713c17d4d3edbfdull},
   RunPin{Kind::kSor, 1, 1, 3, kRow, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0xd713c17d4d3edbfdull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xd713c17d4d3edbfdull},
   RunPin{Kind::kSor, 2, 1, 0, kRow, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0x844c455a68f5ed23ull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0x844c455a68f5ed23ull},
   RunPin{Kind::kSor, 2, 1, 3, kRow, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0x842b4c564be6b373ull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0x842b4c564be6b373ull},
   RunPin{Kind::kSor, 3, 1, 0, kRow, false,
-         0x405148cd1f2abf84ull, 0x3fe1e6a7071d705dull, 0xf2ba1f417605e200ull},
+         0x405148cd1f2abf84ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xf2ba1f417605e200ull},
   RunPin{Kind::kSor, 3, 1, 3, kRow, false,
-         0x405148cd1f2abf84ull, 0x3fe1e6a7071d705dull, 0x918c5292c0a17aa9ull},
+         0x405148cd1f2abf84ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0x918c5292c0a17aa9ull},
   RunPin{Kind::kSor, 4, 1, 0, kRow, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0xda36f0085b2fac83ull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xda36f0085b2fac83ull},
   RunPin{Kind::kSor, 4, 1, 3, kRow, false,
-         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull, 0xcc07f712ba86e583ull},
+         0x405148cd1f2abf86ull, 0x3fe1e6a7071d705dull,
+         0x507b3fa0b335395dull, 0xcc07f712ba86e583ull},
   RunPin{Kind::kSor, 4, 2, 0, kCol, false,
-         0x405148cd1f2abf85ull, 0x3fe1e6a7071d705dull, 0x9ec4cad0f7116b83ull},
+         0x405148cd1f2abf85ull, 0x3fe1e6a7071d705dull,
+         0x23735cb19c336a7dull, 0x9ec4cad0f7116b83ull},
   RunPin{Kind::kSor, 4, 2, 3, kCol, false,
-         0x405148cd1f2abf85ull, 0x3fe1e6a7071d705dull, 0x2d77013fdd5a4d43ull},
+         0x405148cd1f2abf85ull, 0x3fe1e6a7071d705dull,
+         0x23735cb19c336a7dull, 0x2d77013fdd5a4d43ull},
   RunPin{Kind::kTomcatv, 1, 1, 0, kCol, false,
-         0x40d117023970ff6aull, 0x3f889275274535c8ull, 0x4297087cf8cb463dull},
+         0x40d117023970ff6aull, 0x3f889275274535c8ull,
+         0x86a015ae5198f24bull, 0x4297087cf8cb463dull},
   RunPin{Kind::kTomcatv, 1, 1, 3, kCol, false,
-         0x40d117023970ff6aull, 0x3f889275274535c8ull, 0x4297087cf8cb463dull},
+         0x40d117023970ff6aull, 0x3f889275274535c8ull,
+         0x86a015ae5198f24bull, 0x4297087cf8cb463dull},
   RunPin{Kind::kTomcatv, 2, 1, 0, kCol, false,
-         0x40d117023970ff69ull, 0x3f889275274535c8ull, 0x646519edc250355bull},
+         0x40d117023970ff69ull, 0x3f889275274535c8ull,
+         0x4e82611140e2085full, 0x646519edc250355bull},
   RunPin{Kind::kTomcatv, 2, 1, 3, kCol, false,
-         0x40d117023970ff69ull, 0x3f889275274535c8ull, 0x4173fa878eaca14bull},
+         0x40d117023970ff69ull, 0x3f889275274535c8ull,
+         0x4e82611140e2085full, 0x4173fa878eaca14bull},
   RunPin{Kind::kTomcatv, 3, 1, 0, kCol, false,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0x9cd1f6912c37cba7ull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0x9aebcf2814f03bfbull, 0x9cd1f6912c37cba7ull},
   RunPin{Kind::kTomcatv, 3, 1, 3, kCol, false,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0xd507eade82e08e14ull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0x9aebcf2814f03bfbull, 0xd507eade82e08e14ull},
   RunPin{Kind::kTomcatv, 4, 1, 0, kCol, false,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0xef2d8dc6680ac903ull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0xfcd069a98f5ab7a3ull, 0xef2d8dc6680ac903ull},
   RunPin{Kind::kTomcatv, 4, 1, 3, kCol, false,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0x892b2f232939b90bull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0xfcd069a98f5ab7a3ull, 0x892b2f232939b90bull},
   RunPin{Kind::kTomcatv, 1, 1, 0, kRow, false,
-         0x40d117023970ff6aull, 0x3f889275274535c8ull, 0x4297087cf8cb463dull},
+         0x40d117023970ff6aull, 0x3f889275274535c8ull,
+         0x86a015ae5198f24bull, 0x4297087cf8cb463dull},
   RunPin{Kind::kTomcatv, 1, 1, 3, kRow, false,
-         0x40d117023970ff6aull, 0x3f889275274535c8ull, 0x4297087cf8cb463dull},
+         0x40d117023970ff6aull, 0x3f889275274535c8ull,
+         0x86a015ae5198f24bull, 0x4297087cf8cb463dull},
   RunPin{Kind::kTomcatv, 2, 1, 0, kRow, false,
-         0x40d117023970ff69ull, 0x3f889275274535c8ull, 0x646519edc250355bull},
+         0x40d117023970ff69ull, 0x3f889275274535c8ull,
+         0x4e82611140e2085full, 0x646519edc250355bull},
   RunPin{Kind::kTomcatv, 2, 1, 3, kRow, false,
-         0x40d117023970ff69ull, 0x3f889275274535c8ull, 0x4173fa878eaca14bull},
+         0x40d117023970ff69ull, 0x3f889275274535c8ull,
+         0x4e82611140e2085full, 0x4173fa878eaca14bull},
   RunPin{Kind::kTomcatv, 3, 1, 0, kRow, false,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0x9cd1f6912c37cba7ull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0x9aebcf2814f03bfbull, 0x9cd1f6912c37cba7ull},
   RunPin{Kind::kTomcatv, 3, 1, 3, kRow, false,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0xd507eade82e08e14ull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0x9aebcf2814f03bfbull, 0xd507eade82e08e14ull},
   RunPin{Kind::kTomcatv, 4, 1, 0, kRow, false,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0xef2d8dc6680ac903ull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0xfcd069a98f5ab7a3ull, 0xef2d8dc6680ac903ull},
   RunPin{Kind::kTomcatv, 4, 1, 3, kRow, false,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0x892b2f232939b90bull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0xfcd069a98f5ab7a3ull, 0x892b2f232939b90bull},
   RunPin{Kind::kTomcatv, 2, 1, 3, kCol, true,
-         0x40d117023970ff69ull, 0x3f889275274535c8ull, 0x190d09162cf9fc03ull},
+         0x40d117023970ff69ull, 0x3f889275274535c8ull,
+         0x4e82611140e2085full, 0x190d09162cf9fc03ull},
   RunPin{Kind::kTomcatv, 3, 1, 3, kCol, true,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0x2ebb6153f40c7c0bull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0x9aebcf2814f03bfbull, 0x2ebb6153f40c7c0bull},
   RunPin{Kind::kTomcatv, 4, 1, 3, kCol, true,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0x4bebbb77826d2353ull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0xfcd069a98f5ab7a3ull, 0x4bebbb77826d2353ull},
   RunPin{Kind::kTomcatv, 2, 1, 3, kRow, true,
-         0x40d117023970ff69ull, 0x3f889275274535c8ull, 0x190d09162cf9fc03ull},
+         0x40d117023970ff69ull, 0x3f889275274535c8ull,
+         0x4e82611140e2085full, 0x190d09162cf9fc03ull},
   RunPin{Kind::kTomcatv, 3, 1, 3, kRow, true,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0x2ebb6153f40c7c0bull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0x9aebcf2814f03bfbull, 0x2ebb6153f40c7c0bull},
   RunPin{Kind::kTomcatv, 4, 1, 3, kRow, true,
-         0x40d117023970ff68ull, 0x3f889275274535c8ull, 0x4bebbb77826d2353ull},
+         0x40d117023970ff68ull, 0x3f889275274535c8ull,
+         0xfcd069a98f5ab7a3ull, 0x4bebbb77826d2353ull},
   RunPin{Kind::kTomcatv, 4, 2, 0, kCol, false,
-         0x40d117023970ff69ull, 0x3f889275274535c8ull, 0x3847ef8677dffbbbull},
+         0x40d117023970ff69ull, 0x3f889275274535c8ull,
+         0x956eb1222bbdf8d3ull, 0x3847ef8677dffbbbull},
   RunPin{Kind::kTomcatv, 4, 2, 3, kCol, false,
-         0x40d117023970ff69ull, 0x3f889275274535c8ull, 0xf81cb0c671340463ull},
+         0x40d117023970ff69ull, 0x3f889275274535c8ull,
+         0x956eb1222bbdf8d3ull, 0xf81cb0c671340463ull},
   RunPin{Kind::kAltPipelined, 1, 1, 0, kCol, false,
-         0x40532e051b757adfull, 0x3fdb778622455ecfull, 0x2e6cd67c5ca8eab2ull},
+         0x40532e051b757adfull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x2e6cd67c5ca8eab2ull},
   RunPin{Kind::kAltPipelined, 1, 1, 3, kCol, false,
-         0x40532e051b757adfull, 0x3fdb778622455ecfull, 0x2e6cd67c5ca8eab2ull},
+         0x40532e051b757adfull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x2e6cd67c5ca8eab2ull},
   RunPin{Kind::kAltPipelined, 2, 1, 0, kCol, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xfb2e65bf11a3d987ull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xfb2e65bf11a3d987ull},
   RunPin{Kind::kAltPipelined, 2, 1, 3, kCol, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0x3226d86b587df217ull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x3226d86b587df217ull},
   RunPin{Kind::kAltPipelined, 3, 1, 0, kCol, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xfacdc64ba67dd374ull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xfacdc64ba67dd374ull},
   RunPin{Kind::kAltPipelined, 3, 1, 3, kCol, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xe72b093b58d16d1dull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xe72b093b58d16d1dull},
   RunPin{Kind::kAltPipelined, 4, 1, 0, kCol, false,
-         0x40532e051b757addull, 0x3fdb778622455ecfull, 0xc5efeee3f258bd3bull},
+         0x40532e051b757addull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xc5efeee3f258bd3bull},
   RunPin{Kind::kAltPipelined, 4, 1, 3, kCol, false,
-         0x40532e051b757addull, 0x3fdb778622455ecfull, 0x8eddc00a7fb07c4bull},
+         0x40532e051b757addull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x8eddc00a7fb07c4bull},
   RunPin{Kind::kAltPipelined, 1, 1, 0, kRow, false,
-         0x40532e051b757adfull, 0x3fdb778622455ecfull, 0x2e6cd67c5ca8eab2ull},
+         0x40532e051b757adfull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x2e6cd67c5ca8eab2ull},
   RunPin{Kind::kAltPipelined, 1, 1, 3, kRow, false,
-         0x40532e051b757adfull, 0x3fdb778622455ecfull, 0x2e6cd67c5ca8eab2ull},
+         0x40532e051b757adfull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x2e6cd67c5ca8eab2ull},
   RunPin{Kind::kAltPipelined, 2, 1, 0, kRow, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xfb2e65bf11a3d987ull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xfb2e65bf11a3d987ull},
   RunPin{Kind::kAltPipelined, 2, 1, 3, kRow, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0x3226d86b587df217ull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x3226d86b587df217ull},
   RunPin{Kind::kAltPipelined, 3, 1, 0, kRow, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xfacdc64ba67dd374ull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xfacdc64ba67dd374ull},
   RunPin{Kind::kAltPipelined, 3, 1, 3, kRow, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xe72b093b58d16d1dull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xe72b093b58d16d1dull},
   RunPin{Kind::kAltPipelined, 4, 1, 0, kRow, false,
-         0x40532e051b757addull, 0x3fdb778622455ecfull, 0xc5efeee3f258bd3bull},
+         0x40532e051b757addull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xc5efeee3f258bd3bull},
   RunPin{Kind::kAltPipelined, 4, 1, 3, kRow, false,
-         0x40532e051b757addull, 0x3fdb778622455ecfull, 0x8eddc00a7fb07c4bull},
+         0x40532e051b757addull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x8eddc00a7fb07c4bull},
   RunPin{Kind::kAltTranspose, 1, 1, 0, kCol, false,
-         0x40532e051b757adfull, 0x3fdb778622455ecfull, 0x2e6cd67c5ca8eab2ull},
+         0x40532e051b757adfull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x2e6cd67c5ca8eab2ull},
   RunPin{Kind::kAltTranspose, 1, 1, 3, kCol, false,
-         0x40532e051b757adfull, 0x3fdb778622455ecfull, 0x2e6cd67c5ca8eab2ull},
+         0x40532e051b757adfull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x2e6cd67c5ca8eab2ull},
   RunPin{Kind::kAltTranspose, 2, 1, 0, kCol, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0x32152e9c14829fcbull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x32152e9c14829fcbull},
   RunPin{Kind::kAltTranspose, 2, 1, 3, kCol, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0x32152e9c14829fcbull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x32152e9c14829fcbull},
   RunPin{Kind::kAltTranspose, 3, 1, 0, kCol, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xa19ad18b1572154full},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xa19ad18b1572154full},
   RunPin{Kind::kAltTranspose, 3, 1, 3, kCol, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xa19ad18b1572154full},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xa19ad18b1572154full},
   RunPin{Kind::kAltTranspose, 4, 1, 0, kCol, false,
-         0x40532e051b757addull, 0x3fdb778622455ecfull, 0x4483b6994dd58d7bull},
+         0x40532e051b757addull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x4483b6994dd58d7bull},
   RunPin{Kind::kAltTranspose, 4, 1, 3, kCol, false,
-         0x40532e051b757addull, 0x3fdb778622455ecfull, 0x4483b6994dd58d7bull},
+         0x40532e051b757addull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x4483b6994dd58d7bull},
   RunPin{Kind::kAltTranspose, 1, 1, 0, kRow, false,
-         0x40532e051b757adfull, 0x3fdb778622455ecfull, 0x2e6cd67c5ca8eab2ull},
+         0x40532e051b757adfull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x2e6cd67c5ca8eab2ull},
   RunPin{Kind::kAltTranspose, 1, 1, 3, kRow, false,
-         0x40532e051b757adfull, 0x3fdb778622455ecfull, 0x2e6cd67c5ca8eab2ull},
+         0x40532e051b757adfull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x2e6cd67c5ca8eab2ull},
   RunPin{Kind::kAltTranspose, 2, 1, 0, kRow, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0x32152e9c14829fcbull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x32152e9c14829fcbull},
   RunPin{Kind::kAltTranspose, 2, 1, 3, kRow, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0x32152e9c14829fcbull},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x32152e9c14829fcbull},
   RunPin{Kind::kAltTranspose, 3, 1, 0, kRow, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xa19ad18b1572154full},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xa19ad18b1572154full},
   RunPin{Kind::kAltTranspose, 3, 1, 3, kRow, false,
-         0x40532e051b757adeull, 0x3fdb778622455ecfull, 0xa19ad18b1572154full},
+         0x40532e051b757adeull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0xa19ad18b1572154full},
   RunPin{Kind::kAltTranspose, 4, 1, 0, kRow, false,
-         0x40532e051b757addull, 0x3fdb778622455ecfull, 0x4483b6994dd58d7bull},
+         0x40532e051b757addull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x4483b6994dd58d7bull},
   RunPin{Kind::kAltTranspose, 4, 1, 3, kRow, false,
-         0x40532e051b757addull, 0x3fdb778622455ecfull, 0x4483b6994dd58d7bull}
+         0x40532e051b757addull, 0x3fdb778622455ecfull,
+         0xdc672dfe8248a65bull, 0x4483b6994dd58d7bull}
 ), [](const ::testing::TestParamInfo<RunPin>& info) {
   return pin_name(info.param);
 });
