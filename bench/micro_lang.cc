@@ -4,6 +4,9 @@
 // fused region kernel over the per-index fallback. BM_ShortPencilTile*
 // track the tax where it is largest: SWEEP3D's 6-cell pencils, where the
 // per-tile and per-pencil overheads of the kernel are not amortized.
+// BM_SwScore* and BM_Sor* track it on carried recurrences with long
+// pencils, where the fused kernel runs skewed strips (statement.hh) and
+// the hand-written loops run one pencil at a time.
 #include <benchmark/benchmark.h>
 
 #include "exec/serial.hh"
@@ -165,6 +168,133 @@ void BM_ShortPencilTileFused(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * c.owned.size());
 }
 BENCHMARK(BM_ShortPencilTileFused);
+
+// Smith-Waterman's score fill (apps/smith_waterman.cc) over one kN x kN
+// table in column-major order: pencils run down dim 0 and carry H'@north;
+// the symbols are read through flood references.
+struct SwTable {
+  SwTable()
+      : all({{0, 0}}, {{kN, kN}}),
+        cells({{1, 1}}, {{kN, kN}}),
+        h("H", all),
+        sym_a("sym_a", Region<2>({{0, 0}}, {{kN, 0}})),
+        sym_b("sym_b", Region<2>({{0, 0}}, {{0, kN}})) {
+    sym_a.fill_fn([](const Idx<2>& i) { return symbol(i.v[0] * 7 + 1); });
+    sym_b.fill_fn([](const Idx<2>& i) { return symbol(i.v[1] * 5 + 3); });
+  }
+  static Real symbol(Coord x) { return static_cast<Real>((x * x + x / 3) % 4); }
+  static constexpr Real kMatch = 2.0, kMismatch = -1.0, kGap = 1.0;
+  Region<2> all, cells;
+  DenseArray<Real, 2> h, sym_a, sym_b;
+};
+
+Real max2(Real a, Real b) { return a < b ? b : a; }
+
+void BM_SwScoreHand(benchmark::State& state) {
+  SwTable t;
+  Real* h = t.h.raw().data();
+  const Real* sa = t.sym_a.raw().data();
+  const Real* sb = t.sym_b.raw().data();
+  const Coord sj = t.h.stride(1);
+  for (auto _ : state) {
+    for (Coord j = 1; j <= kN; ++j) {
+      Real* col = h + j * sj;
+      Real north = col[0];
+      for (Coord i = 1; i <= kN; ++i) {
+        const Real sub = sa[i] == sb[j] ? SwTable::kMatch : SwTable::kMismatch;
+        north = max2(0.0, max2(col[i - 1 - sj] + sub,
+                               max2(north - SwTable::kGap,
+                                    col[i - sj] - SwTable::kGap)));
+        col[i] = north;
+      }
+    }
+    benchmark::DoNotOptimize(h);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * t.cells.size());
+}
+BENCHMARK(BM_SwScoreHand);
+
+void BM_SwScoreFused(benchmark::State& state) {
+  SwTable t;
+  auto plan =
+      scan(t.cells,
+           t.h <<= max_e(0.0, max_e(prime(t.h, kNorthWest) +
+                                        select_e(eq_e(flood(t.sym_a, {1}),
+                                                      flood(t.sym_b, {0})),
+                                                 SwTable::kMatch,
+                                                 SwTable::kMismatch),
+                                    max_e(prime(t.h, kNorth) - SwTable::kGap,
+                                          prime(t.h, kWest) - SwTable::kGap))))
+          .compile();
+  for (auto _ : state) {
+    run_serial_on(plan, t.cells);
+    benchmark::DoNotOptimize(t.h.raw().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * t.cells.size());
+}
+BENCHMARK(BM_SwScoreFused);
+
+// SOR's sweep (apps/sor.cc) over a kN x kN interior, column-major: u'@north
+// is carried along the pencil, u'@west comes from the previous pencil.
+struct SorGrid {
+  SorGrid()
+      : all({{0, 0}}, {{kN + 1, kN + 1}}),
+        interior({{1, 1}}, {{kN, kN}}),
+        u("u", all),
+        f("f", all) {
+    u.fill_fn([](const Idx<2>& i) {
+      return static_cast<Real>(i.v[0] * i.v[1]) / (kN * kN);
+    });
+    f.fill(1e-4);
+  }
+  static constexpr Real kOmega = 1.5;
+  Region<2> all, interior;
+  DenseArray<Real, 2> u, f;
+};
+
+void BM_SorHand(benchmark::State& state) {
+  SorGrid g;
+  Real* u = g.u.raw().data();
+  const Real* f = g.f.raw().data();
+  const Coord sj = g.u.stride(1);
+  constexpr Real w = SorGrid::kOmega;
+  for (auto _ : state) {
+    for (Coord j = 1; j <= kN; ++j) {
+      Real* col = u + j * sj;
+      const Real* fc = f + j * sj;
+      Real north = col[0];
+      for (Coord i = 1; i <= kN; ++i) {
+        north = (1.0 - w) * col[i] + (w * 0.25) * (north + col[i - sj] +
+                                                   col[i + 1] + col[i + sj] +
+                                                   fc[i]);
+        col[i] = north;
+      }
+    }
+    benchmark::DoNotOptimize(u);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.interior.size());
+}
+BENCHMARK(BM_SorHand);
+
+void BM_SorFused(benchmark::State& state) {
+  SorGrid g;
+  constexpr Real w = SorGrid::kOmega;
+  auto plan = scan(g.interior,
+                   g.u <<= (1.0 - w) * g.u +
+                           (w * 0.25) * (prime(g.u, kNorth) + prime(g.u, kWest) +
+                                         at(g.u, kSouth) + at(g.u, kEast) + g.f))
+                  .compile();
+  for (auto _ : state) {
+    run_serial_on(plan, g.interior);
+    benchmark::DoNotOptimize(g.u.raw().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * g.interior.size());
+}
+BENCHMARK(BM_SorFused);
 
 void BM_CompilePlan(benchmark::State& state) {
   Arrays a;

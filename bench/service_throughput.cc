@@ -168,10 +168,8 @@ LatencyStats measure_open_loop(int arrivals, Coord n) {
     bool progressed = false;
     for (std::size_t k = 0; k < ids.size(); ++k) {
       if (stamped[k]) continue;
-      if (!svc.done(ids[k])) {
-        svc.wait(ids[k]);  // runs exactly the rounds needed
-        progressed = true;
-      }
+      progressed = !svc.done(ids[k]);
+      svc.wait(ids[k]);  // runs exactly the rounds needed; takes the result
       complete[k] = clock.seconds();
       stamped[k] = true;
       ++served;

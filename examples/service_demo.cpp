@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     t.set_header({"job", "app", "n", "p", "b", "policy", "cache", "round",
                   "ranks", "T_comp", "T_comm", "T_wait", "wall s"});
     for (const JobId id : ids) {
-      const JobBill& bill = svc.result(id).bill;
+      const JobBill bill = svc.wait(id).bill;
       t.add_row({std::to_string(bill.id), bill.app, std::to_string(bill.n),
                  std::to_string(bill.p),
                  std::to_string(bill.block) + (bill.block_auto ? "*" : ""),

@@ -88,7 +88,7 @@ void validate_coverage(const WavefrontPlan<R>& plan, const Region<R>& region) {
 template <Rank R>
 void run_serial_on(const WavefrontPlan<R>& plan, const Region<R>& sub) {
   if (plan.fused_kernel) {
-    plan.fused_kernel(sub, plan.loops);
+    plan.fused_kernel(sub, plan.loops, plan.strips);
     return;
   }
   iterate_pencils(sub, plan.loops,
@@ -142,7 +142,7 @@ void apply_statement(const Region<E::rank>& region,
 
   const PencilWalk<R> walk(region, ls.order, ls.step);
   if (!needs_temp) {
-    run_fused(walk, spec);
+    run_fused(walk, false, spec);
     return;
   }
   std::vector<Real> tmp(static_cast<std::size_t>(region.size()));
@@ -151,7 +151,7 @@ void apply_statement(const Region<E::rank>& region,
   walk_pencils(
       walk,
       [&](Coord count) {
-        for (Coord k = 0; k < count; ++k) pos[k] = rhs(k, NoCarry{});
+        for (Coord k = 0; k < count; ++k) pos[k] = rhs(k, 0, NoCarry{});
         pos += count;
       },
       [&rhs](Rank level) { rhs.advance(level); });

@@ -23,8 +23,11 @@
 // level, so an executor's inner loop is plain strided loads and the node's
 // arithmetic, and moving to the next pencil adds one precomputed stride per
 // leaf — no index arithmetic per element or per pencil. A bound node b
-// reads element k of the current pencil as b(k, carries), and
+// reads element k of the current pencil as b(k, 0, carries), and
 // b.advance(level) moves it to the next pencil when loop `level` steps.
+// b(s, q, carries) is step s of lane q of a skewed strip (statement.hh):
+// element s - q of the q-th pencil after the current one, one pointer plus
+// q lane strides away, so a strip needs no second copy of the bound tree.
 //
 // Bound reads go to memory on every call (nothing is cached), so a primed
 // read of the left-hand side sees what the previous iteration of the same
@@ -119,6 +122,17 @@ struct PencilWalk {
   }
 };
 
+/// A leaf's lane stride: how far step s of strip lane q+1 sits from step s
+/// of lane q — one pencil on, one element back, delta[R-2] - delta[R-1]
+/// (0 for a rank-1 walk, which has no second pencil).
+template <Rank R>
+Coord lane_stride(const std::array<Coord, R>& delta) {
+  if constexpr (R >= 2)
+    return delta[R - 2] - delta[R - 1];
+  else
+    return 0;
+}
+
 /// Carry registers of a fused kernel: the value statement s stored last in
 /// the current pencil sits in slot s. A memory-only evaluation passes
 /// NoCarry.
@@ -203,19 +217,21 @@ class ArrayRef {
   struct Bound {
     const Real* p;
     std::array<Coord, R> delta;
-    int slot;  // carry register, or -1 for memory
+    Coord lane;  // lane_stride(delta)
+    int slot;    // carry register, or -1 for memory
 
     template <typename Regs>
-    Real operator()(Coord k, const Regs& regs) const {
+    Real operator()(Coord k, Coord q, const Regs& regs) const {
       if constexpr (!std::is_same_v<Regs, NoCarry>)
         if (slot >= 0) return pick(regs, slot);
-      return p[k * delta[R - 1]];
+      return p[k * delta[R - 1] + q * lane];
     }
     void advance(Rank level) { p += delta[level]; }
   };
 
   Bound bind(const PencilWalk<R>& w, const CarryRule<R>& rule) const {
-    return {&(*a_)(w.start + dir_), w.deltas(*a_),
+    const auto delta = w.deltas(*a_);
+    return {&(*a_)(w.start + dir_), delta, lane_stride<R>(delta),
             rule.slot(a_, dir_, primed_)};
   }
 
@@ -240,7 +256,7 @@ class ScalarExpr {
   struct Bound {
     Real v;
     template <typename Regs>
-    Real operator()(Coord, const Regs&) const { return v; }
+    Real operator()(Coord, Coord, const Regs&) const { return v; }
     void advance(Rank) {}
   };
   Bound bind(const PencilWalk<R>&, const CarryRule<R>&) const { return {v_}; }
@@ -268,15 +284,17 @@ class FloodRef {
   struct Bound {
     const Real* p;
     std::array<Coord, R> delta;
+    Coord lane;  // lane_stride(delta)
     template <typename Regs>
-    Real operator()(Coord k, const Regs&) const {
-      return p[k * delta[R - 1]];
+    Real operator()(Coord k, Coord q, const Regs&) const {
+      return p[k * delta[R - 1] + q * lane];
     }
     void advance(Rank level) { p += delta[level]; }
   };
 
   Bound bind(const PencilWalk<R>& w, const CarryRule<R>&) const {
-    return {&(*a_)(clamp(w.start)), w.deltas(*a_, mask_)};
+    const auto delta = w.deltas(*a_, mask_);
+    return {&(*a_)(clamp(w.start)), delta, lane_stride<R>(delta)};
   }
 
   void collect(std::vector<Access<R>>& out) const {
@@ -380,8 +398,8 @@ class BinExpr {
     typename L::Bound l;
     typename Rt::Bound r;
     template <typename Regs>
-    Real operator()(Coord k, const Regs& regs) const {
-      return Op::apply(l(k, regs), r(k, regs));
+    Real operator()(Coord k, Coord q, const Regs& regs) const {
+      return Op::apply(l(k, q, regs), r(k, q, regs));
     }
     void advance(Rank level) {
       l.advance(level);
@@ -414,8 +432,8 @@ class UnExpr {
   struct Bound {
     typename E::Bound e;
     template <typename Regs>
-    Real operator()(Coord k, const Regs& regs) const {
-      return Op::apply(e(k, regs));
+    Real operator()(Coord k, Coord q, const Regs& regs) const {
+      return Op::apply(e(k, q, regs));
     }
     void advance(Rank level) { e.advance(level); }
   };
@@ -555,9 +573,17 @@ class SelectExpr {
     typename C::Bound c;
     typename L::Bound l;
     typename Rt::Bound r;
+    /// Evaluates both arms and picks one by index: no branch on the
+    /// condition, which in Smith-Waterman's match/mismatch flips at random.
+    /// The empty asm hides where the index comes from; without it GCC
+    /// folds the pick (and an eq_e condition) back into a branch. The arms
+    /// have no side effects, so the value is the one eval() picks.
     template <typename Regs>
-    Real operator()(Coord k, const Regs& regs) const {
-      return c(k, regs) > 0.0 ? l(k, regs) : r(k, regs);
+    Real operator()(Coord k, Coord q, const Regs& regs) const {
+      const Real arm[2] = {r(k, q, regs), l(k, q, regs)};
+      std::size_t i = c(k, q, regs) > 0.0;
+      asm("" : "+r"(i));
+      return arm[i];
     }
     void advance(Rank level) {
       c.advance(level);
@@ -640,7 +666,7 @@ template <typename E>
 auto cursor(const E& e, const Idx<E::rank>& start, Rank inner, Coord step) {
   constexpr Rank R = E::rank;
   return [b = e.bind(PencilWalk<R>::pencil(start, inner, step, 1),
-                     CarryRule<R>{})](Coord k) { return b(k, NoCarry{}); };
+                     CarryRule<R>{})](Coord k) { return b(k, 0, NoCarry{}); };
 }
 
 }  // namespace wavepipe

@@ -55,10 +55,11 @@ struct Contracted {
 };
 
 /// A fused region kernel: runs every statement of a block over a
-/// sub-region of its region in the given loop structure.
+/// sub-region of its region in the given loop structure, in skewed strips
+/// when `strips` (WavefrontPlan::strips) allows it.
 template <Rank R>
-using FusedKernel =
-    std::function<void(const Region<R>& sub, const LoopStructure<R>& loops)>;
+using FusedKernel = std::function<void(
+    const Region<R>& sub, const LoopStructure<R>& loops, bool strips)>;
 
 template <Rank R>
 struct WavefrontPlan {
@@ -87,6 +88,12 @@ struct WavefrontPlan {
   /// Max |d_k| for k != w over primed reads: how far a wave message's face
   /// segment must extend beyond its tile (diagonal dependences).
   Coord lateral_halo = 0;
+
+  /// True when the fused kernel may run a row's pencils as skewed strips
+  /// (run_fused, statement.hh): no read of an array the block writes
+  /// reaches a cell the strip order computes on the other side of it than
+  /// the loop nest does (ScanBlock::compile).
+  bool strips = false;
 
   /// True when the block carries loop dependences at all (primed or shifted
   /// reads of written arrays).

@@ -186,6 +186,7 @@ class ScanBlock {
 
     // Halo widths and inflow sizing.
     build_array_uses(plan);
+    plan.strips = strips_keep_order(plan);
     if (plan.has_wavefront()) {
       const Rank w = plan.wdim();
       for (const auto& d : primed_dirs) {
@@ -256,6 +257,41 @@ class ScanBlock {
     return {};
   }
 
+  /// Whether skewed strips (run_fused) compute every cell of a row on the
+  /// same side of each cell it reads as the loop nest does. In loop
+  /// coordinates — a pencils along level R-2, b elements along the pencil
+  /// — a strip computes cell (q+a, e+b) before (q, e) when a+b < 0, or
+  /// a+b == 0 and a < 0 (lanes ascend within a step); the loop nest when
+  /// a < 0, or a == 0 and b < 0. The two disagree exactly when a and a+b
+  /// have opposite signs: a primed read with a < 0 < a+b would see a value
+  /// not yet stored, an unprimed one with a+b < 0 < a one already
+  /// overwritten. Reads that move along an outer level reach another row,
+  /// which both orders finish (or leave) whole. Every +-1 direction
+  /// passes; only reads 2 or more cells along the pencil can fail.
+  static bool strips_keep_order(const WavefrontPlan<R>& plan) {
+    if constexpr (R < 2) {
+      return false;
+    } else {
+      const LoopStructure<R>& ls = plan.loops;
+      for (const auto& st : plan.statements) {
+        for (const auto& acc : st.reads) {
+          if (acc.flood != 0) continue;  // never of a written array
+          const ArrayUse<R>* use = plan.find_use(acc.array->id());
+          if (use == nullptr || !use->written) continue;
+          bool other_row = false;
+          for (Rank l = 0; l + 2 < R; ++l)
+            other_row = other_row || acc.dir.v[ls.order[l]] != 0;
+          if (other_row) continue;
+          const Rank row = ls.order[R - 2], inner = ls.order[R - 1];
+          const Coord a = acc.dir.v[row] * ls.step[row];
+          const Coord ab = a + acc.dir.v[inner] * ls.step[inner];
+          if ((a < 0 && ab > 0) || (a > 0 && ab < 0)) return false;
+        }
+      }
+      return true;
+    }
+  }
+
   void build_array_uses(WavefrontPlan<R>& plan) const {
     auto find_or_add = [&plan](DenseArray<Real, R>* a) -> ArrayUse<R>& {
       for (auto& u : plan.arrays)
@@ -300,8 +336,10 @@ ScanBlock<R> with_fused_kernel(ScanBlock<R> sb,
   static_assert(((Es::rank == R) && ...), "statement ranks must match");
   (sb.add(specs), ...);
   sb.set_fused_kernel(
-      [specs...](const Region<R>& sub, const LoopStructure<R>& loops) {
-        run_fused(PencilWalk<R>(sub, loops.order, loops.step), specs...);
+      [specs...](const Region<R>& sub, const LoopStructure<R>& loops,
+                 bool strips) {
+        run_fused(PencilWalk<R>(sub, loops.order, loops.step), strips,
+                  specs...);
       });
   return sb;
 }

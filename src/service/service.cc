@@ -275,16 +275,25 @@ void SweepService::run_round() {
   }
 }
 
-const JobResult& SweepService::wait(JobId id) {
-  while (!done(id)) {
-    const bool queued = std::any_of(
-        queue_.begin(), queue_.end(),
-        [id](const Pending& pj) { return pj.id == id; });
-    if (!queued)
-      throw ServiceError("unknown job id " + std::to_string(id));
+bool SweepService::is_queued(JobId id) const {
+  return std::any_of(queue_.begin(), queue_.end(),
+                     [id](const Pending& pj) { return pj.id == id; });
+}
+
+bool SweepService::done(JobId id) const {
+  return id >= 1 && id < next_id_ && !is_queued(id);
+}
+
+JobResult SweepService::wait(JobId id) {
+  while (results_.count(id) == 0) {
+    if (!is_queued(id))
+      throw ServiceError("unknown job id " + std::to_string(id) +
+                         " (never submitted, or already waited on)");
     run_round();
   }
-  return result(id);
+  auto node = results_.extract(id);
+  result_or_throw(node.mapped());
+  return std::move(node.mapped());
 }
 
 std::vector<JobId> SweepService::drain() {
@@ -298,11 +307,15 @@ const JobResult& SweepService::result(JobId id) const {
   auto it = results_.find(id);
   if (it == results_.end())
     throw ServiceError("job " + std::to_string(id) +
-                       " has not completed (or is unknown)");
-  if (it->second.failed)
-    throw ServiceError("job#" + std::to_string(id) + " (" +
-                       it->second.bill.app + ") failed: " + it->second.error);
-  return it->second;
+                       " has not completed, was waited on, or is unknown");
+  return result_or_throw(it->second);
+}
+
+const JobResult& SweepService::result_or_throw(const JobResult& jr) {
+  if (jr.failed)
+    throw ServiceError("job#" + std::to_string(jr.bill.id) + " (" +
+                       jr.bill.app + ") failed: " + jr.error);
+  return jr;
 }
 
 }  // namespace wavepipe

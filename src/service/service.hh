@@ -66,21 +66,27 @@ class SweepService {
   /// [1, ranks], or a full queue. Does not run anything.
   JobId submit(const JobParams& params);
 
-  /// Runs admission rounds until `id` completes, then returns its result.
-  /// Throws ServiceError for unknown ids and for jobs whose round failed.
-  const JobResult& wait(JobId id);
+  /// Runs admission rounds until `id` completes, then hands its result
+  /// over: the service keeps no copy, so a second wait() or result() on
+  /// `id` is an unknown id. Throws ServiceError for unknown ids and for
+  /// jobs whose round failed (dropping the failed result too).
+  JobResult wait(JobId id);
 
   /// Runs rounds until the queue is empty; returns the ids completed.
+  /// Their results stay held until wait() takes them.
   std::vector<JobId> drain();
 
-  /// True once `id` has a result (possibly a failed one).
-  bool done(JobId id) const { return results_.count(id) != 0; }
+  /// True once `id` was submitted and has left the queue: completed,
+  /// possibly failed, and possibly already waited on.
+  bool done(JobId id) const;
 
-  /// The completed job's result; same errors as wait().
+  /// A completed job's result not yet taken by wait(), for example after
+  /// drain(); same errors as wait().
   const JobResult& result(JobId id) const;
 
   std::size_t queued() const { return queue_.size(); }
-  std::size_t completed() const { return results_.size(); }
+  /// Results of completed jobs not yet taken by wait().
+  std::size_t held() const { return results_.size(); }
   int rounds() const { return rounds_; }
   std::uint64_t cache_hits() const { return cache_.hits(); }
   std::uint64_t cache_misses() const { return cache_.misses(); }
@@ -112,9 +118,14 @@ class SweepService {
   };
 
   const SuiteApp& find_app(const std::string& name) const;
+  bool is_queued(JobId id) const;
+
+  /// `jr`, or the ServiceError of its failed round.
+  static const JobResult& result_or_throw(const JobResult& jr);
 
   /// Admits a maximal prefix-with-backfill of the queue onto disjoint rank
-  /// windows and runs it as one Machine::run. Fills results_.
+  /// windows and runs it as one Machine::run. Fills results_ (wait()
+  /// empties it again).
   void run_round();
 
   ServiceConfig cfg_;

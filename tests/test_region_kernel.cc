@@ -13,9 +13,15 @@
 // carried), an array written twice (never carried) and blocks with no
 // carry at all.
 //
-// Also here: the carry rule itself on Tomcatv's block, DenseArray::fill
-// over a region and fill_outside, and the fluff checks whose messages are
-// built only on failure.
+// A second sweep does the same for skewed strips (run_fused): rank-2/3
+// blocks with directions in {-2..2}^R and pencils long enough to strip,
+// where some reads cross the skew and the plan must refuse strips. It
+// asserts that strips ran, were refused by the plan's rule and by the
+// length gate, and left remainder pencils in a row.
+//
+// Also here: the carry rule itself on Tomcatv's block, the strip rule on
+// hand-built reads, DenseArray::fill over a region and fill_outside, and
+// the fluff checks whose messages are built only on failure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,7 +66,8 @@ struct Arrays {
   DenseArray<Real, R> u, v, w;
 };
 
-constexpr int kShapes = 6;
+constexpr int kShapes = 6;       // the shapes of the +-1 sweep
+constexpr int kStripShapes = 7;  // and of the strip sweep
 
 // The statement shapes of the sweep; `fused` picks scan(...) or add().
 template <Rank R>
@@ -90,11 +97,13 @@ WavefrontPlan<R> build(int shape, Arrays<R>& x, const Region<R>& reg,
     case 4:  // u written twice: memory (two writers are never carried)
       return make(u <<= v + 0.5 * prime(u, d0),
                   u <<= 0.5 * u + 0.25 * prime(u, d0));
-    default:  // select and unary nodes, three primed leaves
+    case 5:  // select and unary nodes, three primed leaves
       return make(u <<= 0.5 * select_e(v - 0.5, abs_e(prime(u, d0)),
                                        -prime(u, d1)) +
                         sqrt_e(v) * exp_e(-v) + min_e(v, 0.25) -
                         0.25 * max_e(prime(u, d0), 0.1));
+    default:  // SOR's shape: u read primed at d0 and unprimed at d1
+      return make(u <<= 0.5 * prime(u, d0) + 0.25 * at(u, d1) + v);
   }
 }
 
@@ -303,6 +312,235 @@ TEST(RegionKernel, FusedMatchesPerIndexBytewise3d) {
   expect_full(seen);
   EXPECT_TRUE(seen.neg_outer);
   EXPECT_TRUE(seen.cross_statement);
+}
+
+// ---------------------------------------------------------------------------
+// Skewed strips
+
+template <Rank R>
+Direction<R> wide_direction(SplitMix64& rng) {
+  Direction<R> d{};
+  while (d.is_zero())
+    for (Rank k = 0; k < R; ++k) d.v[k] = rng.uniform_int(-2, 2);
+  return d;
+}
+
+// A read that may cross the skew: one step along `row`, two along
+// `inner`, signs at random (whether it crosses depends on the loop steps).
+template <Rank R>
+Direction<R> crossing_candidate(SplitMix64& rng, Rank row, Rank inner) {
+  Direction<R> d{};
+  d.v[row] = rng.bernoulli(0.5) ? 1 : -1;
+  d.v[inner] = rng.bernoulli(0.5) ? 2 : -2;
+  return d;
+}
+
+struct StripCoverage {
+  bool row_major = false, col_major = false;
+  bool neg_inner = false, neg_outer = false;
+  bool ran = false, refused_by_rule = false, refused_by_length = false;
+  bool remainder = false;
+};
+
+template <Rank R>
+void run_strip_sweep(int trials, StripCoverage& seen) {
+  const std::uint64_t seed = sweep_seed();
+  SplitMix64 rng(seed + 100 + R);
+  for (int t = 0; t < trials; ++t) {
+    const StorageOrder order =
+        rng.bernoulli(0.5) ? StorageOrder::kRowMajor : StorageOrder::kColMajor;
+    const int shape = static_cast<int>(rng.uniform_int(0, kStripShapes - 1));
+    const Rank contiguous = contiguous_dim(order, R);
+    // Long along the contiguous dimension (the pencil, when the
+    // dependences allow it), a few pencils per row elsewhere.
+    Idx<R> lo{}, hi{};
+    for (Rank d = 0; d < R; ++d) {
+      lo.v[d] = rng.uniform_int(-3, 3);
+      hi.v[d] = lo.v[d] + (d == contiguous ? rng.uniform_int(10, 40)
+                                           : rng.uniform_int(2, R == 3 ? 8 : 12));
+    }
+    const Region<R> reg(lo, hi);
+    Idx<R> two{};
+    for (Rank d = 0; d < R; ++d) two.v[d] = 2;
+    const Region<R> all = reg.expanded(two);  // every shift reads inside
+    const std::uint64_t salt = rng.next();
+
+    // d0 mostly one step along the contiguous dimension (a carry), d1 a
+    // skew-crossing candidate or any direction in {-2..2}^R.
+    Direction<R> d0{}, d1{};
+    std::optional<WavefrontPlan<R>> probe;
+    Arrays<R> trial(all, order, salt);
+    for (int attempt = 0; attempt < 64 && !probe; ++attempt) {
+      if (rng.bernoulli(0.7)) {
+        d0 = Direction<R>{};
+        d0.v[contiguous] = rng.bernoulli(0.5) ? 1 : -1;
+      } else {
+        d0 = wide_direction<R>(rng);
+      }
+      Rank row = static_cast<Rank>(rng.uniform_int(0, R - 2));
+      if (row >= contiguous) ++row;
+      d1 = rng.bernoulli(0.6) ? crossing_candidate<R>(rng, row, contiguous)
+                              : wide_direction<R>(rng);
+      try {
+        probe = build<R>(shape, trial, reg, d0, d1, true);
+      } catch (const LegalityError&) {
+      }
+    }
+    ASSERT_TRUE(probe.has_value()) << "no legal block for shape " << shape;
+
+    Arrays<R> a(all, order, salt), b(all, order, salt);
+    const auto fused = build<R>(shape, a, reg, d0, d1, true);
+    const auto per_index = build<R>(shape, b, reg, d0, d1, false);
+    ASSERT_EQ(fused.loops, per_index.loops);
+    validate_coverage(fused, reg);
+
+    const auto tiles = random_tiles(rng, reg, fused.loops);
+    for (const auto& tile : tiles) {
+      run_serial_on(fused, tile);
+      run_serial_on(per_index, tile);
+    }
+
+    const std::string what =
+        "seed " + std::to_string(seed) + " rank " + std::to_string(R) +
+        " trial " + std::to_string(t) + " shape " + std::to_string(shape) +
+        " d0 " + to_string(d0) + " d1 " + to_string(d1) + " strips " +
+        std::to_string(fused.strips) + " tiles " +
+        std::to_string(tiles.size()) + "\n" + fused.describe();
+    EXPECT_TRUE(same_bytes(a.u, b.u)) << what;
+    EXPECT_TRUE(same_bytes(a.w, b.w)) << what;
+    EXPECT_TRUE(same_bytes(a.v, b.v)) << what;
+
+    (order == StorageOrder::kRowMajor ? seen.row_major : seen.col_major) =
+        true;
+    for (Rank level = 0; level < R; ++level) {
+      if (fused.loops.step[fused.loops.order[level]] > 0) continue;
+      (level == R - 1 ? seen.neg_inner : seen.neg_outer) = true;
+    }
+    bool carried = false;
+    for (const auto& st : carry_slots(fused))
+      for (const int slot : st) carried = carried || slot >= 0;
+    if (!carried) continue;
+    const Rank inner = fused.loops.order[R - 1];
+    const Rank row = fused.loops.order[R - 2];
+    for (const auto& tile : tiles) {
+      const Coord n = tile.extent(inner), m = tile.extent(row);
+      if (m < kStripLanes) continue;
+      if (n < kStripMinLength) {
+        if (fused.strips) seen.refused_by_length = true;
+      } else if (!fused.strips) {
+        seen.refused_by_rule = true;
+      } else {
+        seen.ran = true;
+        if (m % kStripLanes != 0) seen.remainder = true;
+      }
+    }
+  }
+}
+
+void expect_strip_coverage(const StripCoverage& seen) {
+  EXPECT_TRUE(seen.row_major && seen.col_major);
+  EXPECT_TRUE(seen.neg_inner);
+  EXPECT_TRUE(seen.neg_outer);
+  EXPECT_TRUE(seen.ran);
+  EXPECT_TRUE(seen.refused_by_rule);
+  EXPECT_TRUE(seen.refused_by_length);
+  EXPECT_TRUE(seen.remainder);
+}
+
+TEST(RegionKernel, StripsMatchPerIndexBytewise2d) {
+  StripCoverage seen;
+  run_strip_sweep<2>(240, seen);
+  expect_strip_coverage(seen);
+}
+
+TEST(RegionKernel, StripsMatchPerIndexBytewise3d) {
+  StripCoverage seen;
+  run_strip_sweep<3>(200, seen);
+  expect_strip_coverage(seen);
+}
+
+// The strip rule on single reads, in loop coordinates (a pencils along the
+// row, b elements along the pencil) on a column-major block whose pencils
+// run down dim 0 and whose rows step dim 1, both ascending: u'@north is
+// the carry, and `extra` is the read under test.
+struct StripCase {
+  Direction<2> dir;
+  bool primed;
+  bool strips;
+};
+
+// `fused` picks scan(...) or add(), as build() does.
+WavefrontPlan<2> strip_case_plan(DenseArray<Real, 2>& u, DenseArray<Real, 2>& v,
+                                 const Region<2>& reg, const StripCase& c,
+                                 bool fused) {
+  const ArrayRef<2> extra = c.primed ? prime(u, c.dir) : at(u, c.dir);
+  const auto spec = u <<= 0.5 * prime(u, kNorth) + 0.25 * extra + v;
+  if (fused) return scan(reg, spec).compile();
+  ScanBlock<2> sb(reg);
+  sb.add(to_statement(spec));
+  return sb.compile();
+}
+
+TEST(RegionKernel, StripRuleRefusesReadsAcrossTheSkew) {
+  // dir = (b, a): dim 0 is the pencil, dim 1 the row.
+  const StripCase cases[] = {
+      {Direction<2>{{2, -1}}, true, false},   // primed (a, b) = (-1, +2)
+      {Direction<2>{{-2, 1}}, false, false},  // unprimed (+1, -2)
+      {Direction<2>{{1, -1}}, true, true},    // primed (-1, +1): same step
+      {Direction<2>{{2, -2}}, true, true},    // primed (-2, +2)
+      {Direction<2>{{-1, -1}}, true, true},   // primed (-1, -1)
+      {Direction<2>{{-1, 1}}, false, true},   // unprimed (+1, -1)
+      {Direction<2>{{0, 1}}, false, true},    // unprimed (+1, 0)
+      {Direction<2>{{2, 0}}, false, true},    // unprimed (0, +2)
+  };
+  const Region<2> all({{-1, -1}}, {{40, 14}});
+  const Region<2> reg({{1, 1}}, {{38, 12}});  // 38-cell pencils, 12 per row
+  for (const StripCase& c : cases) {
+    DenseArray<Real, 2> u("u", all), v("v", all), ur("u", all), vr("v", all);
+    for (auto* x : {&u, &ur})
+      x->fill_fn([](const Idx<2>& i) { return hashed(5, i, -1.0, 1.0); });
+    for (auto* x : {&v, &vr})
+      x->fill_fn([](const Idx<2>& i) { return hashed(6, i, 0.0, 1.0); });
+    auto plan = strip_case_plan(u, v, reg, c, true);
+    const std::string what = to_string(c.dir) + (c.primed ? " primed" : "");
+    ASSERT_EQ(plan.loops.order, (std::array<Rank, 2>{1, 0})) << what;
+    ASSERT_EQ(plan.loops.step, (std::array<int, 2>{1, 1})) << what;
+    EXPECT_EQ(plan.strips, c.strips) << what;
+
+    // Whatever the rule says, the fused kernel matches per-index eval_at.
+    run_serial_on(plan, reg);
+    run_serial_on(strip_case_plan(ur, vr, reg, c, false), reg);
+    EXPECT_TRUE(same_bytes(u, ur)) << what;
+
+    // A refused plan run in strips anyway reads across the skew: the rule
+    // is what keeps those bytes right.
+    if (!c.strips) {
+      u.fill_fn([](const Idx<2>& i) { return hashed(5, i, -1.0, 1.0); });
+      plan.strips = true;
+      run_serial_on(plan, reg);
+      EXPECT_FALSE(same_bytes(u, ur)) << what;
+    }
+  }
+}
+
+TEST(RegionKernel, StripRuleIgnoresReadsIntoOtherRows) {
+  // Rank 3, pencils down dim 0, rows along dim 1: a read that also moves
+  // along the outer dim 2 reaches another row and never blocks strips;
+  // the same (a, b) within the row does.
+  const Region<3> reg({{1, 1, 1}}, {{20, 6, 3}});
+  const Region<3> all = reg.expanded(Idx<3>{{2, 2, 2}});
+  DenseArray<Real, 3> u("u", all), v("v", all);
+  const Direction<3> carry{{-1, 0, 0}};
+  const auto other_row = scan(reg, u <<= 0.5 * prime(u, carry) +
+                                         0.25 * prime(u, Direction<3>{{2, -1, -1}}) + v)
+                             .compile();
+  ASSERT_EQ(other_row.loops.order, (std::array<Rank, 3>{2, 1, 0}));
+  EXPECT_TRUE(other_row.strips);
+  const auto same_row = scan(reg, u <<= 0.5 * prime(u, carry) +
+                                        0.25 * prime(u, Direction<3>{{2, -1, 0}}) + v)
+                            .compile();
+  ASSERT_EQ(same_row.loops.order, (std::array<Rank, 3>{2, 1, 0}));
+  EXPECT_FALSE(same_row.strips);
 }
 
 // ---------------------------------------------------------------------------

@@ -113,8 +113,41 @@ TEST(SweepService, BillCoversOneJob) {
   EXPECT_EQ(jr.bill.base_rank, 0);
   EXPECT_EQ(jr.bill.round, 1);
   EXPECT_NE(jr.bill.describe().find("tomcatv"), std::string::npos);
-  EXPECT_EQ(svc.completed(), 1u);
+  EXPECT_EQ(svc.held(), 0u);  // wait() handed the result over
   EXPECT_EQ(svc.queued(), 0u);
+  EXPECT_TRUE(svc.done(id));
+  EXPECT_THROW(svc.wait(id), ServiceError);    // already taken
+  EXPECT_THROW(svc.result(id), ServiceError);
+}
+
+// A long-lived service must not grow with the jobs it has served: wait()
+// hands each result over, drain() leaves them held until taken.
+TEST(SweepService, WaitedResultsAreNotHeld) {
+  ServiceConfig cfg;
+  cfg.ranks = 2;
+  cfg.costs = test_costs();
+  SweepService svc(cfg);
+  JobParams params;
+  params.app = "sor";
+  params.n = 8;
+  params.p = 2;
+  params.iters = 1;
+  for (int k = 0; k < 200; ++k) {
+    const JobResult jr = svc.wait(svc.submit(params));
+    ASSERT_EQ(svc.held(), 0u) << "cycle " << k;
+    ASSERT_EQ(jr.bill.id, static_cast<JobId>(k + 1));
+  }
+  EXPECT_EQ(svc.queued(), 0u);
+
+  const JobId a = svc.submit(params);
+  const JobId b = svc.submit(params);
+  svc.drain();
+  EXPECT_EQ(svc.held(), 2u);
+  EXPECT_EQ(svc.result(a).bill.id, a);  // result() only looks
+  EXPECT_EQ(svc.wait(a).bill.id, a);
+  EXPECT_EQ(svc.wait(b).bill.id, b);
+  EXPECT_EQ(svc.held(), 0u);
+  EXPECT_FALSE(svc.done(b + 1));  // never submitted
 }
 
 TEST(SweepService, EveryAppMatchesStandalone) {
@@ -213,12 +246,8 @@ TEST(SweepService, CacheHitIsByteIdenticalAcrossPolicies) {
       params.p = 4;
       params.iters = c.iters;
       params.policy = policy;
-      const JobId cold = svc.submit(params);
-      svc.wait(cold);
-      const JobId hot = svc.submit(params);
-      svc.wait(hot);
-      const JobResult& jc = svc.result(cold);
-      const JobResult& jh = svc.result(hot);
+      const JobResult jc = svc.wait(svc.submit(params));
+      const JobResult jh = svc.wait(svc.submit(params));
       EXPECT_FALSE(jc.bill.cache_hit);
       EXPECT_TRUE(jh.bill.cache_hit) << jh.bill.describe();
       EXPECT_EQ(jc.bill.block, jh.bill.block);
