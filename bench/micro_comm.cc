@@ -189,6 +189,28 @@ void BM_GhostExchange(benchmark::State& state) {
 }
 BENCHMARK(BM_GhostExchange)->Arg(64)->Arg(256)->Iterations(100);
 
+// Contended operation lock: every thread charges compute(1) to one armed
+// communicator, as up to four tasks-backend workers do when they run one
+// rank's tiles at once. items/s counts charges across all threads per
+// wall second, so the Threads(1) row is the uncontended lock and the
+// others show what contention costs. With no work between charges the
+// lock is saturated, unlike a task body's microseconds between
+// acquisitions; there a sleeping mutex that hands the lock straight back
+// to the thread that released it can post more items/s than a spin lock.
+void BM_ConcurrentCompute(benchmark::State& state) {
+  struct Armed {
+    Machine m{1, {}, TraceConfig{}, engine_cfg(EngineKind::kParallel)};
+    Communicator comm{m, 0};
+    Armed() { comm.enable_concurrent_ops(); }
+  };
+  static Armed armed;
+  for (auto _ : state) armed.comm.compute(1.0);
+  benchmark::DoNotOptimize(armed.comm.vtime());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ConcurrentCompute)->Threads(1)->Threads(2)->Threads(4)
+    ->UseRealTime();
+
 // ---- the overlap (nonblocking) wavefront workload ----
 
 // One pipelined wavefront sweep over an n x n grid distributed along dim 0,

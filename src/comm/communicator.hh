@@ -47,6 +47,7 @@
 
 #include "comm/cost_model.hh"
 #include "comm/mailbox.hh"
+#include "comm/op_lock.hh"
 #include "comm/request.hh"
 #include "comm/stats.hh"
 #include "comm/trace.hh"
@@ -125,13 +126,14 @@ class Communicator {
   // tasks backend breaks that assumption — any worker thread may run one of
   // this rank's tasks, and a scanner thread may concurrently poll this
   // rank's inflow requests. enable_concurrent_ops() arms a per-communicator
-  // recursive mutex that every leaf operation (compute, send/recv, request
-  // ops, probe) then takes, serializing the rank's virtual clock, request
-  // table, and mailbox consumer side. Recursive so that a thread holding
-  // the lock across a whole task (the static backend's determinism hold, or
-  // a scanner inside try_lock_ops()) can still call the self-locking ops.
-  // When not armed, lock_ops() returns an empty (no-op) lock, so the SPMD
-  // paths pay one relaxed atomic load per op and nothing else.
+  // OpLock (comm/op_lock.hh: a recursive spin lock that never sleeps in the
+  // kernel) that every leaf operation (compute, send/recv, request ops,
+  // probe) then takes, serializing the rank's virtual clock, request table,
+  // and mailbox consumer side. Recursive so that a thread already holding
+  // the lock (a scanner inside try_lock_ops(), a task release, the
+  // departure handshake) can still call the self-locking ops. When not
+  // armed, lock_ops() returns an empty (no-op) lock, so the SPMD paths pay
+  // one acquire load per op and nothing else.
 
   /// Arms concurrent mode for the rest of this communicator's life (there
   /// is no disarm: the run that needed it is the run that made it).
@@ -139,19 +141,18 @@ class Communicator {
     concurrent_.store(true, std::memory_order_release);
   }
 
-  /// Acquires the operation lock (blocking). Empty lock when concurrent
-  /// mode is off.
-  std::unique_lock<std::recursive_mutex> lock_ops() {
+  /// Acquires the operation lock (spinning, then yielding; it never sleeps
+  /// in the kernel). Empty lock when concurrent mode is off.
+  std::unique_lock<OpLock> lock_ops() {
     if (!concurrent_.load(std::memory_order_acquire)) return {};
-    return std::unique_lock<std::recursive_mutex>(op_mutex_);
+    return std::unique_lock<OpLock>(op_lock_);
   }
 
   /// Try-acquires the operation lock; an empty lock means some other worker
   /// holds it (or concurrent mode is off — callers only use this when on).
-  std::unique_lock<std::recursive_mutex> try_lock_ops() {
+  std::unique_lock<OpLock> try_lock_ops() {
     if (!concurrent_.load(std::memory_order_acquire)) return {};
-    return std::unique_lock<std::recursive_mutex>(op_mutex_,
-                                                  std::try_to_lock);
+    return std::unique_lock<OpLock>(op_lock_, std::try_to_lock);
   }
 
   // ---- virtual time ----
@@ -173,7 +174,7 @@ class Communicator {
     // inside a locked leaf op right now (two tasks of one rank on two
     // workers), so the read must serialize with those mutations.
     if (!concurrent_.load(std::memory_order_acquire)) return vtime_;
-    std::lock_guard<std::recursive_mutex> l(op_mutex_);
+    std::lock_guard<OpLock> l(op_lock_);
     return vtime_;
   }
 
@@ -530,12 +531,10 @@ class Communicator {
   int view_tag_count_ = 0;
   std::string view_label_;
   // Concurrent-operations mode (tasks backend): armed once, never disarmed.
-  // Recursive so lock-holding scanners and whole-task holds can nest the
-  // self-locking leaf ops.
   std::atomic<bool> concurrent_{false};
   // Mutable so const readers (vtime()) can serialize against the locked
   // mutators when concurrent mode is armed.
-  mutable std::recursive_mutex op_mutex_;
+  mutable OpLock op_lock_;
   double vtime_ = 0.0;
   // When the serialized send engine (NIC) is free again, under
   // occupy_sender. Blocking sends keep it equal to the clock, so programs

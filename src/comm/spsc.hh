@@ -34,6 +34,8 @@
 #include <utility>
 #include <vector>
 
+#include "comm/op_lock.hh"
+
 #if defined(__linux__)
 #include <linux/futex.h>
 #include <sys/syscall.h>
@@ -246,14 +248,6 @@ class Parker {
 
  private:
   static constexpr std::uint32_t kSpinMax = 4096;
-
-  static void cpu_relax() {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#endif
-  }
 
   alignas(64) std::atomic<std::uint32_t> epoch_{0};
   std::atomic<std::uint32_t> waiters_{0};

@@ -108,7 +108,10 @@ void walk_pencils(const PencilWalk<R>& w, Pencil&& pencil, Advance&& advance) {
 
 /// A skewed strip's lanes, and the shortest pencil it runs: shorter
 /// pencils (SWEEP3D's 6 cells) keep the one-pencil loop, which has no
-/// prologue and epilogue to amortise. Fixed at compile time.
+/// prologue and epilogue to amortise. Rows of fewer than kStripLanes
+/// pencils run singly too: perfbench's SWEEP3D tiles (b = 2, loop order
+/// (2,1,0), tile dimension 1) are rows of 2 pencils, so the lane test
+/// refuses them whatever their length. Fixed at compile time.
 inline constexpr Coord kStripLanes = 4;
 inline constexpr Coord kStripMinLength = 16;
 

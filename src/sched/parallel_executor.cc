@@ -462,7 +462,7 @@ bool TaskArena::promote(RankSlot& my, RankSlot& q) {
 
 bool TaskArena::assist(RankSlot& my, int r) {
   RankSlot* q = nullptr;
-  std::unique_lock<std::recursive_mutex> held;
+  std::unique_lock<OpLock> held;
   {
     // The scan_mu_ window guarantees q cannot depart (and its thread
     // destroy the Communicator) between the departed check and our lock

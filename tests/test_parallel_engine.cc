@@ -26,6 +26,7 @@
 #include "apps/suite.hh"
 #include "apps/sweep3d.hh"
 #include "comm/machine.hh"
+#include "comm/op_lock.hh"
 #include "comm/spsc.hh"
 #include "sched/executor.hh"
 #include "sched/graph.hh"
@@ -652,6 +653,89 @@ TEST(Deque, MultiThiefTortureClaimsEveryItemExactlyOnce) {
   for (auto& th : thieves) th.join();
   EXPECT_EQ(total.load(), kItems);
   EXPECT_TRUE(d.empty());
+}
+
+// ---------------------------------------------------------------------------
+// OpLock — the recursive spin lock behind Communicator's concurrent mode.
+
+TEST(OpLock, OwnerNestsAndUnwindsEveryLevel) {
+  OpLock lk;
+  lk.lock();
+  lk.lock();
+  EXPECT_TRUE(lk.try_lock());  // the owner re-enters without contention
+  lk.unlock();
+  lk.unlock();
+  // Still held at depth 1: another thread cannot take it.
+  bool other = true;
+  std::thread([&] { other = lk.try_lock(); }).join();
+  EXPECT_FALSE(other);
+  lk.unlock();
+  std::thread([&] {
+    other = lk.try_lock();
+    if (other) lk.unlock();
+  }).join();
+  EXPECT_TRUE(other);
+}
+
+TEST(OpLock, TryLockFailsWhileHeldAndSucceedsAfterRelease) {
+  OpLock lk;
+  std::atomic<int> phase{0};
+  bool while_held = true, after_release = false;
+  std::thread t([&] {
+    while (phase.load(std::memory_order_acquire) != 1)
+      std::this_thread::yield();
+    while_held = lk.try_lock();
+    phase.store(2, std::memory_order_release);
+    while (phase.load(std::memory_order_acquire) != 3)
+      std::this_thread::yield();
+    after_release = lk.try_lock();
+    if (after_release) lk.unlock();
+  });
+  lk.lock();
+  phase.store(1, std::memory_order_release);
+  while (phase.load(std::memory_order_acquire) != 2) std::this_thread::yield();
+  lk.unlock();
+  phase.store(3, std::memory_order_release);
+  t.join();
+  EXPECT_FALSE(while_held);
+  EXPECT_TRUE(after_release);
+}
+
+TEST(OpLock, ArmedCommunicatorSerializesAPlainCounter) {
+  // Four threads hammer one armed communicator: the counter is a plain
+  // long, so an exact total (and a clean TSan run) shows lock_ops() orders
+  // every critical section. compute() nests inside the held lock, and its
+  // clock must count every charge too.
+  Machine m(1, {}, TraceConfig{}, engine(EngineKind::kParallel));
+  Communicator comm(m, 0);
+  comm.enable_concurrent_ops();
+  constexpr int kThreads = 4;
+  constexpr long kIters = 100000;
+  long counter = 0;
+  std::vector<std::thread> ts;
+  for (int i = 0; i < kThreads; ++i)
+    ts.emplace_back([&] {
+      for (long k = 0; k < kIters; ++k) {
+        auto l = comm.lock_ops();
+        ASSERT_TRUE(l.owns_lock());
+        ++counter;
+        comm.compute(1.0);
+      }
+    });
+  for (auto& t : ts) t.join();
+  EXPECT_EQ(counter, kThreads * kIters);
+  EXPECT_EQ(comm.vtime(), static_cast<double>(kThreads * kIters));
+}
+
+TEST(OpLock, UnarmedCommunicatorLocksNothing) {
+  Machine m(1, {}, TraceConfig{}, engine(EngineKind::kParallel));
+  Communicator comm(m, 0);
+  auto l = comm.lock_ops();
+  EXPECT_FALSE(l.owns_lock());
+  EXPECT_EQ(l.mutex(), nullptr);
+  auto t = comm.try_lock_ops();
+  EXPECT_FALSE(t.owns_lock());
+  EXPECT_EQ(t.mutex(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
