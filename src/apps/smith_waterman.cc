@@ -185,7 +185,8 @@ Real SmithWaterman::reference_best_score() const {
 
 SmithWatermanScore::SmithWatermanScore(const SmithWatermanConfig& cfg,
                                        const ProcGrid<2>& grid, int rank)
-    : layout_(sw_global(cfg), grid, Idx<2>{{1, 1}}),
+    : rank_(rank),
+      layout_(sw_global(cfg), grid, Idx<2>{{1, 1}}),
       // One cell until run_wavefront sizes it.
       h_("H", Region<2>(layout_.allocated(rank).lo(),
                         layout_.allocated(rank).lo()),
@@ -204,6 +205,14 @@ Real SmithWatermanScore::run(Communicator& comm, const WaveOptions& opts) {
   const WaveReport<2> rep = run_wavefront(plan_, layout_, comm, opts);
   // H >= 0 on every cell, so the max is the best score.
   return comm.allreduce_max(rep.maxima[0]);
+}
+
+LoweredWave<2> SmithWatermanScore::lower_fill(TaskGraph& g,
+                                              const WaveOptions& opts) {
+  TagAllocator ta(opts.tag_base);
+  const TagRange tags =
+      ta.alloc(wavefront_tag_span<2>(2), "smith-waterman score fill");
+  return lower_wavefront(g, plan_, layout_, rank_, tags, "sw", opts);
 }
 
 Real smith_waterman_spmd(Communicator& comm, const SmithWatermanConfig& cfg,

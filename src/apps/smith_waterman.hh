@@ -150,11 +150,18 @@ class SmithWatermanScore {
   /// run starts from H = 0, so runs may repeat.
   Real run(Communicator& comm, const WaveOptions& opts = {});
 
+  /// Lowers the same fill into `g` without running it. Comm-free and
+  /// deterministic for a given (cfg, grid, rank) — the recovery
+  /// ProgramFactory seam. Once `g` has drained, the result's maxima()[0]
+  /// is this rank's best score.
+  LoweredWave<2> lower_fill(TaskGraph& g, const WaveOptions& opts = {});
+
   /// H's storage as the last run left it: the last window, or the whole
   /// allocated block where no window applies.
   const DenseArray<Real, 2>& h() const { return h_; }
 
  private:
+  int rank_;
   Layout<2> layout_;
   DenseArray<Real, 2> h_;
   DenseArray<Real, 2> sym_a_;

@@ -42,6 +42,7 @@
 #pragma once
 
 #include <array>
+#include <limits>
 #include <source_location>
 #include <span>
 #include <string>
@@ -327,6 +328,26 @@ WaveTiling<R> wave_tiling(const WavefrontPlan<R>& plan, const Layout<R>& layout,
   return t;
 }
 
+/// run_wavefront's old-value ghost exchange, bundled: every array of the
+/// plan with a nonzero halo contributes to one message per neighbour per
+/// dimension, on tags [tag_base, tag_base + 2R). Contracted arrays have no
+/// old values anyone reads (primed reads only). Collective.
+template <Rank R>
+void exchange_plan_ghosts(const WavefrontPlan<R>& plan,
+                          const Layout<R>& layout, Communicator& comm,
+                          int tag_base) {
+  std::vector<GhostHalo<Real, R>> bundle;
+  for (const auto& use : plan.arrays) {
+    if (plan.is_contracted(use.array->id())) continue;
+    bool any = false;
+    for (Rank d = 0; d < R; ++d) any = any || use.halo.v[d] > 0;
+    if (any) bundle.push_back({use.array, use.halo});
+  }
+  if (!bundle.empty())
+    exchange_ghosts(std::span<const GhostHalo<Real, R>>(bundle), layout,
+                    comm.rank(), comm, tag_base);
+}
+
 namespace detail {
 
 /// One frontier face of `local` along axis `fd` (travel `tv`, face depth
@@ -550,7 +571,9 @@ struct WaveGrid {
 /// Request is a no-op).
 template <Rank R>
 void run_wave_grid(const WaveGrid<R>& g, Communicator& comm,
-                   const WaveOptions& opts, ContractedStore<R>& store) {
+                   const WaveOptions& opts, ContractedStore<R>& store,
+                   std::vector<Real>& maxima) {
+  std::vector<Real> tile_max(maxima.size());
   // [axis][slot]
   std::array<std::array<std::vector<Real>, 2>, 2> recv_buf, send_buf;
   std::array<std::array<Request, 2>, 2> recv_req, send_req;
@@ -585,7 +608,7 @@ void run_wave_grid(const WaveGrid<R>& g, Communicator& comm,
         inflows[n_in++] = recv_buf[a][slot_of(axis)];
         post(axis, WaveGrid<R>::along(axis, u, v) + 1);
       }
-      store.enter(g.tile(u, v));
+      store.enter(g.tile(u, v), d == 0);
       const Region<R> tile = g.run_tile(
           comm, opts.charge, u, v,
           std::span<const std::span<const Real>>(inflows.data(), n_in),
@@ -601,7 +624,9 @@ void run_wave_grid(const WaveGrid<R>& g, Communicator& comm,
             r = comm.isend(peer, payload, g.tag(axis));
             if (!opts.overlap) comm.wait(r);
           });
-      store.fold(tile);
+      store.fold(tile, tile_max);
+      for (std::size_t k = 0; k < maxima.size(); ++k)
+        maxima[k] = maxima[k] < tile_max[k] ? tile_max[k] : maxima[k];
 
       // One slice per tile spanning its recv-waits, compute, and sends; the
       // tag carries the row-major tile index so a trace shows the wave
@@ -639,36 +664,23 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
                                    windows ? tiling.clamp_block(opts.block)
                                            : 0);
 
-  // Old-value ghost exchange, bundled: every array with a nonzero halo
-  // contributes to one message per neighbour per dimension. Contracted
-  // arrays have no old values anyone reads (primed reads only).
-  if (opts.pre_exchange) {
-    std::vector<GhostHalo<Real, R>> bundle;
-    for (const auto& use : plan.arrays) {
-      if (plan.is_contracted(use.array->id())) continue;
-      bool any = false;
-      for (Rank d = 0; d < R; ++d) any = any || use.halo.v[d] > 0;
-      if (any) bundle.push_back({use.array, use.halo});
-    }
-    if (!bundle.empty())
-      exchange_ghosts(std::span<const GhostHalo<Real, R>>(bundle), layout,
-                      rank, comm, opts.tag_base);
-  }
+  if (opts.pre_exchange) exchange_plan_ghosts(plan, layout, comm, opts.tag_base);
 
   WaveReport<R> rep;
   rep.local_region = tiling.local;
+  rep.maxima.resize(store.arrays());
   if (!tiling.waved) {
+    store.enter(tiling.local, true);
     run_serial_on(plan, tiling.local);
-    store.fold(tiling.local);
+    store.fold(tiling.local, rep.maxima);
     if (opts.charge) comm.compute(static_cast<double>(tiling.local.size()));
-    rep.maxima = std::move(store.maxima);
     return rep;
   }
 
+  rep.maxima.assign(store.arrays(), -std::numeric_limits<Real>::infinity());
   const detail::WaveGrid<R> g(plan, tiling, opts.block, opts.block_w,
                               opts.tag_base);
-  detail::run_wave_grid(g, comm, opts, store);
-  rep.maxima = std::move(store.maxima);
+  detail::run_wave_grid(g, comm, opts, store, rep.maxima);
   rep.waved = true;
   rep.axes = tiling.axes;
   rep.tile_dim = tiling.tdim;

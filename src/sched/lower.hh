@@ -17,18 +17,27 @@
 //   * no ghost pre-exchange (run_wavefront's pre_exchange): programs that
 //     need old-value halos model them as their own tasks, with edges
 //     expressing their real ordering constraints;
-//   * no contracted arrays (ScanBlock::contract): a plan that declares
-//     one is rejected with a ContractError, since its storage and live-out
-//     belong to run_wavefront's tile loop;
 //   * no inter-instance edges: flux accumulation order, buffer reuse
 //     (WAR) and similar cross-plan constraints are the caller's knowledge
 //     and are declared with TaskGraph::add_edge.
+//
+// Contracted arrays (ScanBlock::contract) live in one ContractedStore per
+// instance (exec/contracted.hh), shared by its tasks like the WaveGrid:
+// each task enters its tile before the tile body and folds the tile's
+// live-out maxima into its own slots after it. On a tiled rank line the
+// v-1 -> v chain edge runs the tiles, and so slides the window, in tile
+// order on any executor; the heir of a dead rank replays the logged
+// prefix in completion order, which rebuilds the window the same way.
+// LoweredWave::maxima() reduces the per-tile maxima once the graph has
+// drained.
 //
 // Lifetime: the emitted task bodies reach `plan` (and the arrays it
 // names) by pointer — it must outlive run_graph().
 #pragma once
 
+#include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -37,6 +46,37 @@
 #include "sched/tags.hh"
 
 namespace wavepipe {
+
+namespace detail {
+
+/// What the tasks of one lowered instance share. They outlive
+/// lower_wavefront, so they hold it by shared_ptr.
+template <Rank R>
+struct WaveInstance {
+  WaveInstance(const WavefrontPlan<R>& plan, const WaveTiling<R>& t,
+               const Region<R>& allocated, const WaveOptions& opts,
+               int tag_base)
+      : grid(plan, t, opts.block, opts.block_w, tag_base),
+        // Windows one tile wide on a tiled rank line, the whole allocated
+        // block on every other path.
+        store(plan, allocated, t.tdim, t.tsign,
+              t.waved && t.axes == 1 && t.tdim != t.w ? grid.bj : 0),
+        partial(static_cast<std::size_t>(grid.mi * grid.mj) *
+                store.arrays()) {}
+
+  WaveGrid<R> grid;
+  ContractedStore<R> store;
+  /// Live-out maxima per tile (row-major) and contracted array.
+  std::vector<Real> partial;
+
+  std::span<Real> tile_maxima(Coord u, Coord v) {
+    const std::size_t n = store.arrays();
+    return std::span<Real>(partial).subspan(
+        static_cast<std::size_t>(u * grid.mj + v) * n, n);
+  }
+};
+
+}  // namespace detail
 
 template <Rank R>
 struct LoweredWave {
@@ -50,6 +90,22 @@ struct LoweredWave {
   /// otherwise).
   Coord wtiles = 1;
   Coord block_w = 0;
+
+  /// Per contracted array of the plan (plan.contracted order): this rank's
+  /// fused live-out max over its cells of the scan region; -inf without a
+  /// live max or without cells. Read it after the graph has drained; the
+  /// caller reduces across ranks.
+  std::vector<Real> maxima() const {
+    const std::size_t n = instance->store.arrays();
+    std::vector<Real> m(n, -std::numeric_limits<Real>::infinity());
+    for (std::size_t i = 0; i < instance->partial.size(); ++i) {
+      const Real x = instance->partial[i];
+      m[i % n] = m[i % n] < x ? x : m[i % n];
+    }
+    return m;
+  }
+
+  std::shared_ptr<detail::WaveInstance<R>> instance;
 };
 
 /// Lowers one plan instance for `rank` into `g`. `tags` must span at least
@@ -69,75 +125,63 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
                                const Layout<R>& layout, int rank,
                                const TagRange& tags, const std::string& label,
                                const WaveOptions& opts = {}) {
-  if (!plan.contracted.empty()) {
-    std::string what = "lower_wavefront cannot run contracted array '";
-    what += plan.contracted.front().array->name();
-    what += "': contraction windows and live-outs exist in run_wavefront only";
-    throw ContractError(what, std::source_location::current());
-  }
   LoweredWave<R> lw;
   lw.tiling = wave_tiling(plan, layout, rank);
   const WaveTiling<R>& t = lw.tiling;
+  if (t.waved)
+    require(tags.count >= wavefront_tag_span<R>(t.axes),
+            "tag range too narrow for a wavefront instance (need "
+            "wavefront_tag_span tags)");
+  // A non-waved plan is the 1 x 1 grid: one task, no faces.
+  const auto inst = std::make_shared<detail::WaveInstance<R>>(
+      plan, t, layout.allocated(rank), opts, tags.base);
+  const detail::WaveGrid<R>& grid = inst->grid;
+  lw.instance = inst;
+  lw.block = grid.bj;
+  lw.wtiles = grid.mi;
+  lw.block_w = grid.bw;
 
-  if (!t.waved) {
-    lw.block = t.clamp_block(opts.block);
-    TaskGraph::Task task;
-    task.label = label;
-    task.cost = static_cast<double>(t.local.size());
-    const Region<R> local = t.local;
-    const bool charge = opts.charge;
-    task.run = [&plan, local, charge](TaskContext& ctx) {
-      run_serial_on(plan, local);
-      if (charge) ctx.comm.compute(static_cast<double>(local.size()));
-    };
-    lw.tiles.push_back(g.add(std::move(task)));
-    return lw;
-  }
-
-  require(tags.count >= wavefront_tag_span<R>(t.axes),
-          "tag range too narrow for a wavefront instance (need "
-          "wavefront_tag_span tags)");
-  // One grid shared by every task of the instance; the tasks outlive this
-  // call, so they hold it by shared_ptr rather than by reference.
-  const auto grid = std::make_shared<const detail::WaveGrid<R>>(
-      plan, t, opts.block, opts.block_w, tags.base);
-  lw.block = grid->bj;
-  lw.wtiles = grid->mi;
-  lw.block_w = grid->bw;
-
-  for (Coord u = 0; u < grid->mi; ++u) {
-    for (Coord v = 0; v < grid->mj; ++v) {
+  for (Coord u = 0; u < grid.mi; ++u) {
+    for (Coord v = 0; v < grid.mj; ++v) {
       TaskGraph::Task task;
-      task.label = label + "[" +
-                   (t.axes == 2 ? std::to_string(u) + "," : std::string()) +
-                   std::to_string(v) + "]";
-      task.cost = static_cast<double>(grid->tile(u, v).size());
+      task.label = !t.waved ? label
+                   : label + "[" +
+                         (t.axes == 2 ? std::to_string(u) + "," : std::string()) +
+                         std::to_string(v) + "]";
+      task.cost = static_cast<double>(grid.tile(u, v).size());
       // Declaration order (axis 0, then axis 1) is run_tile's unpack order.
       for (int axis = 0; axis < 2; ++axis) {
-        const int src = grid->inflow_peer(axis, u, v);
+        const int src = grid.inflow_peer(axis, u, v);
         if (src < 0) continue;
         const Coord k = detail::WaveGrid<R>::along(axis, u, v);
         task.inflows.push_back(
-            {src, grid->tag(axis), grid->inflow_size(axis, k)});
+            {src, grid.tag(axis), grid.inflow_size(axis, k)});
       }
-      task.run = [grid, u, v, charge = opts.charge](TaskContext& ctx) {
+      task.run = [inst, u, v, charge = opts.charge](TaskContext& ctx) {
+        const detail::WaveGrid<R>& wg = inst->grid;
+        inst->store.enter(wg.tile(u, v), u == 0 && v == 0);
         // Each outflow is packed into the executor's scratch buffer; send()
         // copies it out, so both axes can share it.
-        grid->run_tile(
+        const Region<R> tile = wg.run_tile(
             ctx.comm, charge, u, v, ctx.inflows,
             [&ctx](int) -> std::vector<Real>& { return ctx.scratch(); },
             [&](int axis, int peer, std::span<const Real> payload) {
-              ctx.send(peer, payload, grid->tag(axis));
+              ctx.send(peer, payload, wg.tag(axis));
             });
+        inst->store.fold(tile, inst->tile_maxima(u, v));
       };
 
       const TaskId id = g.add(std::move(task));
-      // Row-major chain edges encode both the tiling legality order and the
-      // per-(src, tag) FIFO posting order for the two inflow streams.
+      // Row-major chain edges encode the tiling legality order, the
+      // per-(src, tag) FIFO posting order for the two inflow streams, and
+      // the tile order a contraction window slides in.
       if (v > 0) g.add_edge(lw.tiles.back(), id);
       if (u > 0)
-        g.add_edge(lw.tiles[static_cast<std::size_t>((u - 1) * grid->mj + v)],
+        g.add_edge(lw.tiles[static_cast<std::size_t>((u - 1) * grid.mj + v)],
                    id);
+      internal_check(plan.contracted.empty() || u + v == 0 ||
+                         g.predecessors(id) > 0,
+                     "a contracted instance's tiles must be chained");
       lw.tiles.push_back(id);
     }
   }

@@ -1,8 +1,8 @@
 // Array contraction: the candidate analysis over compiled scan blocks, the
 // legality rule for a block that declares an array contracted
 // (ScanBlock::contract), and a random differential test of contracted
-// storage against full storage on rank lines. Reseed the random test
-// with WAVEPIPE_SEED=<n>.
+// storage against full storage on rank lines, through run_wavefront and
+// through lowered graphs. Reseed the random test with WAVEPIPE_SEED=<n>.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +11,13 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "apps/smith_waterman.hh"
 #include "lang/contraction.hh"
 #include "lang/scan_block.hh"
+#include "sched/executor.hh"
+#include "sched/lower.hh"
 #include "support/rng.hh"
 
 namespace wavepipe {
@@ -209,17 +212,6 @@ TEST_F(Contraction, LiveMaxNeedsAContractedArrayDeclaredOnce) {
             std::string::npos);
 }
 
-TEST_F(Contraction, LoweringAContractedPlanIsAContractError) {
-  const auto plan =
-      scan(reg_, d_ <<= dd_ + prime(d_, kNorth)).contract(d_).compile();
-  const Layout<2> layout(all_, ProcGrid<2>({1, 1}), Idx<2>{{1, 1}});
-  TaskGraph g;
-  TagAllocator ta(0);
-  const TagRange tags = ta.alloc(wavefront_tag_span<2>(1), "fill");
-  EXPECT_THROW(lower_wavefront(g, plan, layout, 0, tags, "fill"),
-               ContractError);
-}
-
 // ---------------------------------------------------------------------------
 // Contracted storage against full storage, on random blocks
 //
@@ -228,7 +220,10 @@ TEST_F(Contraction, LoweringAContractedPlanIsAContractError) {
 // other keeps u whole, starting at 0 like the contracted u. Both run on
 // the same random rank line and block size: w and v must come out
 // byte-identical, and the live-out max must equal the max of the full
-// twin's u over the scan region, bit for bit.
+// twin's u over the scan region, bit for bit. The contracted twin runs
+// again as a lowered graph on the adaptive scheduler — and, on the
+// parallel engine, on the work-stealing tasks backend, whose workers share
+// the instance's store — under the same three checks.
 
 std::uint64_t fuzz_seed() { return test_seed(2020); }
 
@@ -375,6 +370,39 @@ void run_contraction_fuzz(int trials, FuzzCoverage& seen) {
           << what << ": " << full_max << " vs " << live_max;
       EXPECT_TRUE(same_bytes(cw, fw)) << what;
       EXPECT_TRUE(same_bytes(cv, fv)) << what;
+
+      // The contracted twin through lower_wavefront + run_graph. Lowering
+      // does no pre-exchange, so each run does run_wavefront's own first.
+      std::vector<SchedOptions> modes(1);  // adaptive, SPMD backend
+      modes[0].backend = SchedBackend::kSpmd;
+      if (comm.machine().engine() == EngineKind::kParallel) {
+        modes.emplace_back();
+        modes.back().backend = SchedBackend::kTasks;
+      }
+      for (const SchedOptions& so : modes) {
+        DenseArray<Real, R> lu("u", Region<R>(alloc.lo(), alloc.lo()), order),
+            lv("v", alloc, order), lw("w", alloc, order);
+        input(lv, 1);
+        input(lw, 2);
+        const auto lplan = fuzz_block<R>(shape, reg, lu, lv, lw, d0, d1, d2)
+                               .contract(lu)
+                               .live_max(lu)
+                               .compile();
+        o.tag_base += 100;
+        exchange_plan_ghosts(lplan, layout, comm, o.tag_base);
+        TaskGraph g;
+        TagAllocator ta(o.tag_base);
+        const auto lowered = lower_wavefront(
+            g, lplan, layout, comm.rank(),
+            ta.alloc(wavefront_tag_span<R>(1), "fuzz"), "fuzz", o);
+        run_graph(g, comm, so);
+        const Real lowered_max = comm.allreduce_max(lowered.maxima().at(0));
+        const std::string how = what + " lowered on " + to_string(so.backend);
+        EXPECT_EQ(std::memcmp(&full_max, &lowered_max, sizeof(Real)), 0)
+            << how << ": " << full_max << " vs " << lowered_max;
+        EXPECT_TRUE(same_bytes(lw, fw)) << how;
+        EXPECT_TRUE(same_bytes(lv, fv)) << how;
+      }
 
       // u's storage: a window one tile wide, or the whole block.
       const WaveTiling<R> tiling = wave_tiling(cplan, layout, comm.rank());

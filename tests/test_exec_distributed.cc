@@ -433,23 +433,9 @@ TEST(Distributed, StatementSequencesCannotCollideOnTags) {
 // sides do the same one up front.
 
 template <Rank R>
-void exchange_plan_ghosts(const WavefrontPlan<R>& plan, const Layout<R>& layout,
-                          Communicator& comm) {
-  std::vector<GhostHalo<Real, R>> bundle;
-  for (const auto& use : plan.arrays) {
-    bool any = false;
-    for (Rank d = 0; d < R; ++d) any = any || use.halo.v[d] > 0;
-    if (any) bundle.push_back({use.array, use.halo});
-  }
-  if (!bundle.empty())
-    exchange_ghosts(std::span<const GhostHalo<Real, R>>(bundle), layout,
-                    comm.rank(), comm, 500);
-}
-
-template <Rank R>
 void execute(const WavefrontPlan<R>& plan, const Layout<R>& layout,
              Communicator& comm, Coord block, bool lowered) {
-  exchange_plan_ghosts(plan, layout, comm);
+  exchange_plan_ghosts(plan, layout, comm, 500);
   if (!lowered) {
     WaveOptions opts;
     opts.block = block;

@@ -16,10 +16,14 @@
 // pretend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/smith_waterman.hh"
@@ -564,6 +568,115 @@ TEST(Recovery, ParallelTasksBackendSweep3dKillMatchesFiberOracle) {
 
 // ---------------------------------------------------------------------------
 // Mode gates: recovery refuses what it cannot honour, with typed errors.
+
+// ---------------------------------------------------------------------------
+// A contracted graph: the score-only Smith-Waterman fill keeps H as a
+// window one tile wide on a tiled rank line, shared by the rank's tile
+// tasks. A fresh heir replays the victim's logged prefix in completion
+// order, which must slide that window exactly as the victim did: the best
+// score stays bit-identical to the plain-loop reference wherever the kill
+// lands.
+
+struct SwScoreCase {
+  SmithWatermanConfig cfg;
+  int p = 2;
+  WaveOptions wopts;
+
+  // Every rank's (or its heir's) epilogue publishes that rank's live-out
+  // max into its own slot of `best`.
+  ProgramFactory factory(std::vector<Real>* best) const {
+    const SmithWatermanConfig c = cfg;
+    const ProcGrid<2> g = ProcGrid<2>::along_dim(p, 0);
+    const WaveOptions w = wopts;
+    return [c, g, w, best](int rank) {
+      auto app = std::make_shared<SmithWatermanScore>(c, g, rank);
+      RankProgram prog;
+      auto lowered =
+          std::make_shared<LoweredWave<2>>(app->lower_fill(prog.graph, w));
+      prog.state = app;
+      prog.epilogue = [lowered, best, rank] {
+        (*best)[static_cast<std::size_t>(rank)] = lowered->maxima().at(0);
+      };
+      return prog;
+    };
+  }
+
+  // One recoverable run with `victim` killed once `after` tasks have
+  // completed machine-wide; returns the best score and whether the victim
+  // really died.
+  std::pair<Real, bool> run(EngineKind engine, const SchedOptions& so,
+                            int victim, std::uint64_t after) const {
+    std::vector<Real> best(static_cast<std::size_t>(p), -1.0);
+    RecoveryCoordinator rc(factory(&best));
+    EngineConfig ec;
+    ec.kind = engine;
+    Machine m(p, t3e_like().costs, TraceConfig{}, ec);
+    rc.attach(m);
+    rc.arm_kill_after(victim, after);
+    m.run([&](Communicator& comm) { run_recoverable(comm, rc, so); });
+    return {*std::max_element(best.begin(), best.end()), m.rank_dead(victim)};
+  }
+};
+
+SwScoreCase sw_score_case(int p) {
+  SwScoreCase c;
+  c.cfg.la = 25;
+  c.cfg.lb = 23;
+  c.p = p;
+  c.wopts.block = 4;  // 6 tiles per rank, each window 5 columns wide
+  return c;
+}
+
+void expect_same_score(Real got, Real want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+      << got << " vs " << want;
+}
+
+TEST(Recovery, ContractedSmithWatermanKillSweepMatchesReference) {
+  for (const int p : {2, 3}) {
+    const SwScoreCase cs = sw_score_case(p);
+    const Real want =
+        SmithWaterman(cs.cfg, ProcGrid<2>::along_dim(1, 0), 0)
+            .reference_best_score();
+    const std::uint64_t completions = 6u * static_cast<unsigned>(p);
+    int deaths = 0;
+    for (int victim = 0; victim < p; ++victim) {
+      for (std::uint64_t after = 0; after < completions; ++after) {
+        SCOPED_TRACE("p=" + std::to_string(p) + " kill rank " +
+                     std::to_string(victim) + " after " +
+                     std::to_string(after) + " completions");
+        const auto [got, died] =
+            cs.run(EngineKind::kFibers, SchedOptions{}, victim, after);
+        deaths += died ? 1 : 0;
+        expect_same_score(got, want);
+      }
+    }
+    // Kills late in the run may find the victim done; most must land.
+    EXPECT_GE(deaths, p * static_cast<int>(completions) / 2)
+        << "too few kills fired at p=" << p;
+  }
+}
+
+TEST(Recovery, ContractedSmithWatermanTasksBackendKillMatchesReference) {
+  const int p = 3;
+  const SwScoreCase cs = sw_score_case(p);
+  const Real want = SmithWaterman(cs.cfg, ProcGrid<2>::along_dim(1, 0), 0)
+                        .reference_best_score();
+  SchedOptions so;
+  so.backend = SchedBackend::kTasks;
+  SplitMix64 rng(test_seed(29));
+  int deaths = 0;
+  for (int i = 0; i < 6; ++i) {
+    const int victim = i % p;
+    const std::uint64_t after = rng.next() % 12;
+    SCOPED_TRACE("kill rank " + std::to_string(victim) + " after " +
+                 std::to_string(after) + " completions");
+    const auto [got, died] = cs.run(EngineKind::kParallel, so, victim, after);
+    deaths += died ? 1 : 0;
+    expect_same_score(got, want);
+  }
+  EXPECT_GE(deaths, 3) << "too few kills fired";
+}
 
 TEST(Recovery, StaticModeFailsFastTyped) {
   const CostModel cm = t3e_like().costs;
