@@ -17,8 +17,8 @@
 
 #include "array/ghost.hh"
 #include "comm/machine.hh"
-#include "exec/pipelined.hh"
 #include "model/machines.hh"
+#include "sched/lower.hh"
 #include "support/timer.hh"
 
 namespace {

@@ -134,7 +134,7 @@ void tomcatv_block() {
     const Real total = comm.allreduce_sum(local_sum);
     if (comm.rank() == 0) {
       std::cout << "pipelined sum(rx) = " << total << "   ("
-                << report.tiles << " tiles of " << report.block
+                << report.tasks.size() << " tile tasks of " << report.block
                 << " along dim " << report.tile_dim << " per rank)\n";
     }
   });

@@ -232,10 +232,10 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
     const auto lw =
         lower_wavefront(g, vplan_, layout_, rank_, vtag, "v[i" + is + "]", lo);
     internal_check(
-        lw.tiles.size() == static_cast<std::size_t>(vt.waved ? nc : 1),
+        lw.tasks.size() == static_cast<std::size_t>(vt.waved ? nc : 1),
         "alt_sweep chunking disagrees with the lowered wave tiling");
     auto vtask = [&](Coord c) {
-      return vt.waved ? lw.tiles[static_cast<std::size_t>(c)] : lw.tiles[0];
+      return vt.waved ? lw.tasks[static_cast<std::size_t>(c)] : lw.tasks[0];
     };
 
     for (Coord c = 0; c < nc; ++c) {

@@ -204,10 +204,10 @@ SmithWatermanScore::SmithWatermanScore(const SmithWatermanConfig& cfg,
 Real SmithWatermanScore::run(Communicator& comm, const WaveOptions& opts) {
   const WaveReport<2> rep = run_wavefront(plan_, layout_, comm, opts);
   // H >= 0 on every cell, so the max is the best score.
-  return comm.allreduce_max(rep.maxima[0]);
+  return comm.allreduce_max(rep.maxima()[0]);
 }
 
-LoweredWave<2> SmithWatermanScore::lower_fill(TaskGraph& g,
+WaveReport<2> SmithWatermanScore::lower_fill(TaskGraph& g,
                                               const WaveOptions& opts) {
   TagAllocator ta(opts.tag_base);
   const TagRange tags =

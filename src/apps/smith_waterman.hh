@@ -154,7 +154,7 @@ class SmithWatermanScore {
   /// deterministic for a given (cfg, grid, rank) — the recovery
   /// ProgramFactory seam. Once `g` has drained, the result's maxima()[0]
   /// is this rank's best score.
-  LoweredWave<2> lower_fill(TaskGraph& g, const WaveOptions& opts = {});
+  WaveReport<2> lower_fill(TaskGraph& g, const WaveOptions& opts = {});
 
   /// H's storage as the last run left it: the last window, or the whole
   /// allocated block where no window applies.

@@ -190,12 +190,12 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
                         ctx.comm, acc_tag_.base);
     };
     acc[static_cast<std::size_t>(i)] = g.add(std::move(t));
-    g.add_edge(lw.tiles.back(), acc[static_cast<std::size_t>(i)]);
+    g.add_edge(lw.tasks.back(), acc[static_cast<std::size_t>(i)]);
     if (i > 0)
       g.add_edge(acc[static_cast<std::size_t>(i - 1)],
                  acc[static_cast<std::size_t>(i)]);
     if (i >= k)
-      g.add_edge(acc[static_cast<std::size_t>(i - k)], lw.tiles.front());
+      g.add_edge(acc[static_cast<std::size_t>(i - k)], lw.tasks.front());
   }
   return g;
 }
@@ -233,11 +233,11 @@ Real Sweep3d::sweep_all_scheduled(Communicator& comm, const WaveOptions& opts,
   // change (ensure_slots also drops it when the slots are reallocated).
   const bool same = kept_ && kept_->block == opts.block &&
                     kept_->block_w == opts.block_w &&
-                    kept_->charge == opts.charge && kept_->slots == slots;
+                    kept_->overlap == opts.overlap && kept_->slots == slots;
   if (!same) {
     TaskGraph g = build_sweep_graph(opts, slots);
     kept_.emplace(KeptGraph{std::move(g), opts.block, opts.block_w,
-                            opts.charge, slots});
+                            opts.overlap, slots});
   }
   const SchedReport rep = run_graph(kept_->graph, comm, sched);
   if (report) *report = rep;

@@ -149,7 +149,7 @@ class Sweep3d {
     TaskGraph graph;
     Coord block;
     Coord block_w;
-    bool charge;
+    bool overlap;
     int slots;
   };
   std::optional<KeptGraph> kept_;

@@ -1,11 +1,9 @@
 // Storage of a plan's contracted arrays (ScanBlock::contract) during one
-// run of a lowered wavefront instance — the array contraction of the
-// paper's §2.1 (Lewis, Lin & Snyder), applied to a wavefront's own
-// recurrence array.
+// run of a wavefront instance — the array contraction of the paper's §2.1
+// (Lewis, Lin & Snyder), applied to a wavefront's own recurrence array.
 //
-// A contracted array's values are dead outside the block, so the
-// instance's tiles, not the array's constructor, size its storage
-// (DenseArray::reframe):
+// A contracted array's values are dead outside the block, so the tiles,
+// not the array's constructor, size its storage (DenseArray::reframe):
 //
 //   * window: on a waved rank line whose tile dimension t is not the
 //     wavefront dimension, the array covers its allocated extent along
@@ -16,9 +14,7 @@
 //     by one tile, and the slab is unpacked at its new place. A cell keeps
 //     its place in raw() under any other dimension's index, so cells
 //     outside the scan region keep the 0 the first window was filled
-//     with. The tiles of a rank line run one after another (the lowered
-//     v-1 -> v chain edge), so the window slides in tile order on every
-//     executor;
+//     with;
 //   * full: everywhere else (one rank, a non-waved plan, a 2D frontier,
 //     an untiled rank line) the array covers its whole allocated block.
 //
@@ -28,8 +24,7 @@
 // dimension — guarantees that no tile reads a cell outside its window, and
 // that no pre-exchange is needed. A fused live-out max is folded over each
 // tile right after it computes, while its cells are in the window and in
-// cache, into that tile's own slots: tiles that run at the same time never
-// share one.
+// cache, into that tile's own slots, which concurrent tiles never share.
 #pragma once
 
 #include <array>

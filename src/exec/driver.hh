@@ -5,7 +5,7 @@
 #pragma once
 
 #include "array/ghost.hh"
-#include "exec/pipelined.hh"
+#include "sched/lower.hh"
 
 namespace wavepipe {
 
@@ -22,7 +22,7 @@ template <typename E>
 int apply_distributed(const Region<E::rank>& region,
                       const StatementSpec<E>& spec,
                       const Layout<E::rank>& layout, Communicator& comm,
-                      int tag_base = 300, bool charge = true) {
+                      int tag_base = 300) {
   constexpr Rank R = E::rank;
   const double t0 = comm.vtime();
   std::vector<Access<R>> reads;
@@ -59,7 +59,7 @@ int apply_distributed(const Region<E::rank>& region,
 
   const Region<R> local = region.intersect(layout.owned(comm.rank()));
   apply_statement(local, spec);
-  if (charge) comm.compute(static_cast<double>(local.size()));
+  comm.compute(static_cast<double>(local.size()));
   {
     // The tasks backend may run two of a rank's statement chunks on two
     // workers at once; the trace ring is part of the lock-guarded state.

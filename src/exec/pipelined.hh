@@ -1,48 +1,31 @@
-// Distributed wavefront execution: naive (Fig 4a) and pipelined (Fig 4b).
+// The per-rank tile schedule of a distributed wavefront: naive (Fig 4a)
+// and pipelined (Fig 4b).
 //
-// Schedule per rank:
-//   1. pre-exchange ghosts: every read array's fluff is filled with *old*
-//      neighbour values (this serves the unprimed @-references, including
-//      anti-dependences across processor boundaries — payloads are
-//      snapshots, so ordering with downstream computation is immaterial);
-//   2. if the plan has a wavefront along a distributed dimension w and any
-//      primed-read (wave) arrays, the local block is walked as an mi x mj
-//      tile grid (detail::WaveGrid): mj tiles of `block` columns along a
-//      chosen non-w tile dimension, and — on a 2D processor-grid frontier
-//      (the paper's Fig 4 mesh, DESIGN.md §15) — mi rows of `block_w`
-//      along w. A rank line is the one-row case: mi = 1 and no west or
-//      east neighbour. Each tile receives its predecessors' face
-//      segments, computes, and sends its successors theirs. block = local
-//      extent gives the naive schedule: one receive, compute everything,
-//      one send — no parallelism along w. Smaller blocks pipeline the wave
-//      at the cost of more messages (the paper's §4 tradeoff);
-//   3. otherwise the local portion is computed outright (fully parallel).
+// A plan waves when it has a wavefront along a distributed dimension w and
+// any primed-read (wave) arrays. Its local block is then walked as an
+// mi x mj tile grid (detail::WaveGrid): mj tiles of `block` columns along
+// a chosen non-w tile dimension, and — on a 2D processor-grid frontier
+// (the paper's Fig 4 mesh, DESIGN.md §15) — mi rows of `block_w` along w.
+// A rank line is the one-row case: mi = 1 and no west or east neighbour.
+// Each tile receives its predecessors' face segments, computes, and sends
+// its successors theirs. block = local extent gives the naive schedule:
+// one receive, compute everything, one send — no parallelism along w.
+// Smaller blocks pipeline the wave at the cost of more messages (the
+// paper's §4 tradeoff). A plan that does not wave is the 1 x 1 grid: its
+// local portion is computed outright (fully parallel).
 //
 // All wave arrays' face segments for one tile travel as a single bundled
 // message, so the per-message cost matches the paper's alpha + beta*b model.
 //
-// Arrays the block declares contracted (ScanBlock::contract) are sized
-// here, not by their owner: a window one tile wide on a tiled rank line,
-// the whole allocated block elsewhere (exec/contracted.hh). The
-// pre-exchange skips them — nothing reads their old values — and a fused
-// live-out max over one is folded per tile into WaveReport::maxima.
-//
-// The same WaveGrid, and its one tile body, also backs the task
-// scheduler's lowering (sched/lower.hh), so a lowered graph computes the
-// same tiles from byte-identical payloads.
-//
-// The blocking tile loop is double-buffered over persistent pack/unpack
-// buffers: a stream's next inflow irecv is posted as soon as the current
-// one has arrived, and each outflow goes out via isend. With
-// WaveOptions::overlap the send's completion is settled when its buffer
-// comes round again — the send engine drains while the next tiles compute
-// — which is the paper's communication/computation overlap; without it
-// every send is waited immediately, reproducing the blocking schedule's
-// virtual times exactly. Either way the computed data is bit-identical.
+// This header holds the pieces: the options, the tiling decision
+// (wave_tiling), the grid with its faces and its one tile body
+// (WaveGrid::run_tile), and the old-value ghost pre-exchange. The one
+// executor is the task scheduler: sched/lower.hh lowers the grid into one
+// task per tile, and run_wavefront there is the pre-exchange followed by
+// that lowering run on the static-FIFO SPMD executor.
 #pragma once
 
 #include <array>
-#include <limits>
 #include <source_location>
 #include <span>
 #include <string>
@@ -51,7 +34,6 @@
 
 #include "array/ghost.hh"
 #include "comm/machine.hh"
-#include "exec/contracted.hh"
 #include "exec/serial.hh"
 
 namespace wavepipe {
@@ -70,32 +52,15 @@ struct WaveOptions {
   /// Fill fluff with neighbours' old values first (disable only when the
   /// caller has already exchanged).
   bool pre_exchange = true;
-  /// Charge one virtual-time unit of compute per element (cost-model runs).
-  bool charge = true;
-  /// Defer each tile's outflow-send completion to the next tile, letting
-  /// the send engine drain under the next tile's compute. Results are
-  /// bit-identical either way; virtual time drops when sends would stall.
+  /// Settle each outflow send when its face stream's buffer comes round
+  /// again (two tiles later) instead of right away, letting the send
+  /// engine drain under the next tiles' compute. Results are bit-identical
+  /// either way; virtual time drops when sends would stall.
   bool overlap = false;
 };
 
-template <Rank R>
-struct WaveReport {
-  Region<R> local_region;
-  bool waved = false;   // wavefront communication actually happened
-  int axes = 1;         // frontier axes (2 on a 2D processor-grid frontier)
-  Rank tile_dim = 0;
-  Coord tiles = 0;
-  Coord block = 0;
-  Coord wtiles = 1;     // 2D only: tile rows along the wavefront dimension
-  Coord block_w = 0;    // 2D only: effective block along the wavefront dim
-  /// Per contracted array of the plan (plan.contracted order): this rank's
-  /// fused live-out max over its cells of the scan region; -inf without a
-  /// live max or without cells. The caller reduces across ranks.
-  std::vector<Real> maxima;
-};
-
 /// Width of the tag window one run_wavefront call may touch starting at
-/// WaveOptions::tag_base: 2R tags for the bundled ghost pre-exchange (one
+/// WaveOptions::tag_base (and one lowered instance's TagRange): 2R tags for the bundled ghost pre-exchange (one
 /// per dimension per direction, apply_distributed's convention) plus one
 /// per frontier axis for the wave face messages (axis 0 = the wavefront
 /// dimension's north/south faces, axis 1 = the second frontier axis's
@@ -109,10 +74,9 @@ constexpr int wavefront_tag_span(int axes = 1) {
 
 /// The per-rank tiling decision for one wavefront plan: whether wave
 /// communication happens at all, the w-neighbours the face messages flow
-/// between, and the (dimension, sign) the tile loop runs over. Factored
-/// out of run_wavefront so the task scheduler's lowering produces the
-/// *identical* tile decomposition — and therefore bit-identical face
-/// payloads — as the sequential executor.
+/// between, and the (dimension, sign) the tiles run over. Every rank of a
+/// wave derives its own, and both sides of each face derive the same
+/// regions from it, so face payloads never need negotiation.
 template <Rank R>
 struct WaveTiling {
   Region<R> local;     // plan region ∩ this rank's owned block
@@ -389,11 +353,9 @@ Region<R> wave_face(const Region<R>& local, Coord depth, Rank fd, int tv,
 /// every wave array's face for one tile column (axis 0) or row (axis 1),
 /// so the per-message cost matches the paper's alpha + beta*b model.
 ///
-/// run_wavefront's blocking loop and lower_wavefront's tasks both run
-/// every tile through run_tile, so the two executors compute identical
-/// tiles from byte-identical payloads, and both sides of every face derive
-/// the same region list from the plan: payload layout never needs
-/// negotiation.
+/// lower_wavefront's tasks run every tile through run_tile, and both sides
+/// of every face derive the same region list from the plan: payload layout
+/// never needs negotiation.
 template <Rank R>
 struct WaveGrid {
   const WavefrontPlan<R>* plan;
@@ -506,21 +468,21 @@ struct WaveGrid {
     }
   }
 
-  /// The tile body both executors run: unpack the tile's inflow payloads
-  /// (axis 0 then axis 1, one per inflow peer), compute the tile, charge
-  /// it, then for each outflow axis pack into `buffer(axis)` and hand the
-  /// payload to `send(axis, peer, payload)`. Returns the tile.
+  /// The tile body: unpack the tile's inflow payloads (axis 0 then axis
+  /// 1, one per inflow peer), compute the tile, charge it, then for each
+  /// outflow axis pack into `buffer(axis)` and hand the payload to
+  /// `send(axis, peer, payload)`.
   template <typename Buffer, typename Send>
-  Region<R> run_tile(Communicator& comm, bool charge, Coord u, Coord v,
-                     std::span<const std::span<const Real>> inflows,
-                     Buffer&& buffer, Send&& send) const {
+  void run_tile(Communicator& comm, Coord u, Coord v,
+                std::span<const std::span<const Real>> inflows,
+                Buffer&& buffer, Send&& send) const {
     std::size_t k = 0;
     for (int axis = 0; axis < 2; ++axis)
       if (inflow_peer(axis, u, v) >= 0)
         unpack(faces(axis, along(axis, u, v), /*inflow=*/true), inflows[k++]);
     const Region<R> tl = tile(u, v);
     run_serial_on(*plan, tl);
-    if (charge) comm.compute(static_cast<double>(tl.size()));
+    comm.compute(static_cast<double>(tl.size()));
     for (int axis = 0; axis < 2; ++axis) {
       const int peer = outflow_peer(axis, u, v);
       if (peer < 0) continue;
@@ -528,7 +490,6 @@ struct WaveGrid {
       pack(faces(axis, along(axis, u, v), /*inflow=*/false), buf);
       send(axis, peer, std::span<const Real>(buf));
     }
-    return tl;
   }
 
  private:
@@ -554,154 +515,6 @@ struct WaveGrid {
   std::array<std::vector<std::size_t>, 2> inflow_sizes_;  // [axis][k]
 };
 
-/// The blocking tile loop over the grid. Tiles run in anti-diagonal order:
-/// within a diagonal every tile's (u-1,v) and (u,v-1) dependences sit on
-/// the previous diagonal, and each face stream touches at most one tile
-/// per diagonal (axis 0 at u==0 / u==mi-1 advances in v, axis 1 at v==0 /
-/// v==mj-1 in u), so posting and consumption stay FIFO per (src, tag).
-/// Unlike a row-major sweep, the first south face leaves after ~mi tiles
-/// instead of after nearly the whole local block — this is what lets the
-/// rank-grid pipeline fill along both axes at once. On a rank line the
-/// order is simply the column order.
-///
-/// Every stream is double-buffered over persistent buffers: stream
-/// position k+1's irecv is posted as soon as position k's has arrived, and
-/// buffer k % 2 is safe to refill at position k because its previous
-/// request was settled at k - 2 (or never existed; waiting an invalid
-/// Request is a no-op).
-template <Rank R>
-void run_wave_grid(const WaveGrid<R>& g, Communicator& comm,
-                   const WaveOptions& opts, ContractedStore<R>& store,
-                   std::vector<Real>& maxima) {
-  std::vector<Real> tile_max(maxima.size());
-  // [axis][slot]
-  std::array<std::array<std::vector<Real>, 2>, 2> recv_buf, send_buf;
-  std::array<std::array<Request, 2>, 2> recv_req, send_req;
-  const std::array<int, 2> pred{g.t.pred, g.t.pred2};
-  const std::array<Coord, 2> len{g.mj, g.mi};  // stream length per axis
-
-  auto post = [&](int axis, Coord k) {
-    const auto a = static_cast<std::size_t>(axis);
-    if (pred[a] < 0 || k >= len[a]) return;
-    auto& buf = recv_buf[a][static_cast<std::size_t>(k % 2)];
-    buf.resize(g.inflow_size(axis, k));
-    recv_req[a][static_cast<std::size_t>(k % 2)] =
-        comm.irecv(pred[a], std::span<Real>(buf), g.tag(axis));
-  };
-
-  post(0, 0);
-  post(1, 0);
-  for (Coord d = 0; d < g.mi + g.mj - 1; ++d) {
-    for (Coord u = std::max<Coord>(0, d - (g.mj - 1));
-         u <= std::min(g.mi - 1, d); ++u) {
-      const Coord v = d - u;
-      const double tile_t0 = comm.vtime();
-      auto slot_of = [&](int axis) {
-        return static_cast<std::size_t>(WaveGrid<R>::along(axis, u, v) % 2);
-      };
-      std::array<std::span<const Real>, 2> inflows;
-      std::size_t n_in = 0;
-      for (int axis = 0; axis < 2; ++axis) {
-        if (g.inflow_peer(axis, u, v) < 0) continue;
-        const auto a = static_cast<std::size_t>(axis);
-        comm.wait(recv_req[a][slot_of(axis)]);
-        inflows[n_in++] = recv_buf[a][slot_of(axis)];
-        post(axis, WaveGrid<R>::along(axis, u, v) + 1);
-      }
-      store.enter(g.tile(u, v), d == 0);
-      const Region<R> tile = g.run_tile(
-          comm, opts.charge, u, v,
-          std::span<const std::span<const Real>>(inflows.data(), n_in),
-          [&](int axis) -> std::vector<Real>& {
-            // Settle the send this buffer last carried before refilling it.
-            const auto a = static_cast<std::size_t>(axis);
-            comm.wait(send_req[a][slot_of(axis)]);
-            return send_buf[a][slot_of(axis)];
-          },
-          [&](int axis, int peer, std::span<const Real> payload) {
-            Request& r =
-                send_req[static_cast<std::size_t>(axis)][slot_of(axis)];
-            r = comm.isend(peer, payload, g.tag(axis));
-            if (!opts.overlap) comm.wait(r);
-          });
-      store.fold(tile, tile_max);
-      for (std::size_t k = 0; k < maxima.size(); ++k)
-        maxima[k] = maxima[k] < tile_max[k] ? tile_max[k] : maxima[k];
-
-      // One slice per tile spanning its recv-waits, compute, and sends; the
-      // tag carries the row-major tile index so a trace shows the wave
-      // marching.
-      comm.tracer().record(TraceEventType::kTile, tile_t0, comm.vtime(), -1,
-                           static_cast<int>(u * g.mj + v),
-                           static_cast<std::uint64_t>(tile.size()));
-    }
-  }
-  for (auto& axis_reqs : send_req)
-    for (auto& r : axis_reqs) comm.wait(r);
-}
-
 }  // namespace detail
-
-/// Executes a compiled scan block over a block-distributed layout.
-/// Collective: every rank of the grid must call with the same plan
-/// structure and options. Returns a per-rank report.
-template <Rank R>
-WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
-                            const Layout<R>& layout, Communicator& comm,
-                            const WaveOptions& opts = {}) {
-  const int rank = comm.rank();
-  require(layout.grid().size() == comm.size(),
-          "processor grid size must equal machine size");
-
-  const WaveTiling<R> tiling = wave_tiling(plan, layout, rank);
-
-  // Contracted arrays: a window one tile wide on a tiled rank line, the
-  // whole allocated block on every other path.
-  const bool windows =
-      tiling.waved && tiling.axes == 1 && tiling.tdim != tiling.w;
-  detail::ContractedStore<R> store(plan, layout.allocated(rank), tiling.tdim,
-                                   tiling.tsign,
-                                   windows ? tiling.clamp_block(opts.block)
-                                           : 0);
-
-  if (opts.pre_exchange) exchange_plan_ghosts(plan, layout, comm, opts.tag_base);
-
-  WaveReport<R> rep;
-  rep.local_region = tiling.local;
-  rep.maxima.resize(store.arrays());
-  if (!tiling.waved) {
-    store.enter(tiling.local, true);
-    run_serial_on(plan, tiling.local);
-    store.fold(tiling.local, rep.maxima);
-    if (opts.charge) comm.compute(static_cast<double>(tiling.local.size()));
-    return rep;
-  }
-
-  rep.maxima.assign(store.arrays(), -std::numeric_limits<Real>::infinity());
-  const detail::WaveGrid<R> g(plan, tiling, opts.block, opts.block_w,
-                              opts.tag_base);
-  detail::run_wave_grid(g, comm, opts, store, rep.maxima);
-  rep.waved = true;
-  rep.axes = tiling.axes;
-  rep.tile_dim = tiling.tdim;
-  rep.tiles = g.mj;
-  rep.block = g.bj;
-  rep.wtiles = g.mi;
-  rep.block_w = g.bw;
-  return rep;
-}
-
-/// Fig 4(b): the pipelined schedule with block size `block`. On a 2D
-/// frontier the block applies to both tile axes unless the caller already
-/// chose a block_w.
-template <Rank R>
-WaveReport<R> run_pipelined(const WavefrontPlan<R>& plan,
-                            const Layout<R>& layout, Communicator& comm,
-                            Coord block, WaveOptions opts = {}) {
-  require(block >= 1, "pipeline block size must be >= 1");
-  opts.block = block;
-  if (opts.block_w <= 0) opts.block_w = block;
-  return run_wavefront(plan, layout, comm, opts);
-}
 
 }  // namespace wavepipe

@@ -188,9 +188,13 @@ class SchedExecutor : public TaskSink {
 
   SchedReport run();
 
-  void task_send(int dst, std::span<const double> payload, int tag) override {
+  SendTicket task_send(int dst, std::span<const double> payload,
+                       int tag) override {
     sends_.push_back(comm_.isend(dst, payload, tag));
+    return sends_.size() - 1;
   }
+
+  void task_settle(SendTicket ticket) override { comm_.wait(sends_[ticket]); }
 
  private:
   // Smaller key runs first; ties break toward the smaller (earlier) id, so

@@ -2,9 +2,9 @@
 //
 // The executor keeps a dependence count per task. When a task's count hits
 // zero it is *released*. The main loop repeatedly picks a released task and
-// runs it; outflow sends issued by task bodies are nonblocking and settled
-// in posting order after the graph drains, so the send engine overlaps
-// under later tiles exactly as WaveOptions::overlap does.
+// runs it; outflow sends issued by task bodies are nonblocking, and the
+// executor settles those no task settled itself (TaskContext::settle) in
+// posting order after the graph drains.
 //
 // Two modes, and only two:
 //
@@ -25,8 +25,8 @@
 //     ignoring physical arrival, and the rank blocks (wait) on the chosen
 //     task's inflows one by one. The entire RunResult — vtimes, phases,
 //     stats, traces — is then a pure function of the graph: byte-identical
-//     under every fiber schedule and fault plan, like the blocking
-//     executors. Tasks built in sequential-program order (as the lowering
+//     under every fiber schedule and fault plan; run_wavefront runs on
+//     it (sched/lower.hh). Tasks built in sequential-program order (as the lowering
 //     helpers build them) make every rank's pick order embed into the one
 //     global sequential schedule, so static FIFO cannot deadlock on them.
 //     It runs on the SPMD backend only: SchedBackend::kTasks with

@@ -45,6 +45,11 @@ class SchedError : public Error {
 using TaskId = std::int32_t;
 inline constexpr TaskId kNoTask = -1;
 
+/// Names one send a task issued during the current run of a graph, for
+/// TaskContext::settle. kNoSend names none.
+using SendTicket = std::size_t;
+inline constexpr SendTicket kNoSend = static_cast<SendTicket>(-1);
+
 /// Backend seam behind TaskContext::send: whichever executor runs the task
 /// owns the outflow-request bookkeeping (the SPMD executor keeps a plain
 /// vector; the work-stealing tasks backend keeps a per-rank slot its
@@ -54,9 +59,12 @@ class TaskSink {
  public:
   virtual ~TaskSink() = default;
   /// Issues the nonblocking send and records its request for the
-  /// end-of-graph settlement pass.
-  virtual void task_send(int dst, std::span<const double> payload,
-                         int tag) = 0;
+  /// end-of-graph settlement pass; returns its ticket (kNoSend when the
+  /// send was suppressed).
+  virtual SendTicket task_send(int dst, std::span<const double> payload,
+                               int tag) = 0;
+  /// Settles the ticket's send now instead of after the drain.
+  virtual void task_settle(SendTicket ticket) = 0;
 };
 
 /// One message a task consumes before it may run.
@@ -70,16 +78,24 @@ struct TaskInflow {
 /// task's declaration order; `inflow` aliases the first of them (empty when
 /// the task declared none) — the overwhelmingly common single-inflow case.
 /// send() issues a nonblocking send whose completion the executor settles
-/// in posting order after the graph drains — the payload is copied out
-/// immediately, so temporaries (and the scratch buffer) are fine.
+/// in posting order after the graph drains, unless a task settles it
+/// sooner — the payload is copied out immediately, so temporaries (and the
+/// scratch buffer) are fine.
 class TaskContext {
  public:
   Communicator& comm;
   std::span<const double> inflow;
   std::span<const std::span<const double>> inflows;
 
-  void send(int dst, std::span<const double> payload, int tag) {
-    sink_.task_send(dst, payload, tag);
+  SendTicket send(int dst, std::span<const double> payload, int tag) {
+    return sink_.task_send(dst, payload, tag);
+  }
+
+  /// Settles (waits) a send this run issued, from this task or an earlier
+  /// one, before the drain would; no-op for kNoSend. An heir replaying a
+  /// dead rank settles nothing early.
+  void settle(SendTicket ticket) {
+    if (ticket != kNoSend) sink_.task_settle(ticket);
   }
 
   /// An empty buffer owned by the executor running the task, for packing

@@ -1,47 +1,53 @@
-// Lowering a compiled WavefrontPlan into tile tasks.
+// Lowering a compiled WavefrontPlan into tile tasks, and run_wavefront:
+// the one wavefront executor.
 //
-// lower_wavefront() appends to a TaskGraph exactly the tile grid
-// run_wavefront walks (the same detail::WaveGrid: same WaveTiling, same
-// faces, same bundled face payloads), one task per tile. Each task runs
-// the grid's one tile body: it unpacks the face messages it consumes
-// (north from the predecessor rank when it is in the first row, west on a
-// 2D frontier when it is in the first column), computes the tile, and
-// sends its own outflow faces. A rank line is the one-row grid, so its
-// tasks form the chain [0] -> [1] -> ... The intra-instance edges (v-1 ->
-// v along a row, u-1 -> u down a column) encode both the paper's tiling
-// legality order and the per-(src, tag) FIFO discipline — with them in
-// place any interleaving of several lowered instances keeps every wave's
-// messages matched to the right tiles.
-//
-// What lowering deliberately does NOT do:
-//   * no ghost pre-exchange (run_wavefront's pre_exchange): programs that
-//     need old-value halos model them as their own tasks, with edges
-//     expressing their real ordering constraints;
-//   * no inter-instance edges: flux accumulation order, buffer reuse
-//     (WAR) and similar cross-plan constraints are the caller's knowledge
-//     and are declared with TaskGraph::add_edge.
+// lower_wavefront() appends to a TaskGraph the plan's tile grid (the
+// detail::WaveGrid of exec/pipelined.hh), one task per tile running the
+// grid's one tile body: unpack the inflow faces (north from the
+// predecessor rank in the first row, west on a 2D frontier in the first
+// column), compute, send the outflow faces. A rank line is the one-row
+// grid, so its tasks form the chain [0] -> [1] -> ...; a plan that does not
+// wave is one task. The edges (v-1 -> v along a row, u-1 -> u down a
+// column) encode the tiling legality order and the per-(src, tag) FIFO
+// discipline, so any interleaving of several lowered instances keeps every
+// wave's messages matched to the right tiles. Task ids follow the grid's
+// anti-diagonals, so static FIFO runs a 2D frontier diagonal by diagonal:
+// the first south face leaves after ~mi tiles, not after nearly the whole
+// block. Each outflow face is settled right after it is sent or, under
+// WaveOptions::overlap, when its stream's buffer comes round again two
+// tiles later — the paper's Fig 4 schedule.
 //
 // Contracted arrays (ScanBlock::contract) live in one ContractedStore per
-// instance (exec/contracted.hh), shared by its tasks like the WaveGrid:
-// each task enters its tile before the tile body and folds the tile's
-// live-out maxima into its own slots after it. On a tiled rank line the
-// v-1 -> v chain edge runs the tiles, and so slides the window, in tile
-// order on any executor; the heir of a dead rank replays the logged
-// prefix in completion order, which rebuilds the window the same way.
-// LoweredWave::maxima() reduces the per-tile maxima once the graph has
-// drained.
+// instance (exec/contracted.hh), shared by its tasks like the grid. On a
+// tiled rank line the v-1 -> v edge slides the window in tile order on any
+// executor, and a dead rank's heir, replaying the logged prefix in
+// completion order, rebuilds it the same way. Each tile folds its live-out
+// maxima into its own slots; WaveReport::maxima() reduces them after the
+// drain.
+//
+// Lowering does no ghost pre-exchange (programs that need old-value halos
+// model them as tasks with their real ordering edges) and adds no
+// inter-instance edges (flux accumulation order, buffer reuse and similar
+// cross-plan constraints are the caller's, via TaskGraph::add_edge).
+// run_wavefront() is the pre-exchange plus one instance lowered and run on
+// the static-FIFO SPMD executor, whose whole RunResult is a pure function
+// of the graph.
 //
 // Lifetime: the emitted task bodies reach `plan` (and the arrays it
 // names) by pointer — it must outlive run_graph().
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "exec/contracted.hh"
 #include "exec/pipelined.hh"
+#include "sched/executor.hh"
 #include "sched/graph.hh"
 #include "sched/tags.hh"
 
@@ -61,35 +67,76 @@ struct WaveInstance {
         // block on every other path.
         store(plan, allocated, t.tdim, t.tsign,
               t.waved && t.axes == 1 && t.tdim != t.w ? grid.bj : 0),
+        overlap(opts.overlap),
         partial(static_cast<std::size_t>(grid.mi * grid.mj) *
                 store.arrays()) {}
 
   WaveGrid<R> grid;
   ContractedStore<R> store;
+  bool overlap;
   /// Live-out maxima per tile (row-major) and contracted array.
   std::vector<Real> partial;
+  /// [axis][stream position % 2]: the send of that position's face. Under
+  /// overlap a position settles the one two places back, sent earlier in
+  /// the same run since a stream's positions are chained.
+  std::array<std::array<SendTicket, 2>, 2> sent{};
 
-  std::span<Real> tile_maxima(Coord u, Coord v) {
+  /// Tile (u, v)'s task body.
+  void run(TaskContext& ctx, Coord u, Coord v) {
+    Communicator& comm = ctx.comm;
+    // vtime() locks on the tasks backend: read it only for the trace.
+    const bool traced = grid.t.waved && comm.tracer().enabled();
+    const double t0 = traced ? comm.vtime() : 0.0;
+    const Region<R> tile = grid.tile(u, v);
+    store.enter(tile, u == 0 && v == 0);
+    grid.run_tile(
+        comm, u, v, ctx.inflows,
+        [&](int axis) -> std::vector<Real>& {
+          const Coord k = WaveGrid<R>::along(axis, u, v);
+          if (overlap && k >= 2) ctx.settle(slot(axis, k));
+          // send() copies the payload out, so both axes share the buffer.
+          return ctx.scratch();
+        },
+        [&](int axis, int peer, std::span<const Real> payload) {
+          SendTicket& s = slot(axis, WaveGrid<R>::along(axis, u, v));
+          s = ctx.send(peer, payload, grid.tag(axis));
+          if (!overlap) ctx.settle(s);
+        });
     const std::size_t n = store.arrays();
-    return std::span<Real>(partial).subspan(
-        static_cast<std::size_t>(u * grid.mj + v) * n, n);
+    store.fold(tile, std::span<Real>(partial).subspan(
+                         static_cast<std::size_t>(u * grid.mj + v) * n, n));
+    if (!traced) return;
+    // One slice per tile, tagged with its row-major index so a trace shows
+    // the wave marching. The trace ring is lock-guarded state on the tasks
+    // backend.
+    auto l = comm.lock_ops();
+    comm.tracer().record(TraceEventType::kTile, t0, comm.vtime(), -1,
+                         static_cast<int>(u * grid.mj + v),
+                         static_cast<std::uint64_t>(tile.size()));
+  }
+
+ private:
+  SendTicket& slot(int axis, Coord k) {
+    return sent[static_cast<std::size_t>(axis)][static_cast<std::size_t>(k % 2)];
   }
 };
 
 }  // namespace detail
 
+/// One rank's lowered wavefront instance: its tiling and tasks, and, once
+/// the graph has drained, its live-out maxima.
 template <Rank R>
-struct LoweredWave {
-  /// The instance's tile tasks in tile order (row-major u*tiles+v on a 2D
-  /// frontier); size() == wtiles * tiles(block) when waved, 1 otherwise.
-  std::vector<TaskId> tiles;
-  WaveTiling<R> tiling;
-  /// The effective (clamped) block size along the tile dimension.
-  Coord block = 0;
-  /// 2D frontiers: tile rows along w and the effective block_w (1 and 0
-  /// otherwise).
-  Coord wtiles = 1;
-  Coord block_w = 0;
+struct WaveReport {
+  Region<R> local_region;
+  bool waved = false;   // wavefront communication happens
+  int axes = 1;         // frontier axes (2 on a 2D processor-grid frontier)
+  Rank tile_dim = 0;
+  Coord tiles = 1;      // tile columns along tile_dim
+  Coord block = 0;      // effective (clamped) block along tile_dim
+  Coord wtiles = 1;     // 2D only: tile rows along the wavefront dimension
+  Coord block_w = 0;    // 2D only: effective block along the wavefront dim
+  /// The tile tasks, row-major (u * tiles + v); one task when not waved.
+  std::vector<TaskId> tasks;
 
   /// Per contracted array of the plan (plan.contracted order): this rank's
   /// fused live-out max over its cells of the scan region; -inf without a
@@ -109,42 +156,45 @@ struct LoweredWave {
 };
 
 /// Lowers one plan instance for `rank` into `g`. `tags` must span at least
-/// wavefront_tag_span<R>(tiling.axes) tags and belong to this instance
-/// alone; the wave messages use the same in-window offsets (base + 2R for
-/// the wavefront axis, base + 2R + 1 for the second frontier axis) as
-/// run_wavefront, so a scheduled rank can interoperate with a rank running
-/// run_wavefront on the same tag base. Tasks are labelled "<label>[j]" (1D)
-/// or "<label>[u,v]" (2D frontier, row-major tile grid).
+/// wavefront_tag_span<R>(axes) tags and belong to this instance alone; the
+/// wave messages use the in-window offsets base + 2R (the wavefront axis)
+/// and base + 2R + 1 (the second frontier axis). Tasks are labelled
+/// "<label>[j]" (1D) or "<label>[u,v]" (2D frontier, row-major tile grid).
 ///
-/// Of `opts`, lowering reads block, block_w and charge, with run_wavefront's
-/// meaning. It ignores tag_base (the tags come from `tags`), pre_exchange
-/// (see the file comment) and overlap (every outflow send is settled by the
-/// executor after the graph drains).
+/// Of `opts`, lowering reads block, block_w and overlap. It ignores
+/// tag_base (the tags come from `tags`) and pre_exchange (see the file
+/// comment).
 template <Rank R>
-LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
-                               const Layout<R>& layout, int rank,
-                               const TagRange& tags, const std::string& label,
-                               const WaveOptions& opts = {}) {
-  LoweredWave<R> lw;
-  lw.tiling = wave_tiling(plan, layout, rank);
-  const WaveTiling<R>& t = lw.tiling;
+WaveReport<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
+                              const Layout<R>& layout, int rank,
+                              const TagRange& tags, const std::string& label,
+                              const WaveOptions& opts = {}) {
+  const WaveTiling<R> t = wave_tiling(plan, layout, rank);
   if (t.waved)
     require(tags.count >= wavefront_tag_span<R>(t.axes),
             "tag range too narrow for a wavefront instance (need "
             "wavefront_tag_span tags)");
-  // A non-waved plan is the 1 x 1 grid: one task, no faces.
   const auto inst = std::make_shared<detail::WaveInstance<R>>(
       plan, t, layout.allocated(rank), opts, tags.base);
   const detail::WaveGrid<R>& grid = inst->grid;
-  lw.instance = inst;
-  lw.block = grid.bj;
-  lw.wtiles = grid.mi;
-  lw.block_w = grid.bw;
 
-  for (Coord u = 0; u < grid.mi; ++u) {
-    for (Coord v = 0; v < grid.mj; ++v) {
+  WaveReport<R> rep{t.local, t.waved, t.axes, t.tdim, grid.mj, grid.bj,
+                    grid.mi, grid.bw, {}, inst};
+  rep.tasks.assign(static_cast<std::size_t>(grid.mi * grid.mj), kNoTask);
+  auto task_at = [&](Coord u, Coord v) -> TaskId& {
+    return rep.tasks[static_cast<std::size_t>(u * grid.mj + v)];
+  };
+
+  // Anti-diagonal order: a tile's (u-1, v) and (u, v-1) predecessors sit
+  // on the previous diagonal, and each face stream touches at most one tile
+  // per diagonal.
+  for (Coord d = 0; d < grid.mi + grid.mj - 1; ++d) {
+    for (Coord u = std::max<Coord>(0, d - (grid.mj - 1));
+         u <= std::min(grid.mi - 1, d); ++u) {
+      const Coord v = d - u;
       TaskGraph::Task task;
-      task.label = !t.waved ? label
+      task.label =
+          !t.waved ? label
                    : label + "[" +
                          (t.axes == 2 ? std::to_string(u) + "," : std::string()) +
                          std::to_string(v) + "]";
@@ -157,35 +207,56 @@ LoweredWave<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
         task.inflows.push_back(
             {src, grid.tag(axis), grid.inflow_size(axis, k)});
       }
-      task.run = [inst, u, v, charge = opts.charge](TaskContext& ctx) {
-        const detail::WaveGrid<R>& wg = inst->grid;
-        inst->store.enter(wg.tile(u, v), u == 0 && v == 0);
-        // Each outflow is packed into the executor's scratch buffer; send()
-        // copies it out, so both axes can share it.
-        const Region<R> tile = wg.run_tile(
-            ctx.comm, charge, u, v, ctx.inflows,
-            [&ctx](int) -> std::vector<Real>& { return ctx.scratch(); },
-            [&](int axis, int peer, std::span<const Real> payload) {
-              ctx.send(peer, payload, wg.tag(axis));
-            });
-        inst->store.fold(tile, inst->tile_maxima(u, v));
-      };
+      task.run = [inst, u, v](TaskContext& ctx) { inst->run(ctx, u, v); };
 
       const TaskId id = g.add(std::move(task));
-      // Row-major chain edges encode the tiling legality order, the
-      // per-(src, tag) FIFO posting order for the two inflow streams, and
-      // the tile order a contraction window slides in.
-      if (v > 0) g.add_edge(lw.tiles.back(), id);
-      if (u > 0)
-        g.add_edge(lw.tiles[static_cast<std::size_t>((u - 1) * grid.mj + v)],
-                   id);
-      internal_check(plan.contracted.empty() || u + v == 0 ||
+      if (v > 0) g.add_edge(task_at(u, v - 1), id);
+      if (u > 0) g.add_edge(task_at(u - 1, v), id);
+      internal_check(plan.contracted.empty() || d == 0 ||
                          g.predecessors(id) > 0,
                      "a contracted instance's tiles must be chained");
-      lw.tiles.push_back(id);
+      task_at(u, v) = id;
     }
   }
-  return lw;
+  return rep;
+}
+
+/// Executes a compiled scan block over a block-distributed layout: the
+/// ghost pre-exchange (WaveOptions::pre_exchange), then the plan lowered
+/// on tags [tag_base, tag_base + wavefront_tag_span) and run on this
+/// rank's static-FIFO SPMD executor. Collective: every rank of the grid
+/// must call with the same plan structure and options. The options are
+/// fixed here, never read from the environment. Returns a per-rank report.
+template <Rank R>
+WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
+                            const Layout<R>& layout, Communicator& comm,
+                            const WaveOptions& opts = {}) {
+  require(layout.grid().size() == comm.size(),
+          "processor grid size must equal machine size");
+  if (opts.pre_exchange)
+    exchange_plan_ghosts(plan, layout, comm, opts.tag_base);
+  TaskGraph g;
+  const TagRange tags{opts.tag_base, wavefront_tag_span<R>(2)};
+  WaveReport<R> rep =
+      lower_wavefront(g, plan, layout, comm.rank(), tags, "wave", opts);
+  SchedOptions so;
+  so.adaptive = false;
+  so.backend = SchedBackend::kSpmd;
+  run_graph(g, comm, so);
+  return rep;
+}
+
+/// Fig 4(b): the pipelined schedule with block size `block`. On a 2D
+/// frontier the block applies to both tile axes unless the caller already
+/// chose a block_w.
+template <Rank R>
+WaveReport<R> run_pipelined(const WavefrontPlan<R>& plan,
+                            const Layout<R>& layout, Communicator& comm,
+                            Coord block, WaveOptions opts = {}) {
+  require(block >= 1, "pipeline block size must be >= 1");
+  opts.block = block;
+  if (opts.block_w <= 0) opts.block_w = block;
+  return run_wavefront(plan, layout, comm, opts);
 }
 
 }  // namespace wavepipe

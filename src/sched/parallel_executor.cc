@@ -183,13 +183,19 @@ class TaskArena {
       return sched_internal::task_key(analysis, /*adaptive=*/true, t);
     }
 
-    void task_send(int dst, std::span<const double> payload,
-                   int tag) override {
+    SendTicket task_send(int dst, std::span<const double> payload,
+                         int tag) override {
       // Reached from a task body on any worker: the op lock serializes the
       // isend and the request-vector append with every other consumer-side
       // operation on this rank.
       auto l = comm.lock_ops();
       sends.push_back(comm.isend(dst, payload, tag));
+      return sends.size() - 1;
+    }
+
+    void task_settle(SendTicket ticket) override {
+      auto l = comm.lock_ops();
+      comm.wait(sends[ticket]);
     }
   };
 

@@ -104,13 +104,13 @@ bool RecoveryCoordinator::all_finished() const {
 
 // ---- AdoptedProgram --------------------------------------------------------
 
-void AdoptedProgram::ProxySink::task_send(int dst,
-                                          std::span<const double> payload,
-                                          int tag) {
+SendTicket AdoptedProgram::ProxySink::task_send(
+    int dst, std::span<const double> payload, int tag) {
   // Replaying a logged-complete task: the victim's original buffered send
   // was deposited downstream at post time, so re-sending would duplicate.
-  if (suppress) return;
+  if (suppress) return kNoSend;
   owner->sends_.push_back(owner->proxy_->isend(dst, payload, tag));
+  return owner->sends_.size() - 1;
 }
 
 AdoptedProgram::AdoptedProgram(RecoveryCoordinator& rc, int victim)

@@ -224,8 +224,10 @@ class AdoptedProgram {
   struct ProxySink final : TaskSink {
     AdoptedProgram* owner = nullptr;
     bool suppress = false;  // replaying a completed task: sends already went
-    void task_send(int dst, std::span<const double> payload,
-                   int tag) override;
+    SendTicket task_send(int dst, std::span<const double> payload,
+                         int tag) override;
+    // Every proxy send is settled by finish(), without a clock charge.
+    void task_settle(SendTicket) override {}
   };
 
   void release(TaskId t);

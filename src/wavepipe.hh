@@ -15,7 +15,7 @@
 #include "dist/layout.hh"        // ProcGrid, BlockDist1D, Layout
 #include "exec/block_select.hh"  // Eq (1) static selection + auto-tuner
 #include "exec/driver.hh"        // parallel statements, global reductions
-#include "exec/pipelined.hh"     // run_pipelined / run_wavefront
+#include "exec/pipelined.hh"     // wave tiling, WaveOptions
 #include "exec/serial.hh"        // run_serial, apply_statement
 #include "exec/unfused.hh"       // the array-semantics baseline executor
 #include "index/index.hh"        // Idx, Direction, the cardinal directions
@@ -24,4 +24,4 @@
 #include "lang/scan_block.hh"    // scan blocks, the prime operator, plans
 #include "model/machines.hh"     // calibrated machine presets
 #include "model/model.hh"        // the paper's Model1/Model2
-#include "sched/sched.hh"        // tile-task dataflow scheduler
+#include "sched/sched.hh"        // the scheduler, run_pipelined / run_wavefront

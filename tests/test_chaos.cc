@@ -16,8 +16,8 @@
 #include "apps/tomcatv.hh"
 #include "array/io.hh"
 #include "comm/machine.hh"
-#include "exec/pipelined.hh"
 #include "model/machines.hh"
+#include "sched/lower.hh"
 #include "testing/chaos.hh"
 
 namespace wavepipe {

@@ -365,7 +365,7 @@ void run_contraction_fuzz(int trials, FuzzCoverage& seen) {
       for_each(frep.local_region,
                [&](const Idx<R>& i) { local = std::max(local, fu(i)); });
       const Real full_max = comm.allreduce_max(local);
-      const Real live_max = comm.allreduce_max(crep.maxima.at(0));
+      const Real live_max = comm.allreduce_max(crep.maxima().at(0));
       EXPECT_EQ(std::memcmp(&full_max, &live_max, sizeof(Real)), 0)
           << what << ": " << full_max << " vs " << live_max;
       EXPECT_TRUE(same_bytes(cw, fw)) << what;

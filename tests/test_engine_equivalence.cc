@@ -14,8 +14,8 @@
 #include "apps/simple_hydro.hh"
 #include "apps/tomcatv.hh"
 #include "array/io.hh"
-#include "exec/pipelined.hh"
 #include "model/machines.hh"
+#include "sched/lower.hh"
 
 namespace wavepipe {
 namespace {

@@ -1,8 +1,8 @@
 // Distributed wavefront execution must be bit-identical to serial
 // execution: naive and pipelined schedules, both travel directions,
 // diagonal dependences, 2-D grids, and the error paths. The rank-line
-// configurations also run lowered into a TaskGraph, which must match the
-// blocking executor byte for byte and message for message.
+// configurations also run as a hand-lowered TaskGraph, which must match
+// run_wavefront byte for byte and message for message.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -426,11 +426,11 @@ TEST(Distributed, StatementSequencesCannotCollideOnTags) {
 }
 
 // ---------------------------------------------------------------------------
-// Lowered vs blocking on rank lines: run_wavefront and lower_wavefront run
-// by the SPMD executor under static FIFO walk the same tile grid, so the
-// arrays must be byte-identical and every rank must send and receive the
-// same messages and bytes. Lowering does no ghost pre-exchange, so both
-// sides do the same one up front.
+// Lowered vs run_wavefront on rank lines: run_wavefront and a graph
+// lowered by hand and run by the SPMD executor under static FIFO walk the
+// same tile grid, so the arrays must be byte-identical and every rank must
+// send and receive the same messages and bytes. Lowering does no ghost
+// pre-exchange, so both sides do the same one up front.
 
 template <Rank R>
 void execute(const WavefrontPlan<R>& plan, const Layout<R>& layout,

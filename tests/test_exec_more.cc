@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "array/io.hh"
-#include "exec/pipelined.hh"
+#include "sched/lower.hh"
 
 namespace wavepipe {
 namespace {
@@ -169,32 +169,6 @@ TEST(MoreExec, PreExchangeCanBeDisabledWhenCallerExchanged) {
       EXPECT_DOUBLE_EQ(max_abs_difference(*g, r), 0.0);
     }
   });
-}
-
-TEST(MoreExec, ChargeCanBeDisabled) {
-  CostModel cm;
-  cm.alpha = 5.0;
-  cm.beta = 0.5;
-  const Coord n = 10;
-  const ProcGrid<2> grid = ProcGrid<2>::along_dim(2, 0);
-  auto run_with_charge = [&](bool charge) {
-    return Machine::run(2, cm, [&](Communicator& comm) {
-             const Layout<2> layout(Region<2>({{1, 1}}, {{n, n}}), grid,
-                                    Idx<2>{{1, 0}});
-             DistArray<Real, 2> u("u", layout, comm.rank());
-             u.local().fill(1.0);
-             auto plan = scan(Region<2>({{2, 1}}, {{n, n}}),
-                              u.local() <<= prime(u.local(), kNorth) * 0.5)
-                             .compile();
-             WaveOptions opts;
-             opts.charge = charge;
-             run_wavefront(plan, layout, comm, opts);
-           })
-        .vtime_max;
-  };
-  // Without compute charging only the message costs remain.
-  EXPECT_GT(run_with_charge(true), run_with_charge(false));
-  EXPECT_GT(run_with_charge(false), 0.0);
 }
 
 TEST(MoreExec, RepeatedWavefrontsOnOneMachineStayConsistent) {

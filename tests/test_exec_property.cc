@@ -8,7 +8,7 @@
 #include <tuple>
 
 #include "array/io.hh"
-#include "exec/pipelined.hh"
+#include "sched/lower.hh"
 #include "support/rng.hh"
 
 namespace wavepipe {

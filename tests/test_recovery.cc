@@ -592,7 +592,7 @@ struct SwScoreCase {
       auto app = std::make_shared<SmithWatermanScore>(c, g, rank);
       RankProgram prog;
       auto lowered =
-          std::make_shared<LoweredWave<2>>(app->lower_fill(prog.graph, w));
+          std::make_shared<WaveReport<2>>(app->lower_fill(prog.graph, w));
       prog.state = app;
       prog.epilogue = [lowered, best, rank] {
         (*best)[static_cast<std::size_t>(rank)] = lowered->maxima().at(0);

@@ -418,11 +418,11 @@ RunResult traced_sweep_on(EngineKind kind) {
   });
 }
 
-// Container events (tile, statement) span their inner events and are
-// recorded *after* them, so their t0 rewinds; every other event type must
-// appear in non-decreasing virtual-time order within its rank.
+// Container events (task, tile, statement) span their inner events and
+// are recorded *after* them, so their t0 rewinds; every other event type
+// must appear in non-decreasing virtual-time order within its rank.
 bool is_container(const std::string& name) {
-  return name == "tile" || name == "statement";
+  return name == "task" || name == "tile" || name == "statement";
 }
 
 TEST(ChromeExport, ParsesAsStrictJsonWithSoundEventsOnBothEngines) {
