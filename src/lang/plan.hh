@@ -47,7 +47,7 @@ struct ArrayUse {
 /// itself — on a rank line a window one tile wide (exec/contracted.hh) —
 /// and starts it at 0, which cells outside the scan region keep. With
 /// `live_max` the executor folds the max over the scan region's cells
-/// per tile, while the window holds them (WaveReport::maxima).
+/// per tile, while the window holds them (WaveReport::maxima()).
 template <Rank R>
 struct Contracted {
   DenseArray<Real, R>* array = nullptr;

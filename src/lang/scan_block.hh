@@ -62,7 +62,7 @@ class ScanBlock {
 
   /// Declares a fused max live-out over the contracted array `a`: the
   /// executor folds max(a) over the scan region's cells per tile and
-  /// reports this rank's value (WaveReport::maxima).
+  /// reports this rank's value (WaveReport::maxima()).
   ScanBlock& live_max(DenseArray<Real, R>& a) {
     for (auto& c : contracted_) {
       if (c.array->id() != a.id()) continue;

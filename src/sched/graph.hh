@@ -144,6 +144,13 @@ class TaskGraph {
   /// static FIFO's pick order and every tie-break).
   TaskId add(Task t);
 
+  /// Makes room for `n` more tasks (lowering knows its tile count).
+  void reserve(std::size_t n) {
+    tasks_.reserve(tasks_.size() + n);
+    succs_.reserve(succs_.size() + n);
+    preds_.reserve(preds_.size() + n);
+  }
+
   /// Declares that `before` must complete before `after` may start.
   void add_edge(TaskId before, TaskId after);
 

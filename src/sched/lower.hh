@@ -39,6 +39,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
@@ -56,7 +57,7 @@ namespace wavepipe {
 namespace detail {
 
 /// What the tasks of one lowered instance share. They outlive
-/// lower_wavefront, so they hold it by shared_ptr.
+/// lower_wavefront; the first tile's task and the WaveReport own it.
 template <Rank R>
 struct WaveInstance {
   WaveInstance(const WavefrontPlan<R>& plan, const WaveTiling<R>& t,
@@ -181,6 +182,7 @@ WaveReport<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
   WaveReport<R> rep{t.local, t.waved, t.axes, t.tdim, grid.mj, grid.bj,
                     grid.mi, grid.bw, {}, inst};
   rep.tasks.assign(static_cast<std::size_t>(grid.mi * grid.mj), kNoTask);
+  g.reserve(rep.tasks.size());
   auto task_at = [&](Coord u, Coord v) -> TaskId& {
     return rep.tasks[static_cast<std::size_t>(u * grid.mj + v)];
   };
@@ -193,11 +195,12 @@ WaveReport<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
          u <= std::min(grid.mi - 1, d); ++u) {
       const Coord v = d - u;
       TaskGraph::Task task;
-      task.label =
-          !t.waved ? label
-                   : label + "[" +
-                         (t.axes == 2 ? std::to_string(u) + "," : std::string()) +
-                         std::to_string(v) + "]";
+      task.label = label;
+      if (t.waved) {
+        task.label += '[';
+        if (t.axes == 2) (task.label += std::to_string(u)) += ',';
+        (task.label += std::to_string(v)) += ']';
+      }
       task.cost = static_cast<double>(grid.tile(u, v).size());
       // Declaration order (axis 0, then axis 1) is run_tile's unpack order.
       for (int axis = 0; axis < 2; ++axis) {
@@ -207,7 +210,17 @@ WaveReport<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
         task.inflows.push_back(
             {src, grid.tag(axis), grid.inflow_size(axis, k)});
       }
-      task.run = [inst, u, v](TaskContext& ctx) { inst->run(ctx, u, v); };
+      // The first tile's task owns the instance for the graph; the others
+      // point at it, which keeps their closures in std::function's
+      // allocation-free small buffer.
+      if (d == 0) {
+        task.run = [inst](TaskContext& ctx) { inst->run(ctx, 0, 0); };
+      } else {
+        task.run = [in = inst.get(), tu = static_cast<std::int32_t>(u),
+                    tv = static_cast<std::int32_t>(v)](TaskContext& ctx) {
+          in->run(ctx, tu, tv);
+        };
+      }
 
       const TaskId id = g.add(std::move(task));
       if (v > 0) g.add_edge(task_at(u, v - 1), id);
