@@ -209,9 +209,7 @@ Real SmithWatermanScore::run(Communicator& comm, const WaveOptions& opts) {
 
 WaveReport<2> SmithWatermanScore::lower_fill(TaskGraph& g,
                                               const WaveOptions& opts) {
-  TagAllocator ta(opts.tag_base);
-  const TagRange tags =
-      ta.alloc(wavefront_tag_span<2>(2), "smith-waterman score fill");
+  const TagRange tags{opts.tag_base, wavefront_tag_span<2>(2)};
   return lower_wavefront(g, plan_, layout_, rank_, tags, "sw", opts);
 }
 

@@ -60,11 +60,11 @@ struct WaveOptions {
 };
 
 /// Width of the tag window one run_wavefront call may touch starting at
-/// WaveOptions::tag_base (and one lowered instance's TagRange): 2R tags for the bundled ghost pre-exchange (one
-/// per dimension per direction, apply_distributed's convention) plus one
-/// per frontier axis for the wave face messages (axis 0 = the wavefront
-/// dimension's north/south faces, axis 1 = the second frontier axis's
-/// west/east faces). Callers running several wavefront phases concurrently
+/// WaveOptions::tag_base (and of one lowered instance's TagRange): 2R tags
+/// for the bundled ghost pre-exchange (one per dimension per direction,
+/// apply_distributed's convention) plus one per frontier axis for the wave
+/// face messages (axis 0 = the wavefront dimension's north/south faces,
+/// axis 1 = the second frontier axis's west/east faces). Callers running several wavefront phases concurrently
 /// must give each a tag_base at least this far apart — the scheduler's
 /// TagAllocator asks for exactly this span per plan instance.
 template <Rank R>
@@ -294,8 +294,11 @@ WaveTiling<R> wave_tiling(const WavefrontPlan<R>& plan, const Layout<R>& layout,
 
 /// run_wavefront's old-value ghost exchange, bundled: every array of the
 /// plan with a nonzero halo contributes to one message per neighbour per
-/// dimension, on tags [tag_base, tag_base + 2R). Contracted arrays have no
-/// old values anyone reads (primed reads only). Collective.
+/// dimension, on tags [tag_base, tag_base + 2R). It serves the unprimed
+/// @-references, anti-dependences across rank boundaries included;
+/// payloads are snapshots, so its order against later computation is
+/// immaterial. Contracted arrays have no old values anyone reads (primed
+/// reads only). Collective.
 template <Rank R>
 void exchange_plan_ghosts(const WavefrontPlan<R>& plan,
                           const Layout<R>& layout, Communicator& comm,

@@ -25,10 +25,8 @@
 // maxima into its own slots; WaveReport::maxima() reduces them after the
 // drain.
 //
-// Lowering does no ghost pre-exchange (programs that need old-value halos
-// model them as tasks with their real ordering edges) and adds no
-// inter-instance edges (flux accumulation order, buffer reuse and similar
-// cross-plan constraints are the caller's, via TaskGraph::add_edge).
+// Lowering does no ghost pre-exchange and adds no inter-instance edges
+// (flux accumulation order, buffer reuse): those are the caller's.
 // run_wavefront() is the pre-exchange plus one instance lowered and run on
 // the static-FIFO SPMD executor, whose whole RunResult is a pure function
 // of the graph.
@@ -77,10 +75,10 @@ struct WaveInstance {
   bool overlap;
   /// Live-out maxima per tile (row-major) and contracted array.
   std::vector<Real> partial;
-  /// [axis][stream position % 2]: the send of that position's face. Under
-  /// overlap a position settles the one two places back, sent earlier in
-  /// the same run since a stream's positions are chained.
-  std::array<std::array<SendTicket, 2>, 2> sent{};
+  /// [axis * 2 + stream position % 2]: the send of that position's face.
+  /// Under overlap a position settles the one two places back, sent
+  /// earlier in the same run since a stream's positions are chained.
+  std::array<SendTicket, 4> sent{};
 
   /// Tile (u, v)'s task body.
   void run(TaskContext& ctx, Coord u, Coord v) {
@@ -94,12 +92,12 @@ struct WaveInstance {
         comm, u, v, ctx.inflows,
         [&](int axis) -> std::vector<Real>& {
           const Coord k = WaveGrid<R>::along(axis, u, v);
-          if (overlap && k >= 2) ctx.settle(slot(axis, k));
+          if (overlap && k >= 2) ctx.settle(sent[axis * 2 + k % 2]);
           // send() copies the payload out, so both axes share the buffer.
           return ctx.scratch();
         },
         [&](int axis, int peer, std::span<const Real> payload) {
-          SendTicket& s = slot(axis, WaveGrid<R>::along(axis, u, v));
+          SendTicket& s = sent[axis * 2 + WaveGrid<R>::along(axis, u, v) % 2];
           s = ctx.send(peer, payload, grid.tag(axis));
           if (!overlap) ctx.settle(s);
         });
@@ -116,10 +114,6 @@ struct WaveInstance {
                          static_cast<std::uint64_t>(tile.size()));
   }
 
- private:
-  SendTicket& slot(int axis, Coord k) {
-    return sent[static_cast<std::size_t>(axis)][static_cast<std::size_t>(k % 2)];
-  }
 };
 
 }  // namespace detail
