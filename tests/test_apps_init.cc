@@ -1,6 +1,7 @@
-// Initial state of the trig-seeded apps (SOR, Tomcatv, AltSweep).
+// Initial state of the trig-seeded apps (SOR, Tomcatv, AltSweep), and
+// whole-run pins of those apps and SWEEP3D.
 //
-// Two guards on init():
+// Two guards:
 //
 //  * AppInit walks every allocated cell, fluff included, of the arrays
 //    init() seeds from sin/cos and compares it bit for bit with the
@@ -12,7 +13,10 @@
 //    the final field each rank owns and a digest of every rank's virtual
 //    time. The app tests' MatchesSerialExactly compare two runs that
 //    share one init(), so a changed initial bit would pass them; these
-//    pins would not move with it.
+//    pins would not move with it. The SWEEP3D pins also hold the total
+//    messages and bytes sent; they were recorded from the sequential
+//    octant-by-octant driver and stay the oracle of the one-slot graph
+//    that replaced it.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -25,6 +29,7 @@
 
 #include "apps/alt_sweep.hh"
 #include "apps/sor.hh"
+#include "apps/sweep3d.hh"
 #include "apps/tomcatv.hh"
 #include "model/machines.hh"
 
@@ -155,7 +160,7 @@ TEST(AppInit, AltSweepMatchesClosedForm) {
 
 // --- whole-run pins ---
 
-enum class Kind { kSor, kTomcatv, kAltPipelined, kAltTranspose };
+enum class Kind { kSor, kTomcatv, kAltPipelined, kAltTranspose, kSweep3d };
 
 struct RunPin {
   Kind kind;
@@ -165,9 +170,12 @@ struct RunPin {
   StorageOrder order;
   bool overlap;
   std::uint64_t checksum;  // bit patterns of rank 0's results
-  std::uint64_t residual;
+  std::uint64_t residual;  // SWEEP3D: the total scalar flux
   std::uint64_t field;   // FNV-1a over every rank's owned final field
   std::uint64_t clocks;  // FNV-1a over every rank's vtime
+  // SWEEP3D only (checked for it alone): messages and bytes sent in total.
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
 };
 
 const char* kind_name(Kind k) {
@@ -176,6 +184,7 @@ const char* kind_name(Kind k) {
     case Kind::kTomcatv: return "Tomcatv";
     case Kind::kAltPipelined: return "AltPipelined";
     case Kind::kAltTranspose: return "AltTranspose";
+    case Kind::kSweep3d: return "Sweep3d";
   }
   return "?";
 }
@@ -273,6 +282,24 @@ TEST_P(AppRunPin, BitsAndClocksUnchanged) {
             take(app.u().local(), app.u().owned());
             break;
           }
+          case Kind::kSweep3d: {
+            // Rank lines and pc-column 2D frontiers of a 3D grid.
+            Sweep3dConfig cfg;
+            cfg.n = c.pc == 1 ? 12 : 13;
+            cfg.angles = c.pc == 1 ? 2 : 3;
+            cfg.iterations = 2;
+            cfg.order = c.order;
+            const ProcGrid<3> g3 = c.pc == 1
+                                       ? ProcGrid<3>::along_dim(c.p, 0)
+                                       : ProcGrid<3>({c.p / c.pc, c.pc, 1});
+            Sweep3d app(cfg, g3, comm.rank());
+            for (int it = 0; it < cfg.iterations; ++it)
+              res = app.sweep_all(comm, opts);
+            cs = app.checksum(comm);
+            for_each(app.layout().owned(comm.rank()),
+                     [&](const Idx<3>& i) { field.push_back(app.flux()(i)); });
+            break;
+          }
         }
         if (comm.rank() == 0) {
           checksum = cs;
@@ -283,18 +310,24 @@ TEST_P(AppRunPin, BitsAndClocksUnchanged) {
   for (const auto& f : fields) all.insert(all.end(), f.begin(), f.end());
   const std::uint64_t field = fnv(all);
   const std::uint64_t clocks = fnv(r.vtime);
-  char actual[128];
-  std::snprintf(
-      actual, sizeof actual,
-      "actual {0x%016llxull, 0x%016llxull, 0x%016llxull, 0x%016llxull}",
-      static_cast<unsigned long long>(bits(checksum)),
-      static_cast<unsigned long long>(bits(residual)),
-      static_cast<unsigned long long>(field),
-      static_cast<unsigned long long>(clocks));
+  char actual[192];
+  std::snprintf(actual, sizeof actual,
+                "actual {0x%016llxull, 0x%016llxull, 0x%016llxull, "
+                "0x%016llxull, %llu, %llu}",
+                static_cast<unsigned long long>(bits(checksum)),
+                static_cast<unsigned long long>(bits(residual)),
+                static_cast<unsigned long long>(field),
+                static_cast<unsigned long long>(clocks),
+                static_cast<unsigned long long>(r.total.messages_sent),
+                static_cast<unsigned long long>(r.total.bytes_sent));
   EXPECT_EQ(bits(checksum), c.checksum) << actual;
   EXPECT_EQ(bits(residual), c.residual) << actual;
   EXPECT_EQ(field, c.field) << actual;
   EXPECT_EQ(clocks, c.clocks) << actual;
+  if (c.kind == Kind::kSweep3d) {
+    EXPECT_EQ(r.total.messages_sent, c.messages) << actual;
+    EXPECT_EQ(r.total.bytes_sent, c.bytes) << actual;
+  }
 }
 
 constexpr StorageOrder kCol = StorageOrder::kColMajor;
@@ -523,7 +556,85 @@ INSTANTIATE_TEST_SUITE_P(Pinned, AppRunPin, ::testing::Values(
          0xdc672dfe8248a65bull, 0x4483b6994dd58d7bull},
   RunPin{Kind::kAltTranspose, 4, 1, 3, kRow, false,
          0x40532e051b757addull, 0x3fdb778622455ecfull,
-         0xdc672dfe8248a65bull, 0x4483b6994dd58d7bull}
+         0xdc672dfe8248a65bull, 0x4483b6994dd58d7bull},
+  RunPin{Kind::kSweep3d, 1, 1, 0, kCol, false,
+         0x40739cbe7dfd98f0ull, 0x406a24df2b876ed5ull,
+         0x85aad97d95bd4ea6ull, 0x4a2e8b7eb16a4e90ull, 0, 0},
+  RunPin{Kind::kSweep3d, 1, 1, 2, kCol, false,
+         0x40739cbe7dfd98f0ull, 0x406a24df2b876ed5ull,
+         0x85aad97d95bd4ea6ull, 0x4a2e8b7eb16a4e90ull, 0, 0},
+  RunPin{Kind::kSweep3d, 1, 1, 4, kCol, false,
+         0x40739cbe7dfd98f0ull, 0x406a24df2b876ed5ull,
+         0x85aad97d95bd4ea6ull, 0x4a2e8b7eb16a4e90ull, 0, 0},
+  RunPin{Kind::kSweep3d, 2, 1, 0, kCol, false,
+         0x40739cbe7dfd98e5ull, 0x406a24df2b876ec4ull,
+         0x85aad97d95bd4ea6ull, 0xbf584f7f8418b7abull, 40, 36928},
+  RunPin{Kind::kSweep3d, 2, 1, 2, kCol, false,
+         0x40739cbe7dfd98e5ull, 0x406a24df2b876ec4ull,
+         0x85aad97d95bd4ea6ull, 0x09e03f993e6ac7ffull, 200, 36928},
+  RunPin{Kind::kSweep3d, 2, 1, 4, kCol, false,
+         0x40739cbe7dfd98e5ull, 0x406a24df2b876ec4ull,
+         0x85aad97d95bd4ea6ull, 0x709a6585152f91b3ull, 104, 36928},
+  RunPin{Kind::kSweep3d, 4, 1, 0, kCol, false,
+         0x40739cbe7dfd98e6ull, 0x406a24df2b876ec9ull,
+         0x85aad97d95bd4ea6ull, 0xacdef3e3e8d3a41bull, 120, 110784},
+  RunPin{Kind::kSweep3d, 4, 1, 2, kCol, false,
+         0x40739cbe7dfd98e6ull, 0x406a24df2b876ec9ull,
+         0x85aad97d95bd4ea6ull, 0x0f77694c49806c43ull, 600, 110784},
+  RunPin{Kind::kSweep3d, 4, 1, 4, kCol, false,
+         0x40739cbe7dfd98e6ull, 0x406a24df2b876ec9ull,
+         0x85aad97d95bd4ea6ull, 0x715a7c86f29266ebull, 312, 110784},
+  RunPin{Kind::kSweep3d, 4, 2, 0, kCol, false,
+         0x40790bb313cd930eull, 0x4070b1ff5d4390f0ull,
+         0x9d4b66c90662b11full, 0xdcfd06a7dbec4bcbull, 216, 134976},
+  RunPin{Kind::kSweep3d, 4, 2, 3, kCol, false,
+         0x40790bb313cd930eull, 0x4070b1ff5d4390f0ull,
+         0x9d4b66c90662b11full, 0x77b2c2e1a8e2751bull, 360, 134976},
+  RunPin{Kind::kSweep3d, 6, 2, 0, kCol, false,
+         0x40790bb313cd9310ull, 0x4070b1ff5d4390f1ull,
+         0x1bf4ece8b63f7783ull, 0xd77cd025cdec4143ull, 376, 204992},
+  RunPin{Kind::kSweep3d, 6, 2, 3, kCol, false,
+         0x40790bb313cd9310ull, 0x4070b1ff5d4390f1ull,
+         0x1bf4ece8b63f7783ull, 0xcd24b56bfab0b00bull, 664, 204992},
+  RunPin{Kind::kSweep3d, 1, 1, 0, kCol, true,
+         0x40739cbe7dfd98f0ull, 0x406a24df2b876ed5ull,
+         0x85aad97d95bd4ea6ull, 0x4a2e8b7eb16a4e90ull, 0, 0},
+  RunPin{Kind::kSweep3d, 1, 1, 2, kCol, true,
+         0x40739cbe7dfd98f0ull, 0x406a24df2b876ed5ull,
+         0x85aad97d95bd4ea6ull, 0x4a2e8b7eb16a4e90ull, 0, 0},
+  RunPin{Kind::kSweep3d, 1, 1, 4, kCol, true,
+         0x40739cbe7dfd98f0ull, 0x406a24df2b876ed5ull,
+         0x85aad97d95bd4ea6ull, 0x4a2e8b7eb16a4e90ull, 0, 0},
+  RunPin{Kind::kSweep3d, 2, 1, 0, kCol, true,
+         0x40739cbe7dfd98e5ull, 0x406a24df2b876ec4ull,
+         0x85aad97d95bd4ea6ull, 0xbf584f7f8418b7abull, 40, 36928},
+  RunPin{Kind::kSweep3d, 2, 1, 2, kCol, true,
+         0x40739cbe7dfd98e5ull, 0x406a24df2b876ec4ull,
+         0x85aad97d95bd4ea6ull, 0xd61abc1424c4998bull, 200, 36928},
+  RunPin{Kind::kSweep3d, 2, 1, 4, kCol, true,
+         0x40739cbe7dfd98e5ull, 0x406a24df2b876ec4ull,
+         0x85aad97d95bd4ea6ull, 0x73ddc71fe4fb6c6bull, 104, 36928},
+  RunPin{Kind::kSweep3d, 4, 1, 0, kCol, true,
+         0x40739cbe7dfd98e6ull, 0x406a24df2b876ec9ull,
+         0x85aad97d95bd4ea6ull, 0xacdef3e3e8d3a41bull, 120, 110784},
+  RunPin{Kind::kSweep3d, 4, 1, 2, kCol, true,
+         0x40739cbe7dfd98e6ull, 0x406a24df2b876ec9ull,
+         0x85aad97d95bd4ea6ull, 0x61ae7f316ffe7f83ull, 600, 110784},
+  RunPin{Kind::kSweep3d, 4, 1, 4, kCol, true,
+         0x40739cbe7dfd98e6ull, 0x406a24df2b876ec9ull,
+         0x85aad97d95bd4ea6ull, 0xdfcc245629b4bbe3ull, 312, 110784},
+  RunPin{Kind::kSweep3d, 4, 2, 0, kCol, true,
+         0x40790bb313cd930eull, 0x4070b1ff5d4390f0ull,
+         0x9d4b66c90662b11full, 0xdcfd06a7dbec4bcbull, 216, 134976},
+  RunPin{Kind::kSweep3d, 4, 2, 3, kCol, true,
+         0x40790bb313cd930eull, 0x4070b1ff5d4390f0ull,
+         0x9d4b66c90662b11full, 0x812627546b284243ull, 360, 134976},
+  RunPin{Kind::kSweep3d, 6, 2, 0, kCol, true,
+         0x40790bb313cd9310ull, 0x4070b1ff5d4390f1ull,
+         0x1bf4ece8b63f7783ull, 0xd77cd025cdec4143ull, 376, 204992},
+  RunPin{Kind::kSweep3d, 6, 2, 3, kCol, true,
+         0x40790bb313cd9310ull, 0x4070b1ff5d4390f1ull,
+         0x1bf4ece8b63f7783ull, 0xc56ce17ffb318513ull, 664, 204992}
 ), [](const ::testing::TestParamInfo<RunPin>& info) {
   return pin_name(info.param);
 });
