@@ -3,10 +3,11 @@
 // execution of the two multi-wavefront applications, under the paper's
 // T3E-like calibration.
 //
-//   * SWEEP3D: all 8 octants x all angles. Sequentially each (octant,
-//     angle) instance sweeps to completion before the next starts; the
-//     scheduler keeps several instances in flight so opposite octants fill
-//     each other's pipeline bubbles.
+//   * SWEEP3D: all 8 octants x all angles, both sides one lowered graph.
+//     Sequentially (one phi slot on static FIFO, what sweep3d_spmd runs)
+//     each (octant, angle) instance sweeps to completion before the next
+//     starts; the scheduler keeps several instances in flight over four
+//     slots so opposite octants fill each other's pipeline bubbles.
 //   * Alternating sweep (ADI-style): the scheduler pipelines the
 //     horizontal G/H statements against the vertical wavefront instead of
 //     bulk-synchronizing between phases. The best block size differs
@@ -69,7 +70,9 @@ Point sweep3d_point(int p, const CostModel& costs, const Sweep3dConfig& cfg,
       Machine::run(p, costs,
                    [&](Communicator& comm) {
                      Sweep3d app(cfg, grid, comm.rank());
-                     const Real f = app.sweep_all(comm, opts);
+                     const Real f = app.sweep_all_scheduled(
+                         comm, opts, SchedOptions{.adaptive = false}, nullptr,
+                         1);
                      const Real cs = app.checksum(comm);
                      if (comm.rank() == 0) {
                        seq.value = f;

@@ -19,19 +19,23 @@ int main(int argc, char** argv) {
 
   std::cout << "SWEEP3D-like Sn transport sweep, " << n << "^3 cells\n\n";
 
-  // Show the wavefront structure of two representative octants.
+  // Show the wavefront structure of two opposite octants: one angle over
+  // 8 phi slots leaves octant o's angular flux in slot o.
   {
     Sweep3dConfig cfg;
     cfg.n = n;
     Sweep3d app(cfg, ProcGrid<3>({1, 1, 1}), 0);
     Machine::run(1, {}, [&](Communicator& comm) {
-      std::cout << "octant 0 (+++ travel): sweeping...\n";
-      app.sweep_octant(0, comm);
-      std::cout << "octant 7 (--- travel): sweeping...\n";
-      app.sweep_octant(7, comm);
-      app.accumulate(comm);
-      std::cout << "flux after 2 octants: " << fmt(app.total_flux(comm), 6)
-                << "\n\n";
+      const Real flux =
+          app.sweep_all_scheduled(comm, {}, SchedOptions{}, nullptr, 8);
+      for (const int o : {0, 7}) {
+        Real s = 0.0;
+        const DenseArray<Real, 3>& phi = app.slot_phi(o);
+        for_each(app.cells(), [&](const Idx<3>& i) { s += phi(i); });
+        std::cout << "octant " << o << (o == 0 ? " (+++" : " (---")
+                  << " travel): angular flux sum " << fmt(s, 6) << "\n";
+      }
+      std::cout << "flux after all 8 octants: " << fmt(flux, 6) << "\n\n";
     });
   }
 

@@ -40,11 +40,8 @@ Sweep3d::Sweep3d(const Sweep3dConfig& cfg, const ProcGrid<3>& grid, int rank)
       src_("src", layout_.allocated(rank), cfg.order),
       quadrature_(make_quadrature(cfg.angles)) {
   require(cfg.n >= 2, "SWEEP3D needs n >= 2");
-  plans_.reserve(8 * static_cast<std::size_t>(cfg.angles));
   for (int o = 0; o < 8; ++o)
     for (int a = 0; a < cfg.angles; ++a) {
-      plans_.push_back(
-          compile_octant(phi_, o, quadrature_[static_cast<std::size_t>(a)]));
       // One tag window per (octant, angle) instance, wide enough for the
       // plan's wavefront phase on any grid — two frontier axes when a 2D
       // processor grid distributes a second upwind dimension — so
@@ -93,41 +90,6 @@ void Sweep3d::init() {
   flux_.fill(0.0);
 }
 
-WaveReport<3> Sweep3d::sweep_octant(int octant, Communicator& comm,
-                                    const WaveOptions& opts, int angle) {
-  require(octant >= 0 && octant < 8, "octant must be in [0, 8)");
-  require(angle >= 0 && angle < cfg_.angles, "angle out of quadrature range");
-  // Vacuum boundary: the inflow fluff must be zero, and stays zero from
-  // init() on. Only wave messages write phi's fluff, and only on faces
-  // with an upwind peer — which every later sweep reading that face
-  // overwrites again before its first read. A face without a peer is never
-  // written, so no per-sweep reset is needed.
-  WaveOptions o = opts;
-  o.pre_exchange = false;  // inflow is either wave-fed or vacuum
-  // The instance's allocated tag window supersedes opts.tag_base: the old
-  // `tag_base + 16 * octant` stride ignored the angle entirely and guessed
-  // at the per-instance span.
-  o.tag_base = sweep_tags(octant, angle).base;
-  return run_wavefront(plan_of(octant, angle), layout_, comm, o);
-}
-
-void Sweep3d::accumulate(Communicator& comm, int angle) {
-  require(angle >= 0 && angle < cfg_.angles, "angle out of quadrature range");
-  const Real w = quadrature_[static_cast<std::size_t>(angle)].weight;
-  apply_distributed(cells_, flux_ <<= flux_ + w * phi_, layout_, comm,
-                    acc_tag_.base);
-}
-
-Real Sweep3d::sweep_all(Communicator& comm, const WaveOptions& opts) {
-  for (int o = 0; o < 8; ++o) {
-    for (int a = 0; a < cfg_.angles; ++a) {
-      sweep_octant(o, comm, opts, a);
-      accumulate(comm, a);
-    }
-  }
-  return total_flux(comm);
-}
-
 void Sweep3d::ensure_slots(int slots) {
   const int total = 8 * cfg_.angles;
   const int k = std::min(slots, total);
@@ -158,16 +120,20 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
 
   // One graph holding every (octant, angle) instance. Intra-instance order
   // is the lowered tile chain; the inter-instance constraints are:
-  //   acc(i-1) -> acc(i)      flux accumulates in sweep_all's exact order,
+  //   acc(i-1) -> acc(i)      flux accumulates in (octant, angle) order,
   //                           so the reduction is bit-identical;
   //   acc(i-k) -> tile0(i)    instance i reuses slot i % k: its first tile
   //                           (and, transitively, every later one) must
   //                           wait until the previous tenant's cells have
   //                           been folded into the flux (WAR).
   // Everything else — up to `k` instances' tiles, in any order the
-  // scheduler and message arrivals allow — is the recovered overlap. The
-  // slots need no vacuum reset, for sweep_octant's reason: a slot's fluff
-  // is zero from allocation and written only on faces the wave feeds.
+  // scheduler and message arrivals allow — is the recovered overlap.
+  //
+  // Vacuum boundary: a slot's inflow fluff is zero from allocation and
+  // needs no reset. Only wave messages write it, and only on faces with an
+  // upwind peer, which every later instance reading that face overwrites
+  // before its first read; a face without a peer is never written. So no
+  // instance pre-exchanges ghosts either: its inflow is wave-fed or vacuum.
   TaskGraph g;
   std::vector<TaskId> acc(static_cast<std::size_t>(total), kNoTask);
   for (int i = 0; i < total; ++i) {
@@ -185,7 +151,10 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
     t.label = "acc" + suffix;
     t.cost = acc_cost;
     const Real wgt = quadrature_[static_cast<std::size_t>(a)].weight;
-    t.run = [this, slot, wgt](TaskContext& ctx) {
+    // One slot: settle the instance's sends here (see the header).
+    auto* settle = k == 1 ? lw.instance.get() : nullptr;
+    t.run = [this, slot, wgt, settle](TaskContext& ctx) {
+      if (settle) settle->settle_sends(ctx);
       apply_distributed(cells_, flux_ <<= flux_ + wgt * (*slot), layout_,
                         ctx.comm, acc_tag_.base);
     };
@@ -201,9 +170,9 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
 }
 
 void Sweep3d::mirror_last_slot() {
-  // sweep_all leaves the last instance's angular flux in phi_; mirror that
-  // by copying the last slot's owned cells (uncharged — it models keeping
-  // a pointer, not moving data), so checksum() agrees bit for bit.
+  // phi_ holds the last instance's angular flux: copy the last slot's
+  // owned cells (uncharged — it models keeping a pointer, not moving
+  // data), so checksum() agrees bit for bit across slot counts.
   const int total = 8 * cfg_.angles;
   const int k = static_cast<int>(slot_phi_.size());
   require(k >= 1, "mirror_last_slot before any scheduled sweep");
@@ -256,10 +225,8 @@ Real Sweep3d::checksum(Communicator& comm) {
 
 Real sweep3d_spmd(Communicator& comm, const Sweep3dConfig& cfg,
                   const ProcGrid<3>& grid, const WaveOptions& opts) {
-  Sweep3d app(cfg, grid, comm.rank());
-  Real flux = 0.0;
-  for (int it = 0; it < cfg.iterations; ++it) flux = app.sweep_all(comm, opts);
-  return flux;
+  return sweep3d_spmd_scheduled(comm, cfg, grid, opts,
+                                SchedOptions{.adaptive = false}, 1);
 }
 
 Real sweep3d_spmd_scheduled(Communicator& comm, const Sweep3dConfig& cfg,

@@ -11,6 +11,7 @@
 // wavefront travels along the first (distributed) dimension, the other two
 // are serialized locally, and pipelining in blocks recovers parallelism.
 // After each octant the scalar flux accumulates phi (a parallel statement).
+// Every sweep runs as one lowered task graph (build_sweep_graph).
 #pragma once
 
 #include <array>
@@ -53,27 +54,16 @@ class Sweep3d {
   /// the inflow faces), zero initial flux.
   void init();
 
-  /// Sweeps one (octant, angle) pair (octant 0..7; bit 0/1/2 = negative
-  /// travel along x/y/z; angle indexes the quadrature).
-  WaveReport<3> sweep_octant(int octant, Communicator& comm,
-                             const WaveOptions& opts = {}, int angle = 0);
-
-  /// Accumulates the current phi into the scalar flux with the ordinate's
-  /// quadrature weight (parallel).
-  void accumulate(Communicator& comm, int angle = 0);
-
-  /// All 8 octants x all angles + accumulation; returns total scalar flux
-  /// (collective).
-  Real sweep_all(Communicator& comm, const WaveOptions& opts = {});
-
-  /// sweep_all via the tile-task dataflow scheduler: every (octant, angle)
-  /// instance is lowered into one task graph and up to `slots` instances
-  /// are in flight at once over per-slot angular-flux buffers, so opposite
-  /// octants fill each other's pipeline bubbles. Flux accumulation is
-  /// serialized in (octant, angle) order by explicit edges, so the result
-  /// (flux, phi, checksum) is bit-identical to sweep_all's. The graph is
-  /// built on the first call and rerun by later ones; it is rebuilt only
-  /// when block, block_w, charge or slots change. Collective.
+  /// Every (octant, angle) instance, lowered into one task graph, with the
+  /// flux accumulated after each; returns the total scalar flux. Up to
+  /// `slots` instances are in flight at once over per-slot angular-flux
+  /// buffers, so opposite octants fill each other's pipeline bubbles. Flux
+  /// accumulation is serialized in (octant, angle) order by explicit edges,
+  /// so flux, phi and checksum are bit-identical for every slot count and
+  /// schedule. One slot on static FIFO is the sequential octant-by-octant
+  /// sweep (sweep3d_spmd). The graph is built on the first call and rerun
+  /// by later ones; it is rebuilt only when block, block_w, overlap or
+  /// slots change. Collective.
   Real sweep_all_scheduled(Communicator& comm, const WaveOptions& opts = {},
                            const SchedOptions& sched = SchedOptions::from_env(),
                            SchedReport* report = nullptr, int slots = 4);
@@ -83,10 +73,19 @@ class Sweep3d {
   /// given (cfg, grid, rank), so it doubles as the recovery
   /// ProgramFactory seam. Builds a fresh graph on every call;
   /// sweep_all_scheduled keeps the one it built and reruns it.
+  ///
+  /// Instance i runs on slot i % slots, and its first tile waits on the
+  /// acc task of instance i - slots. With one slot that edge orders the
+  /// instances back to back, and acc(i) first settles instance i's
+  /// outflow sends still in flight (under overlap, the last two of each
+  /// face stream), in posting order: the boundary at which one sequential
+  /// sweep's sends drained. With more slots they stay in flight across
+  /// instances until the graph drains, the overlap the slots buy.
   TaskGraph build_sweep_graph(const WaveOptions& opts = {}, int slots = 4);
 
   /// The comm-free tail of a scheduled sweep: mirrors the last slot's
-  /// owned cells into phi_, exactly as sweep_all leaves them.
+  /// owned cells into phi_, so phi() holds the last instance's angular
+  /// flux.
   void mirror_last_slot();
 
   /// Writes this rank's owned flux cells into `out`, a row-major n^3
@@ -96,10 +95,9 @@ class Sweep3d {
 
   /// The tag ranges the app allocated: one wavefront_tag_span<3>(2) window
   /// per (octant, angle) instance (wide enough for a 2D processor-grid
-  /// frontier) plus one for accumulation. sweep_octant ignores
-  /// WaveOptions::tag_base in favour of these — the stride between
-  /// instances is derived from the plan (via wavefront_tag_span), not
-  /// hardcoded by the caller.
+  /// frontier) plus one for accumulation. The lowered instances use these
+  /// and never read WaveOptions::tag_base, so concurrent instances cannot
+  /// collide however many are in flight.
   const TagAllocator& tags() const { return tags_; }
 
   const std::vector<Ordinate>& quadrature() const { return quadrature_; }
@@ -111,16 +109,17 @@ class Sweep3d {
   const Region<3>& cells() const { return cells_; }
   DenseArray<Real, 3>& phi() { return phi_; }
   DenseArray<Real, 3>& flux() { return flux_; }
+  /// Slot s's angular-flux buffer: after a sweep it holds the last
+  /// instance that ran on it (with one angle and 8 slots, slot o holds
+  /// octant o).
+  const DenseArray<Real, 3>& slot_phi(int s) const {
+    return *slot_phi_.at(static_cast<std::size_t>(s));
+  }
   Coord wave_elements() const { return cells_.size(); }
 
  private:
   WavefrontPlan<3> compile_octant(DenseArray<Real, 3>& phi, int octant,
                                   const Ordinate& ord);
-  const WavefrontPlan<3>& plan_of(int octant, int angle) const {
-    return plans_[static_cast<std::size_t>(octant) *
-                      static_cast<std::size_t>(cfg_.angles) +
-                  static_cast<std::size_t>(angle)];
-  }
   const TagRange& sweep_tags(int octant, int angle) const {
     return sweep_tags_[static_cast<std::size_t>(octant) *
                            static_cast<std::size_t>(cfg_.angles) +
@@ -135,7 +134,6 @@ class Sweep3d {
   Layout<3> layout_;
   DenseArray<Real, 3> phi_, flux_, src_;
   std::vector<Ordinate> quadrature_;
-  std::vector<WavefrontPlan<3>> plans_;  // [octant * angles + angle]
   TagAllocator tags_{500};
   std::vector<TagRange> sweep_tags_;  // [octant * angles + angle]
   TagRange acc_tag_;
@@ -155,12 +153,14 @@ class Sweep3d {
   std::optional<KeptGraph> kept_;
 };
 
-/// SPMD driver: init + iterations full sweeps; returns total flux.
+/// SPMD driver: init + iterations full sweeps, each the kept one-slot graph
+/// on the static-FIFO SPMD executor (options fixed here, never read from
+/// the environment); returns total flux.
 Real sweep3d_spmd(Communicator& comm, const Sweep3dConfig& cfg,
                   const ProcGrid<3>& grid, const WaveOptions& opts = {});
 
-/// SPMD driver over the dataflow scheduler; bit-identical flux to
-/// sweep3d_spmd under the same config.
+/// SPMD driver over `slots` instances in flight under `sched`;
+/// bit-identical flux to sweep3d_spmd under the same config.
 Real sweep3d_spmd_scheduled(
     Communicator& comm, const Sweep3dConfig& cfg, const ProcGrid<3>& grid,
     const WaveOptions& opts = {},

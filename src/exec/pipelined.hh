@@ -49,9 +49,6 @@ struct WaveOptions {
   Coord block_w = 0;
   /// Base of the message-tag space this call uses.
   int tag_base = 500;
-  /// Fill fluff with neighbours' old values first (disable only when the
-  /// caller has already exchanged).
-  bool pre_exchange = true;
   /// Settle each outflow send when its face stream's buffer comes round
   /// again (two tiles later) instead of right away, letting the send
   /// engine drain under the next tiles' compute. Results are bit-identical

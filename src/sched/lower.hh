@@ -15,7 +15,10 @@
 // the first south face leaves after ~mi tiles, not after nearly the whole
 // block. Each outflow face is settled right after it is sent or, under
 // WaveOptions::overlap, when its stream's buffer comes round again two
-// tiles later — the paper's Fig 4 schedule.
+// tiles later — the paper's Fig 4 schedule. What no tile settled (under
+// overlap, the last two sends of each stream) the executor settles when
+// the graph drains, unless a later task of the caller's settles it first
+// (WaveInstance::settle_sends).
 //
 // Contracted arrays (ScanBlock::contract) live in one ContractedStore per
 // instance (exec/contracted.hh), shared by its tasks like the grid. On a
@@ -26,10 +29,12 @@
 // drain.
 //
 // Lowering does no ghost pre-exchange and adds no inter-instance edges
-// (flux accumulation order, buffer reuse): those are the caller's.
-// run_wavefront() is the pre-exchange plus one instance lowered and run on
-// the static-FIFO SPMD executor, whose whole RunResult is a pure function
-// of the graph.
+// (flux accumulation order, buffer reuse): those are the caller's. A
+// caller whose inflow fluff is already current (the caller exchanged, or
+// every inflow face is wave-fed or vacuum, as in SWEEP3D) lowers and runs
+// the plan itself. run_wavefront() is the ghost pre-exchange plus one
+// instance lowered and run on the static-FIFO SPMD executor, whose whole
+// RunResult is a pure function of the graph.
 //
 // Lifetime: the emitted task bodies reach `plan` (and the arrays it
 // names) by pointer — it must outlive run_graph().
@@ -75,10 +80,11 @@ struct WaveInstance {
   bool overlap;
   /// Live-out maxima per tile (row-major) and contracted array.
   std::vector<Real> partial;
-  /// [axis * 2 + stream position % 2]: the send of that position's face.
-  /// Under overlap a position settles the one two places back, sent
-  /// earlier in the same run since a stream's positions are chained.
-  std::array<SendTicket, 4> sent{};
+  /// [axis * 2 + stream position % 2]: the send of that position's face
+  /// (kNoSend before the stream's first send of the run). Under overlap a
+  /// position settles the one two places back, sent earlier in the same
+  /// run since a stream's positions are chained.
+  std::array<SendTicket, 4> sent{kNoSend, kNoSend, kNoSend, kNoSend};
 
   /// Tile (u, v)'s task body.
   void run(TaskContext& ctx, Coord u, Coord v) {
@@ -87,6 +93,8 @@ struct WaveInstance {
     const bool traced = grid.t.waved && comm.tracer().enabled();
     const double t0 = traced ? comm.vtime() : 0.0;
     const Region<R> tile = grid.tile(u, v);
+    // Every other tile follows (0, 0): tickets of an earlier run go here.
+    if (u == 0 && v == 0) sent.fill(kNoSend);
     store.enter(tile, u == 0 && v == 0);
     grid.run_tile(
         comm, u, v, ctx.inflows,
@@ -114,6 +122,14 @@ struct WaveInstance {
                          static_cast<std::uint64_t>(tile.size()));
   }
 
+  /// Settles this run's sends no tile settled, in posting (ticket) order;
+  /// call it from a task that follows the last tile. (Any order would give
+  /// the same clock: a send wait is max(vtime, the send's completion).)
+  void settle_sends(TaskContext& ctx) const {
+    std::array<SendTicket, 4> order = sent;
+    std::sort(order.begin(), order.end());
+    for (const SendTicket s : order) ctx.settle(s);
+  }
 };
 
 }  // namespace detail
@@ -157,8 +173,8 @@ struct WaveReport {
 /// "<label>[j]" (1D) or "<label>[u,v]" (2D frontier, row-major tile grid).
 ///
 /// Of `opts`, lowering reads block, block_w and overlap. It ignores
-/// tag_base (the tags come from `tags`) and pre_exchange (see the file
-/// comment).
+/// tag_base (the tags come from `tags`) and exchanges no ghosts (see the
+/// file comment).
 template <Rank R>
 WaveReport<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
                               const Layout<R>& layout, int rank,
@@ -229,7 +245,8 @@ WaveReport<R> lower_wavefront(TaskGraph& g, const WavefrontPlan<R>& plan,
 }
 
 /// Executes a compiled scan block over a block-distributed layout: the
-/// ghost pre-exchange (WaveOptions::pre_exchange), then the plan lowered
+/// ghost pre-exchange (fluff filled with the neighbours' old values), then
+/// the plan lowered
 /// on tags [tag_base, tag_base + wavefront_tag_span) and run on this
 /// rank's static-FIFO SPMD executor. Collective: every rank of the grid
 /// must call with the same plan structure and options. The options are
@@ -240,8 +257,7 @@ WaveReport<R> run_wavefront(const WavefrontPlan<R>& plan,
                             const WaveOptions& opts = {}) {
   require(layout.grid().size() == comm.size(),
           "processor grid size must equal machine size");
-  if (opts.pre_exchange)
-    exchange_plan_ghosts(plan, layout, comm, opts.tag_base);
+  exchange_plan_ghosts(plan, layout, comm, opts.tag_base);
   TaskGraph g;
   const TagRange tags{opts.tag_base, wavefront_tag_span<R>(2)};
   WaveReport<R> rep =

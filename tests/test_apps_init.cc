@@ -293,8 +293,11 @@ TEST_P(AppRunPin, BitsAndClocksUnchanged) {
                                        ? ProcGrid<3>::along_dim(c.p, 0)
                                        : ProcGrid<3>({c.p / c.pc, c.pc, 1});
             Sweep3d app(cfg, g3, comm.rank());
+            // The sequential sweep: one slot on static FIFO, as
+            // sweep3d_spmd runs it.
             for (int it = 0; it < cfg.iterations; ++it)
-              res = app.sweep_all(comm, opts);
+              res = app.sweep_all_scheduled(
+                  comm, opts, SchedOptions{.adaptive = false}, nullptr, 1);
             cs = app.checksum(comm);
             for_each(app.layout().owned(comm.rank()),
                      [&](const Idx<3>& i) { field.push_back(app.flux()(i)); });

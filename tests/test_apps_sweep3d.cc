@@ -2,6 +2,8 @@
 // sanity (positivity, source bounds), and executor equivalence.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "apps/sweep3d.hh"
 
 namespace wavepipe {
@@ -12,7 +14,7 @@ TEST(Sweep3d, FluxIsPositiveAndBounded) {
   cfg.n = 10;
   Machine::run(1, {}, [&](Communicator& comm) {
     Sweep3d app(cfg, ProcGrid<3>({1, 1, 1}), 0);
-    const Real flux = app.sweep_all(comm);
+    const Real flux = app.sweep_all_scheduled(comm);
     EXPECT_GT(flux, 0.0);
     // The attenuation factor keeps phi below src's max / removal rate.
     for_each(app.cells(), [&](const Idx<3>& i) {
@@ -23,31 +25,55 @@ TEST(Sweep3d, FluxIsPositiveAndBounded) {
 }
 
 TEST(Sweep3d, EachOctantWavesAlongDim0) {
+  // On a rank line along dim 0 every octant's instance is a tile chain fed
+  // by the rank upwind along dim 0: rank 0 for +x travel, rank 1 for -x.
   Sweep3dConfig cfg;
   cfg.n = 8;
-  Sweep3d app(cfg, ProcGrid<3>({1, 1, 1}), 0);
-  Machine::run(1, {}, [&](Communicator& comm) {
+  const ProcGrid<3> grid = ProcGrid<3>::along_dim(2, 0);
+  WaveOptions opts;
+  opts.block = 2;
+  for (int r = 0; r < 2; ++r) {
+    Sweep3d app(cfg, grid, r);
+    const TaskGraph g = app.build_sweep_graph(opts, 8);
     for (int o = 0; o < 8; ++o) {
-      const auto rep = app.sweep_octant(o, comm);
-      EXPECT_EQ(rep.local_region, app.cells());
+      SCOPED_TRACE("rank " + std::to_string(r) + " octant " +
+                   std::to_string(o));
+      const std::string prefix = "sweep[o" + std::to_string(o) + ",a0][";
+      const int upwind = (o & 1) ? 1 : 0;
+      int tiles = 0;
+      for (TaskId t = 0; t < static_cast<TaskId>(g.size()); ++t) {
+        const TaskGraph::Task& task = g.task(t);
+        if (task.label.rfind(prefix, 0) != 0) continue;
+        ++tiles;
+        if (r == upwind) {
+          EXPECT_TRUE(task.inflows.empty()) << task.label;
+        } else {
+          ASSERT_EQ(task.inflows.size(), 1u) << task.label;
+          EXPECT_EQ(task.inflows[0].src, upwind) << task.label;
+        }
+      }
+      EXPECT_EQ(tiles, 4);  // 8 cells along the tile dimension, b = 2
     }
-  });
+  }
 }
 
 TEST(Sweep3d, OppositeOctantsMirrorOnSymmetricSource) {
   // The source is centro-symmetric, so octant o and its mirror 7-o give
   // mirrored phi fields; total flux per octant pair must agree closely.
+  // One angle over 8 slots: slot o ends up holding octant o's phi.
   Sweep3dConfig cfg;
   cfg.n = 9;  // odd => symmetric about the central cell
   Machine::run(1, {}, [&](Communicator& comm) {
     Sweep3d app(cfg, ProcGrid<3>({1, 1, 1}), 0);
+    app.sweep_all_scheduled(comm, {}, SchedOptions{}, nullptr, 8);
     std::array<Real, 8> phi_sum{};
     for (int o = 0; o < 8; ++o) {
-      app.sweep_octant(o, comm);
       Real s = 0.0;
-      for_each(app.cells(), [&](const Idx<3>& i) { s += app.phi()(i); });
+      const DenseArray<Real, 3>& phi = app.slot_phi(o);
+      for_each(app.cells(), [&](const Idx<3>& i) { s += phi(i); });
       phi_sum[static_cast<std::size_t>(o)] = s;
     }
+    EXPECT_GT(phi_sum[0], 0.0);
     for (int o = 0; o < 4; ++o) {
       EXPECT_NEAR(phi_sum[static_cast<std::size_t>(o)],
                   phi_sum[static_cast<std::size_t>(7 - o)],
@@ -93,20 +119,9 @@ TEST(Sweep3d, MoreIterationsAccumulateFlux) {
   cfg.n = 6;
   Machine::run(1, {}, [&](Communicator& comm) {
     Sweep3d app(cfg, ProcGrid<3>({1, 1, 1}), 0);
-    const Real f1 = app.sweep_all(comm);
-    const Real f2 = app.sweep_all(comm);
+    const Real f1 = app.sweep_all_scheduled(comm);
+    const Real f2 = app.sweep_all_scheduled(comm);
     EXPECT_GT(f2, f1);
-  });
-}
-
-TEST(Sweep3d, InvalidOctantRejected) {
-  Sweep3dConfig cfg;
-  cfg.n = 6;
-  Sweep3d app(cfg, ProcGrid<3>({1, 1, 1}), 0);
-  Machine::run(1, {}, [&](Communicator& comm) {
-    EXPECT_THROW(app.sweep_octant(8, comm), ContractError);
-    EXPECT_THROW(app.sweep_octant(-1, comm), ContractError);
-    EXPECT_THROW(app.sweep_octant(0, comm, {}, /*angle=*/1), ContractError);
   });
 }
 
@@ -132,7 +147,7 @@ TEST(Sweep3d, MultiAngleFluxPositiveAndSymmetric) {
   cfg.angles = 3;
   Machine::run(1, {}, [&](Communicator& comm) {
     Sweep3d app(cfg, ProcGrid<3>({1, 1, 1}), 0);
-    const Real flux = app.sweep_all(comm);
+    const Real flux = app.sweep_all_scheduled(comm);
     EXPECT_GT(flux, 0.0);
     // Centro-symmetry of the full angular integral survives quadrature.
     const Coord n = cfg.n;

@@ -330,10 +330,14 @@ TEST(Distributed, MessageCountsScaleWithTiles) {
       a.local().fill(1.0);
       auto plan = scan(reg, a.local() <<= prime(a.local(), kNorth) * 0.5)
                       .compile();
+      // Lowered and run directly, without run_wavefront's ghost
+      // pre-exchange: only the wave messages are counted.
       WaveOptions opts;
       opts.block = block;
-      opts.pre_exchange = false;  // isolate the wave messages
-      run_wavefront(plan, layout, comm, opts);
+      TaskGraph g;
+      lower_wavefront(g, plan, layout, comm.rank(),
+                      TagRange{500, wavefront_tag_span<2>()}, "wave", opts);
+      run_graph(g, comm, SchedOptions{.adaptive = false});
     });
   };
   const auto res_naive = run_with_block(0);
@@ -430,19 +434,19 @@ TEST(Distributed, StatementSequencesCannotCollideOnTags) {
 // lowered by hand and run by the SPMD executor under static FIFO walk the
 // same tile grid, so the arrays must be byte-identical and every rank must
 // send and receive the same messages and bytes. Lowering does no ghost
-// pre-exchange, so both sides do the same one up front.
+// pre-exchange, so the lowered side does run_wavefront's (tags 500..) up
+// front.
 
 template <Rank R>
 void execute(const WavefrontPlan<R>& plan, const Layout<R>& layout,
              Communicator& comm, Coord block, bool lowered) {
-  exchange_plan_ghosts(plan, layout, comm, 500);
   if (!lowered) {
     WaveOptions opts;
     opts.block = block;
-    opts.pre_exchange = false;
     run_wavefront(plan, layout, comm, opts);
     return;
   }
+  exchange_plan_ghosts(plan, layout, comm, 500);
   TaskGraph g;
   TagAllocator ta(500);
   const TagRange tags = ta.alloc(wavefront_tag_span<R>(1), "chain");

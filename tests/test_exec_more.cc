@@ -154,10 +154,13 @@ TEST(MoreExec, PreExchangeCanBeDisabledWhenCallerExchanged) {
     });
     auto plan =
         scan(reg, u.local() <<= 0.5 * prime(u.local(), kNorth) + 1.0).compile();
+    // Lowered and run directly: no ghost pre-exchange.
     WaveOptions opts;
-    opts.pre_exchange = false;
     opts.block = 4;
-    run_wavefront(plan, layout, comm, opts);
+    TaskGraph graph;
+    lower_wavefront(graph, plan, layout, comm.rank(),
+                    TagRange{500, wavefront_tag_span<2>()}, "wave", opts);
+    run_graph(graph, comm, SchedOptions{.adaptive = false});
     auto g = gather_to_root(u, comm);
     if (comm.rank() == 0) {
       DenseArray<Real, 2> r("r", global);

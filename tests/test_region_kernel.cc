@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "exec/driver.hh"
+#include "sched/lower.hh"
 #include "support/rng.hh"
 
 namespace wavepipe {
@@ -660,10 +661,15 @@ TEST(FluffChecks, WaveInflowFaceNamesTheArray) {
     DenseArray<Real, 2> v("v", layout.owned(comm.rank()), StorageOrder::kColMajor,
                           1.0);
     const auto plan = scan(interior, u <<= 0.5 * prime(u, kNorth) + v).compile();
+    // Lowered and run without run_wavefront's ghost pre-exchange: the
+    // inflow face, not the halo, must fail.
     WaveOptions opts;
-    opts.pre_exchange = false;  // the inflow face, not the halo, must fail
+    opts.block = 2;
+    TaskGraph g;
+    lower_wavefront(g, plan, layout, comm.rank(),
+                    TagRange{500, wavefront_tag_span<2>()}, "wave", opts);
     try {
-      run_pipelined(plan, layout, comm, 2, opts);
+      run_graph(g, comm, SchedOptions{.adaptive = false});
     } catch (const ContractError& e) {
       std::lock_guard<std::mutex> l(mu);
       errors.push_back(e.condition());

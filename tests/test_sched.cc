@@ -462,6 +462,15 @@ TEST(SchedOptionsEnv, BackendNamesRoundTrip) {
   EXPECT_STREQ(to_string(SchedBackend::kTasks), "tasks");
 }
 
+// The sequential sweep, instance after instance: the one-slot graph on
+// static FIFO that sweep3d_spmd runs (the SWEEP3D AppRunPin cases pin it
+// to the octant-by-octant driver it replaced).
+Real sequential_sweep(Sweep3d& app, Communicator& comm,
+                      const WaveOptions& opts) {
+  return app.sweep_all_scheduled(comm, opts, SchedOptions{.adaptive = false},
+                                 nullptr, 1);
+}
+
 TEST(ScheduledSweep3d, ByteIdenticalAcrossPoliciesAndModes) {
   Sweep3dConfig cfg;
   cfg.n = 8;
@@ -475,7 +484,7 @@ TEST(ScheduledSweep3d, ByteIdenticalAcrossPoliciesAndModes) {
   Real seq_flux = 0.0, seq_sum = 0.0;
   Machine::run(p, {}, [&](Communicator& comm) {
     Sweep3d app(cfg, grid, comm.rank());
-    const Real f = app.sweep_all(comm, opts);
+    const Real f = sequential_sweep(app, comm, opts);
     const Real cs = app.checksum(comm);
     if (comm.rank() == 0) {
       seq_flux = f;
@@ -529,7 +538,7 @@ TEST(ScheduledSweep3d, TwoDFrontierGridsMatchBlockingSweepBitwise) {
   // A 2D processor grid distributes a second upwind dimension, so every
   // (octant, angle) instance needs two frontier axes' worth of wave tags;
   // the scheduled sweep must agree with the blocking one bit for bit in
-  // both modes. The scheduled sweep also honours block_w like sweep_all.
+  // both modes. The scheduled sweep also honours block_w.
   Sweep3dConfig cfg;
   cfg.n = 8;
   cfg.angles = 2;
@@ -618,7 +627,8 @@ TEST(ScheduledSweep3d, ReusedGraphMatchesBlockingOverIterations) {
       Machine::run(p, {}, [&](Communicator& comm) {
         const Real f = sweep3d_spmd(comm, cfg, grid, opts);
         Sweep3d app(cfg, grid, comm.rank());
-        for (int it = 0; it < cfg.iterations; ++it) app.sweep_all(comm, opts);
+        for (int it = 0; it < cfg.iterations; ++it)
+          sequential_sweep(app, comm, opts);
         const Real cs = app.checksum(comm);
         if (comm.rank() == 0) {
           flux0 = f;
@@ -671,7 +681,7 @@ TEST(ScheduledSweep3d, ChangingBlockRebuildsTheKeptGraph) {
     for (std::size_t c = 0; c < blocks.size(); ++c) {
       WaveOptions opts;
       opts.block = blocks[c];
-      app.sweep_all(comm, opts);
+      sequential_sweep(app, comm, opts);
       const Real cs = app.checksum(comm);
       if (comm.rank() == 0) want[c] = cs;
     }
@@ -717,13 +727,14 @@ TEST(ScheduledSweep3d, OverlapWinsAtLeastTenPercentAtP8) {
   opts.overlap = true;
 
   Real seq_flux = 0.0;
-  const double seq = Machine::run(p, cm,
-                                  [&](Communicator& comm) {
-                                    Sweep3d app(cfg, grid, comm.rank());
-                                    const Real f = app.sweep_all(comm, opts);
-                                    if (comm.rank() == 0) seq_flux = f;
-                                  })
-                         .vtime_max;
+  const double seq =
+      Machine::run(p, cm,
+                   [&](Communicator& comm) {
+                     Sweep3d app(cfg, grid, comm.rank());
+                     const Real f = sequential_sweep(app, comm, opts);
+                     if (comm.rank() == 0) seq_flux = f;
+                   })
+          .vtime_max;
 
   SchedOptions so;  // adaptive critical-path: the scheduler's default
   Real sched_flux = 0.0;
