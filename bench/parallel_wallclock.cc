@@ -1,5 +1,5 @@
 // Real wall-clock pipelining speedup under the parallel engine
-// (WAVEPIPE_ENGINE=parallel): the five suite apps, naive vs pipelined, at
+// (WAVEPIPE_ENGINE=parallel): the six suite apps, naive vs pipelined, at
 // p in {2, 4, 8} OS threads. Unlike every other bench in this directory —
 // which reports *virtual* time under a calibrated cost model and is
 // therefore host-independent — this one measures elapsed seconds of real
