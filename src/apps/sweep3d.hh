@@ -78,14 +78,18 @@ class Sweep3d {
   /// acc task of instance i - slots. With one slot that edge orders the
   /// instances back to back, and acc(i) first settles instance i's
   /// outflow sends still in flight (under overlap, the last two of each
-  /// face stream), in posting order: the boundary at which one sequential
-  /// sweep's sends drained. With more slots they stay in flight across
-  /// instances until the graph drains, the overlap the slots buy.
+  /// face stream), in posting order: where a run_wavefront call per
+  /// instance drained them, so the sequential clocks hold (carried into
+  /// the next instance instead, BENCH_sched.json's sequential T3E-like
+  /// times would drop, 108944 -> 100295 at p = 2). With more slots they
+  /// stay in flight until the graph drains: settling at every acc task
+  /// would cut the scheduled reduction there from 26.9/17.5/20.2 % to
+  /// 21.1/8.4/14.7 % at p = 2/4/8.
   TaskGraph build_sweep_graph(const WaveOptions& opts = {}, int slots = 4);
 
   /// The comm-free tail of a scheduled sweep: mirrors the last slot's
-  /// owned cells into phi_, so phi() holds the last instance's angular
-  /// flux.
+  /// owned cells into phi_, so checksum() reads the last instance's
+  /// angular flux.
   void mirror_last_slot();
 
   /// Writes this rank's owned flux cells into `out`, a row-major n^3
@@ -107,7 +111,6 @@ class Sweep3d {
 
   const Layout<3>& layout() const { return layout_; }
   const Region<3>& cells() const { return cells_; }
-  DenseArray<Real, 3>& phi() { return phi_; }
   DenseArray<Real, 3>& flux() { return flux_; }
   /// Slot s's angular-flux buffer: after a sweep it holds the last
   /// instance that ran on it (with one angle and 8 slots, slot o holds
