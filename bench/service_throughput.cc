@@ -1,6 +1,6 @@
 // The sweep service under load: what multi-tenancy and plan caching buy.
 //
-// Three sections, all written to BENCH_service.json:
+// Four sections, all written to BENCH_service.json:
 //
 //   1. submit latency — the same job stream submitted cold (every key
 //      distinct: full lowering) and hot (every key cached). The cache-hit
@@ -8,18 +8,25 @@
 //      latency must be >= 5x faster than a cold submit's.
 //
 //   2. throughput — the same batch of p=2 jobs drained on a 2-rank pool
-//      (one job per round, fully sequential) and on a wider pool that
-//      packs four jobs per round. Real wall seconds under the parallel
-//      engine with a free cost model, so concurrency is physical: on a
-//      host with >= 4 cores the packed drain must not be slower than the
-//      sequential one (core-count-aware CI gate; the JSON records cores).
+//      (one job at a time, fully sequential) and on a wider pool that
+//      runs four at a time. Real wall seconds under the parallel engine
+//      with a free cost model, so concurrency is physical: on a host with
+//      >= 4 cores the packed drain must not be slower than the sequential
+//      one (core-count-aware CI gate; the JSON records cores).
 //
 //   3. open-loop latency — jobs arrive on a fixed-interval clock
 //      regardless of service progress (open loop: arrivals do not wait),
 //      and each job's latency is completion minus arrival. Reports
 //      p50/p99 latency and achieved throughput.
+//
+//   4. mixed durations — a closed loop keeping 4 jobs outstanding on a
+//      4-rank parallel pool, cycling sor (n = 512) and sweep3d (n = 24) at
+//      p = 2 with smith-waterman-2d at p = 4: jobs of unequal length, so
+//      ranks that finish early take the next queued job. Reports jobs/s
+//      and jobs per session (no gate).
 #include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -142,7 +149,7 @@ LatencyStats measure_open_loop(int arrivals, Coord n) {
   SweepService svc(cfg);
 
   // Calibrate the arrival interval to ~70% of one job's service time so
-  // the queue stays busy but stable (rho < 1 with two jobs per round).
+  // the queue stays busy but stable (rho < 1 with two jobs at a time).
   JobParams params;
   params.app = "tomcatv";
   params.n = n;
@@ -169,11 +176,11 @@ LatencyStats measure_open_loop(int arrivals, Coord n) {
     for (std::size_t k = 0; k < ids.size(); ++k) {
       if (stamped[k]) continue;
       progressed = !svc.done(ids[k]);
-      svc.wait(ids[k]);  // runs exactly the rounds needed; takes the result
+      svc.wait(ids[k]);  // runs a session if needed; takes the result
       complete[k] = clock.seconds();
       stamped[k] = true;
       ++served;
-      break;  // re-check the arrival clock between rounds
+      break;  // re-check the arrival clock between waits
     }
     if (!progressed && served < static_cast<std::size_t>(arrivals) &&
         next < arrivals) {
@@ -199,9 +206,69 @@ LatencyStats measure_open_loop(int arrivals, Coord n) {
   return s;
 }
 
+struct MixedStats {
+  int jobs = 0;
+  double seconds = 0.0;
+  int sessions = 0;
+  double jobs_per_s() const { return jobs / seconds; }
+  double jobs_per_session() const {
+    return sessions > 0 ? static_cast<double>(jobs) / sessions : 0.0;
+  }
+};
+
+// Closed loop with 4 jobs outstanding (submit 4, then wait on the oldest
+// and submit the next) over three kinds of unequal length. The plans are
+// cached before the clock starts.
+MixedStats measure_mixed(int jobs) {
+  ServiceConfig cfg;
+  cfg.ranks = 4;
+  cfg.engine.kind = EngineKind::kParallel;
+  cfg.costs = CostModel{};
+  SweepService svc(cfg);
+  struct Kind {
+    const char* app;
+    Coord n;
+    int p;
+    Coord b;
+    int iters;
+  };
+  const Kind kinds[] = {{"sor", 512, 2, 16, 4},
+                        {"sweep3d", 24, 2, 4, 1},
+                        {"smith-waterman-2d", 768, 4, 32, 1}};
+  auto params = [&](int k) {
+    const Kind& kind = kinds[k % 3];
+    JobParams jp;
+    jp.app = kind.app;
+    jp.n = kind.n;
+    jp.p = kind.p;
+    jp.b = kind.b;
+    jp.iters = kind.iters;
+    return jp;
+  };
+  for (int k = 0; k < 3; ++k) svc.submit(params(k));
+  svc.drain();
+  const int sessions0 = svc.rounds();
+
+  std::deque<JobId> inflight;
+  int submitted = 0;
+  Timer t;
+  for (; submitted < std::min(4, jobs); ++submitted)
+    inflight.push_back(svc.submit(params(submitted)));
+  while (!inflight.empty()) {
+    svc.wait(inflight.front());
+    inflight.pop_front();
+    if (submitted < jobs) inflight.push_back(svc.submit(params(submitted++)));
+  }
+  MixedStats m;
+  m.seconds = t.seconds();
+  m.jobs = jobs;
+  m.sessions = svc.rounds() - sessions0;
+  return m;
+}
+
 void write_json(const std::string& path, unsigned cores,
                 const SubmitStats& sub, const ThroughputStats& tp,
-                const LatencyStats& lat) {
+                const LatencyStats& lat, const MixedStats& mix) {
   std::ofstream os(path);
   if (!os) {
     std::cerr << "cannot write " << path << "\n";
@@ -223,7 +290,12 @@ void write_json(const std::string& path, unsigned cores,
      << "  \"latency\": {\"arrivals\": " << lat.arrivals
      << ", \"interarrival_ms\": " << lat.interarrival_ms
      << ", \"p50_ms\": " << lat.p50_ms << ", \"p99_ms\": " << lat.p99_ms
-     << ", \"throughput_jobs_per_s\": " << lat.throughput_jps << "}\n}\n";
+     << ", \"throughput_jobs_per_s\": " << lat.throughput_jps << "},\n"
+     << "  \"mixed\": {\"jobs\": " << mix.jobs
+     << ", \"outstanding\": 4, \"pool\": 4, \"seconds\": " << mix.seconds
+     << ", \"jobs_per_s\": " << mix.jobs_per_s()
+     << ", \"sessions\": " << mix.sessions
+     << ", \"jobs_per_session\": " << mix.jobs_per_session() << "}\n}\n";
   std::cout << "wrote " << path << "\n";
 }
 
@@ -235,6 +307,7 @@ int main(int argc, char** argv) {
   const int jobs = static_cast<int>(opts.get_int("jobs", 12));
   const int reps = static_cast<int>(opts.get_int("reps", 3));
   const int arrivals = static_cast<int>(opts.get_int("arrivals", 24));
+  const int mixed_jobs = static_cast<int>(opts.get_int("mixed-jobs", 60));
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
 
   const SubmitStats sub = measure_submit(keys);
@@ -257,7 +330,7 @@ int main(int argc, char** argv) {
   tt.set_header({"pool", "drain s", "jobs/s"});
   tt.add_row({"2 (sequential)", fmt(tp.sequential_s),
               fmt(tp.sequential_jps())});
-  tt.add_row({"8 (4 jobs/round)", fmt(tp.concurrent_s),
+  tt.add_row({"8 (4 jobs at a time)", fmt(tp.concurrent_s),
               fmt(tp.concurrent_jps())});
   tt.add_note("host has " + std::to_string(cores) +
               " core(s); the >= 1x gate applies at >= 4 cores");
@@ -270,6 +343,15 @@ int main(int argc, char** argv) {
   tl.add_row({fmt(lat.p50_ms), fmt(lat.p99_ms), fmt(lat.throughput_jps)});
   tl.print(std::cout);
 
-  write_json("BENCH_service.json", cores, sub, tp, lat);
+  const MixedStats mix = measure_mixed(mixed_jobs);
+  Table tm("Mixed-duration closed loop (" + std::to_string(mix.jobs) +
+           " jobs, 4 outstanding, sor/sweep3d at p=2 + smith-waterman-2d "
+           "at p=4, 4-rank parallel pool)");
+  tm.set_header({"jobs/s", "sessions", "jobs/session"});
+  tm.add_row({fmt(mix.jobs_per_s()), std::to_string(mix.sessions),
+              fmt(mix.jobs_per_session())});
+  tm.print(std::cout);
+
+  write_json("BENCH_service.json", cores, sub, tp, lat, mix);
   return 0;
 }

@@ -2,8 +2,9 @@
 // different apps, sizes, rank counts and policies, some with an explicit
 // block size and some leaving b to the model — then drain the queue and
 // print each job's bill: which app ran, the block chosen (and whether the
-// service chose it), whether the plan came from the cache, the
-// T_comp/T_comm/T_wait breakdown, and wall seconds.
+// service chose it), whether the plan came from the cache, the session
+// and rank window it ran in, the T_comp/T_comm/T_wait breakdown, and the
+// job's own wall seconds.
 //
 //   ./service_demo [--ranks 8] [--repeat 2]
 //
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
     Table t("Service bills, lap " + std::to_string(lap + 1) + " of " +
             std::to_string(repeat) + " (pool: " + std::to_string(cfg.ranks) +
             " ranks)");
-    t.set_header({"job", "app", "n", "p", "b", "policy", "cache", "round",
+    t.set_header({"job", "app", "n", "p", "b", "policy", "cache", "session",
                   "ranks", "T_comp", "T_comm", "T_wait", "wall s"});
     for (const JobId id : ids) {
       const JobBill bill = svc.wait(id).bill;
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
     t.print(std::cout);
   }
 
-  std::cout << "rounds: " << svc.rounds()
+  std::cout << "sessions: " << svc.rounds()
             << ", plan cache hits: " << svc.cache_hits()
             << ", misses: " << svc.cache_misses() << "\n";
   return 0;

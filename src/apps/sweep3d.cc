@@ -97,9 +97,20 @@ void Sweep3d::ensure_slots(int slots) {
   kept_.reset();  // its tasks point at the slots and plans dropped here
   slot_plans_.clear();
   slot_phi_.clear();
-  for (int s = 0; s < k; ++s)
-    slot_phi_.push_back(std::make_unique<DenseArray<Real, 3>>(
-        "phi_slot" + std::to_string(s), layout_.allocated(rank_), cfg_.order));
+  slot_store_.clear();
+  // One slot sweeps phi_ in place. Reusing it needs no reset: the scan
+  // writes every owned cell before reading it, and the inflow fluff obeys
+  // the vacuum rule of build_sweep_graph.
+  if (k == 1) {
+    slot_phi_.push_back(&phi_);
+  } else {
+    for (int s = 0; s < k; ++s) {
+      slot_store_.push_back(std::make_unique<DenseArray<Real, 3>>(
+          "phi_slot" + std::to_string(s), layout_.allocated(rank_),
+          cfg_.order));
+      slot_phi_.push_back(slot_store_.back().get());
+    }
+  }
   slot_plans_.reserve(static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i)
     slot_plans_.push_back(
@@ -141,7 +152,7 @@ TaskGraph Sweep3d::build_sweep_graph(const WaveOptions& opts, int slots) {
     const int a = i % cfg_.angles;
     const std::string suffix =
         "[o" + std::to_string(o) + ",a" + std::to_string(a) + "]";
-    DenseArray<Real, 3>* slot = slot_phi_[static_cast<std::size_t>(i % k)].get();
+    DenseArray<Real, 3>* slot = slot_phi_[static_cast<std::size_t>(i % k)];
 
     const auto lw = lower_wavefront(
         g, slot_plans_[static_cast<std::size_t>(i)], layout_, rank_,
@@ -178,7 +189,7 @@ void Sweep3d::mirror_last_slot() {
   require(k >= 1, "mirror_last_slot before any scheduled sweep");
   const DenseArray<Real, 3>& last =
       *slot_phi_[static_cast<std::size_t>((total - 1) % k)];
-  phi_.copy_from(last, layout_.owned(rank_));
+  if (&last != &phi_) phi_.copy_from(last, layout_.owned(rank_));
 }
 
 void Sweep3d::extract_owned_flux(std::span<Real> out) const {

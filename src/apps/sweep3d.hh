@@ -89,7 +89,7 @@ class Sweep3d {
 
   /// The comm-free tail of a scheduled sweep: mirrors the last slot's
   /// owned cells into phi_, so checksum() reads the last instance's
-  /// angular flux.
+  /// angular flux. A no-op with one slot, which is phi_ itself.
   void mirror_last_slot();
 
   /// Writes this rank's owned flux cells into `out`, a row-major n^3
@@ -141,8 +141,10 @@ class Sweep3d {
   std::vector<TagRange> sweep_tags_;  // [octant * angles + angle]
   TagRange acc_tag_;
   // Scheduler state: per-slot angular-flux buffers and the plans bound to
-  // them (instance i uses slot i % slots). Built on first use.
-  std::vector<std::unique_ptr<DenseArray<Real, 3>>> slot_phi_;
+  // them (instance i uses slot i % slots). Built on first use. One slot is
+  // phi_ itself; two or more own their buffers in slot_store_.
+  std::vector<DenseArray<Real, 3>*> slot_phi_;
+  std::vector<std::unique_ptr<DenseArray<Real, 3>>> slot_store_;
   std::vector<WavefrontPlan<3>> slot_plans_;  // [octant * angles + angle]
   // The graph sweep_all_scheduled reruns, with the WaveOptions fields and
   // slot count lowering read (the rest of WaveOptions does not reach it).

@@ -43,15 +43,28 @@ void Communicator::enter_view(int base, int size, int tag_base, int tag_count,
   view_tag_base_ = tag_base;
   view_tag_count_ = tag_count;
   view_label_ = std::move(label);
+  vtime_ = 0.0;
+  send_engine_free_ = 0.0;
+  phases_ = PhaseBreakdown{};
+  stats_ = CommStats{};
 }
 
 void Communicator::exit_view() {
   auto l = lock_ops();
+  const std::string label = std::move(view_label_);
   view_base_ = 0;
   view_size_ = 0;
   view_tag_base_ = 0;
   view_tag_count_ = 0;
   view_label_.clear();
+  const auto live = std::count_if(
+      requests_.begin(), requests_.end(), [](const RequestState& s) {
+        return s.kind != RequestState::Kind::kNone;
+      });
+  if (live > 0)
+    throw CommError("job '" + label + "' left rank " + std::to_string(rank_) +
+                    " with " + std::to_string(live) +
+                    " live request(s) (an unwaited isend or a posted irecv)");
 }
 
 int Communicator::to_world(int peer, const char* what) const {

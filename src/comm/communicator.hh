@@ -109,11 +109,17 @@ class Communicator {
   /// Enters a job view over machine ranks [base, base + size) with user
   /// tags translated into [tag_base, tag_base + tag_count). Must be called
   /// by a rank inside the window; views do not nest. `label` names the job
-  /// in diagnostics.
+  /// in diagnostics. The rank's clock, send engine, phases and stats start
+  /// from zero, so to the job the view is a fresh `size`-rank machine even
+  /// when this rank ran other jobs earlier in the same Machine::run.
   void enter_view(int base, int size, int tag_base, int tag_count,
                   std::string label);
 
   /// Leaves the current job view, restoring machine-wide rank/size/tags.
+  /// Throws CommError naming the job if the rank still holds a live
+  /// request (an unwaited isend or a posted irecv): the job's tag lease is
+  /// recycled once its ranks leave, so a leftover receive could match the
+  /// next tenant's traffic. The view is left either way.
   void exit_view();
 
   /// True while a job view is active.

@@ -1,8 +1,8 @@
 // Job descriptors and bills for the multi-tenant sweep service.
 //
 // A job is one suite application at a chosen size: (app, n, p, b, iters,
-// policy). Clients submit jobs; the service packs admitted jobs onto
-// disjoint rank windows of one shared Machine and returns a per-job bill —
+// policy). Clients submit jobs; the service runs admitted jobs on disjoint
+// rank windows of one shared Machine and returns a per-job bill —
 // the virtual-time phase breakdown, traffic, wall seconds and the planning
 // provenance (which block size was chosen and whether the plan came from
 // the cache). See DESIGN.md §17.
@@ -21,8 +21,8 @@
 namespace wavepipe {
 
 /// A service-layer failure: unknown app, inadmissible job (p larger than
-/// the pool), full queue, waiting on an unknown job id, or a job whose
-/// round failed.
+/// the pool), full queue, waiting on an unknown job id, or a job that was
+/// running when its session failed.
 class ServiceError : public Error {
  public:
   explicit ServiceError(const std::string& what) : Error(what) {}
@@ -86,8 +86,8 @@ struct JobBill {
   PhaseBreakdown phases_total;
   /// Traffic summed over the job's ranks.
   CommStats comm_total;
-  /// Host wall seconds of the round that ran this job (rounds are shared:
-  /// every job admitted to the round bills the same wall clock).
+  /// Host wall seconds of this job: from when its first rank took it to
+  /// when its last rank left its view.
   double wall_seconds = 0.0;
   /// Wall seconds submit() spent planning (lowering on a miss, lookup on a
   /// hit).
@@ -97,7 +97,8 @@ struct JobBill {
   int base_rank = -1;
   int tag_base = -1;
   int tag_count = 0;
-  /// Which service round ran the job (1-based).
+  /// Which service session ran the job (1-based; see
+  /// SweepService::rounds()).
   int round = 0;
 
   /// One deterministic line for billing logs.
@@ -110,8 +111,8 @@ struct JobResult {
   std::vector<double> vtime;
   std::vector<PhaseBreakdown> phases;
   std::vector<CommStats> stats;
-  /// Set when the job's round failed; wait()/result() rethrow as
-  /// ServiceError.
+  /// Set when the job was running when its session failed; wait()/result()
+  /// rethrow as ServiceError.
   bool failed = false;
   std::string error;
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <mutex>
+#include <numeric>
 #include <sstream>
 
 #include "apps/alt_sweep.hh"
@@ -15,7 +17,7 @@ std::string JobBill::describe() const {
      << block << (block_auto ? "(auto)" : "") << " policy="
      << to_string(policy) << " cache=" << (cache_hit ? "hit" : "miss")
      << " ranks=[" << base_rank << "," << base_rank + p << ") tags=["
-     << tag_base << "," << tag_base + tag_count << ") round=" << round
+     << tag_base << "," << tag_base + tag_count << ") session=" << round
      << " T=" << vtime_max << " comp=" << phases_total.t_comp
      << " comm=" << phases_total.t_comm << " wait=" << phases_total.t_wait
      << " msgs=" << comm_total.messages_sent << " wall=" << wall_seconds
@@ -148,131 +150,205 @@ JobId SweepService::submit(const JobParams& params) {
   return queue_.back().id;
 }
 
-void SweepService::run_round() {
-  if (queue_.empty()) return;
-  ++rounds_;
+struct SweepService::Running {
+  Pending job;
+  const SuiteApp* app = nullptr;
+  std::string label;  // "job#<id> <app>": the view's and the lease's name
+  int base = 0;
+  TagRange tags;
+  int entered = 0;       // ranks that took the job
+  int left = 0;          // ranks that finished it
+  double start_s = 0.0;  // session clock when its first rank took it
+  // The bill (placement filled at admission) and the per-rank slots each
+  // rank fills before it leaves the view.
+  JobResult result;
+};
 
-  // Admission: FIFO with backfill onto the lowest-base contiguous free
-  // window. Jobs that do not fit stay queued in order for the next round.
-  std::vector<char> used(static_cast<std::size_t>(cfg_.ranks), 0);
+struct SweepService::Session {
+  std::mutex mu;
+  std::vector<std::unique_ptr<Running>> jobs;  // in admission order
+  // Per rank: the job it is to run or is running, or null when free.
+  std::vector<Running*> assigned;
+  int busy = 0;          // ranks with a job
+  bool closing = false;  // set once nothing is queued and no rank is busy
+  bool failed = false;   // a rank threw: admit nothing more
+  Timer clock;
+};
+
+void SweepService::admit(Session& s, std::vector<int>& woken) {
+  if (s.failed) return;
   auto find_base = [&](int p) {
     for (int b0 = 0; b0 + p <= cfg_.ranks; ++b0) {
       bool free = true;
-      for (int r = b0; r < b0 + p; ++r)
-        if (used[static_cast<std::size_t>(r)]) {
-          free = false;
-          break;
-        }
+      for (int r = b0; r < b0 + p && free; ++r)
+        free = s.assigned[static_cast<std::size_t>(r)] == nullptr;
       if (free) return b0;
     }
     return -1;
   };
-
-  std::vector<Placement> round;
-  std::deque<Pending> rest;
-  for (Pending& pj : queue_) {
-    const int base = find_base(pj.params.p);
+  for (auto it = queue_.begin(); it != queue_.end() && s.busy < cfg_.ranks;) {
+    const int p = it->params.p;
+    const int base = find_base(p);
     if (base < 0) {
-      rest.push_back(std::move(pj));
+      ++it;
       continue;
     }
-    for (int r = base; r < base + pj.params.p; ++r)
-      used[static_cast<std::size_t>(r)] = 1;
-    Placement pl;
-    pl.base = base;
-    pl.tags = tags_.alloc(cfg_.job_tag_span, "job#" + std::to_string(pj.id) +
-                                                 " " + pj.params.app);
-    pl.job = std::move(pj);
-    round.push_back(std::move(pl));
+    auto job = std::make_unique<Running>();
+    job->label = "job#" + std::to_string(it->id) + " " + it->params.app;
+    job->tags = tags_.alloc(cfg_.job_tag_span, job->label);
+    job->app = &find_app(it->params.app);
+    job->base = base;
+    JobBill& bill = job->result.bill;
+    bill.id = it->id;
+    bill.app = it->params.app;
+    bill.n = it->params.n;
+    bill.p = p;
+    bill.block = it->plan->block;
+    bill.block_auto = it->plan->block_auto;
+    bill.policy = it->params.policy;
+    bill.cache_hit = it->cache_hit;
+    bill.submit_seconds = it->submit_seconds;
+    bill.base_rank = base;
+    bill.tag_base = job->tags.base;
+    bill.tag_count = job->tags.count;
+    bill.round = sessions_;
+    job->result.vtime.resize(static_cast<std::size_t>(p));
+    job->result.phases.resize(static_cast<std::size_t>(p));
+    job->result.stats.resize(static_cast<std::size_t>(p));
+    job->job = std::move(*it);
+    for (int r = base; r < base + p; ++r) {
+      s.assigned[static_cast<std::size_t>(r)] = job.get();
+      woken.push_back(r);
+    }
+    s.busy += p;
+    s.jobs.push_back(std::move(job));
+    it = queue_.erase(it);
   }
-  queue_ = std::move(rest);
-  internal_check(!round.empty(), "a round admitted nothing from a non-empty "
-                                 "queue (p <= ranks is checked at submit)");
+}
 
-  // Per-world-rank dispatch tables, read-only during the run; values is
-  // written once per job by its view-local rank 0 (disjoint slots).
-  std::vector<int> owner(static_cast<std::size_t>(cfg_.ranks), -1);
-  std::vector<const SuiteApp*> body(round.size());
-  std::vector<Real> values(round.size(), 0.0);
-  for (std::size_t i = 0; i < round.size(); ++i) {
-    const Placement& pl = round[i];
-    for (int r = pl.base; r < pl.base + pl.job.params.p; ++r)
-      owner[static_cast<std::size_t>(r)] = static_cast<int>(i);
-    body[i] = &find_app(pl.job.params.app);
+void SweepService::finish(Session& s, Running& job) {
+  JobResult& jr = job.result;
+  jr.bill.wall_seconds = s.clock.seconds() - job.start_s;
+  jr.bill.vtime_max = *std::max_element(jr.vtime.begin(), jr.vtime.end());
+  for (std::size_t r = 0; r < jr.vtime.size(); ++r) {
+    jr.bill.phases_total += jr.phases[r];
+    jr.bill.comm_total += jr.stats[r];
   }
+  results_.emplace(jr.bill.id, std::move(jr));
+  tags_.release(job.tags);
+}
 
-  RunResult res;
+void SweepService::run_session() {
+  if (queue_.empty()) return;
+  ++sessions_;
+  Session s;
+  s.assigned.assign(static_cast<std::size_t>(cfg_.ranks), nullptr);
+  std::vector<int> ignored;
+  admit(s, ignored);
+  internal_check(!s.jobs.empty(), "a session admitted nothing from a "
+                                  "non-empty queue (p <= ranks is checked "
+                                  "at submit)");
+
+  std::vector<int> everyone(static_cast<std::size_t>(cfg_.ranks));
+  std::iota(everyone.begin(), everyone.end(), 0);
+  auto nudge_others = [&](int self, const std::vector<int>& ranks) {
+    for (const int r : ranks)
+      if (r != self) machine_->mailbox(r).nudge();
+  };
+  auto body = [&](Communicator& comm) {
+    const int self = comm.rank();
+    const auto slot = static_cast<std::size_t>(self);
+    std::vector<int> woken;
+    try {
+      for (;;) {
+        comm.block_until([&] {
+          std::lock_guard<std::mutex> l(s.mu);
+          return s.assigned[slot] != nullptr || s.closing;
+        });
+        Running* job = nullptr;
+        {
+          std::lock_guard<std::mutex> l(s.mu);
+          if (s.closing) return;
+          job = s.assigned[slot];
+          if (job->entered++ == 0) job->start_s = s.clock.seconds();
+        }
+        const JobParams& jp = job->job.params;
+        comm.enter_view(job->base, jp.p, job->tags.base, job->tags.count,
+                        job->label);
+        const Real v = job->app->run_on(comm, jp.n, jp.iters,
+                                        job_options(*job->job.plan, jp.policy));
+        const auto k = static_cast<std::size_t>(comm.rank());
+        if (k == 0) job->result.bill.value = v;
+        job->result.vtime[k] = comm.vtime();
+        job->result.phases[k] = comm.phases();
+        job->result.stats[k] = comm.stats();
+        comm.exit_view();
+        {
+          std::lock_guard<std::mutex> l(s.mu);
+          if (++job->left == jp.p) finish(s, *job);
+          s.assigned[slot] = nullptr;
+          --s.busy;
+          admit(s, woken);
+          if (queue_.empty() && s.busy == 0) {
+            s.closing = true;
+            woken = everyone;
+          }
+        }
+        nudge_others(self, woken);
+        woken.clear();
+      }
+    } catch (...) {
+      // Stop admitting and send the idle ranks home; the machine poisons
+      // the mailboxes of ranks still inside a job.
+      {
+        std::lock_guard<std::mutex> l(s.mu);
+        s.failed = s.closing = true;
+      }
+      nudge_others(self, everyone);
+      throw;
+    }
+  };
+
   bool failed = false;
   std::string error;
   try {
-    res = machine_->run([&](Communicator& comm) {
-      const int idx = owner[static_cast<std::size_t>(comm.rank())];
-      if (idx < 0) return;  // idle rank this round
-      const Placement& pl = round[static_cast<std::size_t>(idx)];
-      comm.enter_view(pl.base, pl.job.params.p, pl.tags.base, pl.tags.count,
-                      "job#" + std::to_string(pl.job.id) + " " +
-                          pl.job.params.app);
-      try {
-        const Real v =
-            body[static_cast<std::size_t>(idx)]->run_on(
-                comm, pl.job.params.n, pl.job.params.iters,
-                job_options(*pl.job.plan, pl.job.params.policy));
-        if (comm.rank() == 0) values[static_cast<std::size_t>(idx)] = v;
-      } catch (...) {
-        comm.exit_view();
-        throw;
-      }
-      comm.exit_view();
-    });
+    machine_->run(body);
   } catch (const std::exception& e) {
     failed = true;
     error = e.what();
   }
 
-  for (std::size_t i = 0; i < round.size(); ++i) {
-    const Placement& pl = round[i];
-    const int p = pl.job.params.p;
-    JobResult jr;
-    jr.bill.id = pl.job.id;
-    jr.bill.app = pl.job.params.app;
-    jr.bill.n = pl.job.params.n;
-    jr.bill.p = p;
-    jr.bill.block = pl.job.plan->block;
-    jr.bill.block_auto = pl.job.plan->block_auto;
-    jr.bill.policy = pl.job.params.policy;
-    jr.bill.cache_hit = pl.job.cache_hit;
-    jr.bill.submit_seconds = pl.job.submit_seconds;
-    jr.bill.base_rank = pl.base;
-    jr.bill.tag_base = pl.tags.base;
-    jr.bill.tag_count = pl.tags.count;
-    jr.bill.round = rounds_;
-    if (failed) {
-      jr.failed = true;
-      jr.error = error;
-    } else {
-      jr.bill.value = values[i];
-      jr.bill.wall_seconds = res.wall_seconds;
-      const auto b = static_cast<std::size_t>(pl.base);
-      jr.vtime.assign(res.vtime.begin() + b, res.vtime.begin() + b + p);
-      jr.phases.assign(res.phases.begin() + b, res.phases.begin() + b + p);
-      jr.stats.assign(res.stats.begin() + b, res.stats.begin() + b + p);
-      jr.bill.vtime_max = *std::max_element(jr.vtime.begin(), jr.vtime.end());
-      for (int r = 0; r < p; ++r) {
-        jr.bill.phases_total += jr.phases[static_cast<std::size_t>(r)];
-        jr.bill.comm_total += jr.stats[static_cast<std::size_t>(r)];
-      }
+  if (!failed) {
+    internal_check(machine_->pending_messages() == 0,
+                   "a clean session left messages queued: a job sent "
+                   "traffic it never received");
+    return;
+  }
+  // Jobs a rank took fail with the session's error; jobs admitted but not
+  // yet taken by any rank go back to the queue in submission order.
+  std::deque<Pending> requeue;
+  for (const auto& job : s.jobs) {
+    if (job->left == job->job.params.p) continue;  // finished: filed
+    tags_.release(job->tags);
+    if (job->entered == 0) {
+      requeue.push_back(std::move(job->job));
+      continue;
     }
-    results_.emplace(pl.job.id, std::move(jr));
-    tags_.release(pl.tags);
+    JobResult& jr = job->result;
+    jr.failed = true;
+    jr.error = error;
+    results_.emplace(jr.bill.id, std::move(jr));
   }
-
-  if (failed) {
-    // The machine may hold poisoned mailboxes / dead ranks; rebuild it so
-    // the next round starts clean. Queued (unadmitted) jobs survive.
-    machine_ = std::make_unique<Machine>(cfg_.ranks, cfg_.costs,
-                                         TraceConfig::from_env(),
-                                         cfg_.engine);
+  if (!requeue.empty()) {
+    for (Pending& pj : queue_) requeue.push_back(std::move(pj));
+    std::sort(requeue.begin(), requeue.end(),
+              [](const Pending& a, const Pending& b) { return a.id < b.id; });
+    queue_ = std::move(requeue);
   }
+  // The machine may hold poisoned mailboxes / dead ranks; rebuild it so
+  // the next session starts clean.
+  machine_ = std::make_unique<Machine>(cfg_.ranks, cfg_.costs,
+                                       TraceConfig::from_env(), cfg_.engine);
 }
 
 bool SweepService::is_queued(JobId id) const {
@@ -289,7 +365,7 @@ JobResult SweepService::wait(JobId id) {
     if (!is_queued(id))
       throw ServiceError("unknown job id " + std::to_string(id) +
                          " (never submitted, or already waited on)");
-    run_round();
+    run_session();
   }
   auto node = results_.extract(id);
   result_or_throw(node.mapped());
@@ -299,7 +375,7 @@ JobResult SweepService::wait(JobId id) {
 std::vector<JobId> SweepService::drain() {
   std::vector<JobId> ids;
   for (const Pending& pj : queue_) ids.push_back(pj.id);
-  while (!queue_.empty()) run_round();
+  while (!queue_.empty()) run_session();
   return ids;
 }
 

@@ -2,19 +2,23 @@
 //
 // Clients submit() jobs (any suite app at (n, p, b, policy); b optional —
 // unset means the model's b*) and wait() on ids. The service owns one
-// Machine whose rank pool every job shares: an admission round packs
-// queued jobs onto disjoint contiguous rank windows (FIFO with backfill),
-// leases each job a private user-tag window from a recycling TagAllocator,
-// and runs the whole round as one Machine::run in which each admitted
-// job's ranks enter a job view (comm/communicator.hh) and execute the
-// app's SPMD body unmodified. Disjoint windows and disjoint tag leases
-// make cross-job (src, tag) collisions impossible, and because virtual
-// time depends only on program order and message sizes — never on machine
-// rank ids or tag values — a job's per-rank results are byte-identical to
-// the same job run standalone on its own p-rank machine (a tested
-// invariant). Plans are cached by (app, n, p, b, iters, policy), so
-// repeat submissions skip lowering; every completed job carries a bill.
-// See DESIGN.md §17.
+// Machine whose rank pool every job shares. A wait() or drain() that finds
+// work runs one session: one Machine::run in which every rank loops —
+// block until assigned a job, run its part of the job inside a job view
+// (comm/communicator.hh), then free its rank and admit more queued jobs
+// onto the free ranks (FIFO with backfill onto the lowest-base contiguous
+// window) — until the queue is empty and every rank is idle. So a rank
+// takes the next queued job that fits as soon as it is done with its last
+// one, whatever other jobs are still running. Each admitted job leases a
+// private user-tag window from a recycling TagAllocator, returned when its
+// last rank finishes. A view starts the rank's clock, phases and stats
+// from zero, and disjoint windows and leases make cross-job (src, tag)
+// collisions impossible; because virtual time depends only on program
+// order and message sizes — never on machine rank ids or tag values — a
+// job's per-rank results are byte-identical to the same job run standalone
+// on its own p-rank machine (a tested invariant). Plans are cached by
+// (app, n, p, b, iters, policy), so repeat submissions skip lowering;
+// every completed job carries a bill. See DESIGN.md §17.
 #pragma once
 
 #include <cstdint>
@@ -66,13 +70,14 @@ class SweepService {
   /// [1, ranks], or a full queue. Does not run anything.
   JobId submit(const JobParams& params);
 
-  /// Runs admission rounds until `id` completes, then hands its result
-  /// over: the service keeps no copy, so a second wait() or result() on
-  /// `id` is an unknown id. Throws ServiceError for unknown ids and for
-  /// jobs whose round failed (dropping the failed result too).
+  /// Runs sessions until `id` completes, then hands its result over: the
+  /// service keeps no copy, so a second wait() or result() on `id` is an
+  /// unknown id. Results of the session's other jobs stay held. Throws
+  /// ServiceError for unknown ids and for jobs that were running when
+  /// their session failed (dropping the failed result too).
   JobResult wait(JobId id);
 
-  /// Runs rounds until the queue is empty; returns the ids completed.
+  /// Runs sessions until the queue is empty; returns the ids completed.
   /// Their results stay held until wait() takes them.
   std::vector<JobId> drain();
 
@@ -87,7 +92,8 @@ class SweepService {
   std::size_t queued() const { return queue_.size(); }
   /// Results of completed jobs not yet taken by wait().
   std::size_t held() const { return results_.size(); }
-  int rounds() const { return rounds_; }
+  /// Sessions run so far (each one Machine::run).
+  int rounds() const { return sessions_; }
   std::uint64_t cache_hits() const { return cache_.hits(); }
   std::uint64_t cache_misses() const { return cache_.misses(); }
   const ServiceConfig& config() const { return cfg_; }
@@ -111,22 +117,31 @@ class SweepService {
     double submit_seconds = 0.0;
   };
 
-  struct Placement {
-    Pending job;
-    int base = 0;
-    TagRange tags;
-  };
+  struct Running;  // a job admitted to the running session
+  struct Session;  // what one session's ranks share
 
   const SuiteApp& find_app(const std::string& name) const;
   bool is_queued(JobId id) const;
 
-  /// `jr`, or the ServiceError of its failed round.
+  /// `jr`, or the ServiceError of its failed session.
   static const JobResult& result_or_throw(const JobResult& jr);
 
-  /// Admits a maximal prefix-with-backfill of the queue onto disjoint rank
-  /// windows and runs it as one Machine::run. Fills results_ (wait()
-  /// empties it again).
-  void run_round();
+  /// Admits queued jobs onto the session's free ranks: the queue in
+  /// order, each job onto the lowest-base contiguous free window that
+  /// fits (FIFO with backfill), with a fresh tag lease. Appends the ranks
+  /// it assigned to `woken`. Caller holds the session mutex.
+  void admit(Session& s, std::vector<int>& woken);
+
+  /// Files the result of a job whose last rank just finished and returns
+  /// its tag lease. Caller holds the session mutex.
+  void finish(Session& s, Running& job);
+
+  /// One Machine::run that keeps every rank fed from the queue until the
+  /// queue is empty and every rank is idle. Fills results_ (wait()
+  /// empties it again). If a rank throws, jobs already finished keep
+  /// their results, jobs running fail with the error, jobs admitted but
+  /// not yet started go back to the queue, and the machine is rebuilt.
+  void run_session();
 
   ServiceConfig cfg_;
   std::unique_ptr<Machine> machine_;
@@ -136,7 +151,7 @@ class SweepService {
   std::deque<Pending> queue_;
   std::unordered_map<JobId, JobResult> results_;
   JobId next_id_ = 1;
-  int rounds_ = 0;
+  int sessions_ = 0;
 };
 
 }  // namespace wavepipe

@@ -1,9 +1,10 @@
 // The multi-tenant sweep service (service/): admission packing onto
-// disjoint rank windows, per-job tag leases, plan caching, billing — and
-// the subsystem's central invariant: a job run on a window of the shared
-// machine is byte-identical (values, vtimes, phases, stats) to the same
-// job run standalone, cold or from the plan cache, alone or packed with
-// seven neighbours.
+// disjoint rank windows, per-job tag leases, plan caching, billing, failure
+// inside a session — and the subsystem's central invariant: a job run on a
+// window of the shared machine is byte-identical (values, vtimes, phases,
+// stats) to the same job run standalone, cold or from the plan cache, alone,
+// packed with seven neighbours, or run on ranks that ran other jobs earlier
+// in the same session.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,7 +112,11 @@ TEST(SweepService, BillCoversOneJob) {
   EXPECT_NEAR(jr.bill.phases_total.total(), vsum, 1e-9 * (1.0 + vsum));
   EXPECT_GT(jr.bill.comm_total.messages_sent, 0u);
   EXPECT_EQ(jr.bill.base_rank, 0);
-  EXPECT_EQ(jr.bill.round, 1);
+  EXPECT_GE(jr.bill.tag_base, 0);
+  EXPECT_EQ(jr.bill.tag_count, cfg.job_tag_span);
+  EXPECT_EQ(jr.bill.round, 1);  // the session that ran it
+  EXPECT_EQ(svc.rounds(), 1);
+  EXPECT_GT(jr.bill.wall_seconds, 0.0);
   EXPECT_NE(jr.bill.describe().find("tomcatv"), std::string::npos);
   EXPECT_EQ(svc.held(), 0u);  // wait() handed the result over
   EXPECT_EQ(svc.queued(), 0u);
@@ -174,7 +179,7 @@ TEST(SweepService, ConcurrentJobsMatchStandalone) {
   cfg.costs = costs;
   SweepService svc(cfg);
 
-  // Two four-rank jobs share one round (windows [0,4) and [4,8)).
+  // Two four-rank jobs share one session (windows [0,4) and [4,8)).
   JobParams a;
   a.app = "sweep3d";
   a.n = 8;
@@ -188,7 +193,9 @@ TEST(SweepService, ConcurrentJobsMatchStandalone) {
   svc.drain();
   const JobResult& ra = svc.result(ia);
   const JobResult& rb = svc.result(ib);
-  EXPECT_EQ(ra.bill.round, rb.bill.round);
+  EXPECT_EQ(svc.rounds(), 1);
+  EXPECT_EQ(ra.bill.round, 1);
+  EXPECT_EQ(rb.bill.round, 1);
   EXPECT_EQ(ra.bill.base_rank, 0);
   EXPECT_EQ(rb.bill.base_rank, 4);
   EXPECT_NE(ra.bill.tag_base, rb.bill.tag_base);
@@ -219,12 +226,13 @@ TEST(SweepService, EightConcurrentJobsMatchStandalone) {
     ids.push_back(svc.submit(params));
   }
   svc.drain();
-  int first_round = -1;
-  for (const JobId id : ids) {
-    const JobResult& jr = svc.result(id);
-    if (first_round < 0) first_round = jr.bill.round;
-    // 8 x p=2 fits the 16-rank pool: one round for all.
-    EXPECT_EQ(jr.bill.round, first_round);
+  // 8 x p=2 fits the 16-rank pool: one session, each job on its own
+  // window from the first admission.
+  EXPECT_EQ(svc.rounds(), 1);
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    const JobResult& jr = svc.result(ids[j]);
+    EXPECT_EQ(jr.bill.round, 1);
+    EXPECT_EQ(jr.bill.base_rank, 2 * static_cast<int>(j));
     expect_matches_standalone(svc, jr, costs);
   }
   // Every lease was returned: the tag map is empty again.
@@ -315,17 +323,20 @@ TEST(SweepService, PacksFifoWithBackfill) {
   mid.p = 4;
   JobParams small = big;
   small.p = 2;
-  const JobId i1 = svc.submit(big);    // [0,6) round 1
-  const JobId i2 = svc.submit(mid);    // does not fit round 1
-  const JobId i3 = svc.submit(small);  // backfills [6,8) in round 1
+  const JobId i1 = svc.submit(big);    // [0,6) at the first admission
+  const JobId i2 = svc.submit(mid);    // does not fit beside it
+  const JobId i3 = svc.submit(small);  // backfills [6,8) at once
   svc.drain();
-  EXPECT_EQ(svc.result(i1).bill.round, 1);
   EXPECT_EQ(svc.result(i1).bill.base_rank, 0);
-  EXPECT_EQ(svc.result(i3).bill.round, 1);
   EXPECT_EQ(svc.result(i3).bill.base_rank, 6);
-  EXPECT_EQ(svc.result(i2).bill.round, 2);
-  EXPECT_EQ(svc.result(i2).bill.base_rank, 0);
-  EXPECT_EQ(svc.rounds(), 2);
+  // The mid job takes the first four contiguous ranks that free up; which
+  // ones depends on the order the others' ranks finish.
+  const int mid_base = svc.result(i2).bill.base_rank;
+  EXPECT_GE(mid_base, 0);
+  EXPECT_LE(mid_base + mid.p, cfg.ranks);
+  // All three ran in the drain's one session.
+  for (const JobId id : {i1, i2, i3}) EXPECT_EQ(svc.result(id).bill.round, 1);
+  EXPECT_EQ(svc.rounds(), 1);
 }
 
 TEST(SweepService, AdmissionErrorsAreTyped) {
@@ -368,7 +379,7 @@ TEST(SweepService, TagLeaseOverflowFailsTheJobTyped) {
   const JobId id = svc.submit(params);
   EXPECT_THROW(svc.wait(id), ServiceError);
   EXPECT_TRUE(svc.done(id));
-  // The failed round rebuilt the machine; the service keeps serving.
+  // The failed session rebuilt the machine; the service keeps serving.
   ServiceConfig ok = cfg;
   JobParams next = params;
   next.app = "sor";
@@ -387,9 +398,177 @@ TEST(SweepService, LeasesRecycleAcrossRounds) {
   params.p = 4;
   const JobResult& a = svc.wait(svc.submit(params));
   const JobResult& b = svc.wait(svc.submit(params));
-  // Round 2's lease reuses round 1's released window: no tag-space growth.
+  // Session 2's lease reuses session 1's released window: no tag-space
+  // growth.
   EXPECT_EQ(a.bill.tag_base, b.bill.tag_base);
   EXPECT_EQ(svc.describe_tags(), "");
+}
+
+JobParams job(const char* app, Coord n, int p, int iters = 1) {
+  JobParams params;
+  params.app = app;
+  params.n = n;
+  params.p = p;
+  params.iters = iters;
+  return params;
+}
+
+// Ranks take the next queued job as soon as their window frees: every
+// registry app at p = 1..4, all submitted before one drain(), so ranks run
+// several jobs back to back inside one Machine::run. Each job still sees a
+// fresh p-rank machine (its view starts the clocks and counters at zero).
+TEST(SweepService, SessionJobsMatchStandalone) {
+  const CostModel costs = test_costs();
+  for (const EngineKind kind : {EngineKind::kFibers, EngineKind::kParallel}) {
+    ServiceConfig cfg;
+    cfg.ranks = 4;
+    cfg.costs = costs;
+    cfg.engine.kind = kind;
+    SweepService svc(cfg);
+    std::vector<JobId> ids;
+    for (int j = 0; j < 14; ++j) {
+      const Case& c = kCases[static_cast<std::size_t>(j) % std::size(kCases)];
+      ids.push_back(svc.submit(job(c.app, c.n, 1 + j % 4, c.iters)));
+    }
+    svc.drain();
+    EXPECT_EQ(svc.rounds(), 1);
+    std::vector<int> jobs_on_rank(static_cast<std::size_t>(cfg.ranks), 0);
+    for (const JobId id : ids) {
+      const JobResult& jr = svc.result(id);
+      EXPECT_EQ(jr.bill.round, 1);
+      for (int r = jr.bill.base_rank; r < jr.bill.base_rank + jr.bill.p; ++r)
+        ++jobs_on_rank[static_cast<std::size_t>(r)];
+      expect_matches_standalone(svc, jr, costs);
+    }
+    EXPECT_GE(*std::max_element(jobs_on_rank.begin(), jobs_on_rank.end()), 2);
+    EXPECT_EQ(svc.describe_tags(), "");
+  }
+}
+
+// A tomcatv job at n = 3 throws inside its ranks (its constructor, or at
+// p = 4 the Layout before it, refuses the size) and fails its session. On
+// fibers every outcome is fixed. First drain: the job before it finished
+// (the bad job needs the whole pool, so it starts only after that job's
+// last rank left) and keeps its result; the jobs queued behind it never
+// started and run in the next session. Second drain: the bad job and a
+// neighbour are admitted together; rank 0 runs first and throws before the
+// neighbour's ranks take their job, so the neighbour goes back to the
+// queue and runs in the next session.
+TEST(SweepService, FailureInsideSessionKeepsFinishedAndQueuedJobs) {
+  const CostModel costs = test_costs();
+  ServiceConfig cfg;
+  cfg.ranks = 4;
+  cfg.costs = costs;
+  cfg.engine.kind = EngineKind::kFibers;
+  SweepService svc(cfg);
+  auto expect_fails_typed = [&](JobId id) {
+    try {
+      svc.wait(id);
+      ADD_FAILURE() << "job " << id << " did not fail";
+    } catch (const ServiceError& e) {
+      EXPECT_NE(std::string(e.what()).find("(tomcatv) failed: contract"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+
+  const JobId before = svc.submit(job("sor", 32, 4, 2));
+  const JobId bad = svc.submit(job("tomcatv", 3, 4));
+  const JobId after1 = svc.submit(job("smith-waterman", 48, 4));
+  const JobId after2 = svc.submit(job("sor", 32, 4, 2));
+  svc.drain();
+  EXPECT_EQ(svc.rounds(), 2);
+  EXPECT_EQ(svc.result(before).bill.round, 1);
+  expect_matches_standalone(svc, svc.result(before), costs);
+  expect_fails_typed(bad);
+  for (const JobId id : {after1, after2}) {
+    const JobResult& jr = svc.result(id);
+    EXPECT_EQ(jr.bill.round, 2) << jr.bill.describe();
+    expect_matches_standalone(svc, jr, costs);
+  }
+  EXPECT_EQ(svc.describe_tags(), "");
+
+  const JobId bad2 = svc.submit(job("tomcatv", 3, 2));
+  const JobId neighbour = svc.submit(job("sor", 32, 2, 2));
+  svc.drain();
+  EXPECT_EQ(svc.rounds(), 4);
+  expect_fails_typed(bad2);
+  const JobResult& jr = svc.result(neighbour);
+  EXPECT_EQ(jr.bill.round, 4) << jr.bill.describe();
+  expect_matches_standalone(svc, jr, costs);
+  EXPECT_EQ(svc.describe_tags(), "");
+}
+
+// The same on the parallel engine, where timing decides which neighbours
+// were running when the bad job threw: the bad job fails typed, and every
+// other job either matches its standalone run or carries the session's
+// error.
+TEST(SweepService, FailureInsideSessionParallel) {
+  const CostModel costs = test_costs();
+  ServiceConfig cfg;
+  cfg.ranks = 4;
+  cfg.costs = costs;
+  cfg.engine.kind = EngineKind::kParallel;
+  SweepService svc(cfg);
+  const std::vector<JobId> good1 = {svc.submit(job("sor", 32, 2, 2)),
+                                    svc.submit(job("smith-waterman", 48, 2))};
+  const JobId bad = svc.submit(job("tomcatv", 3, 2));
+  const std::vector<JobId> good2 = {svc.submit(job("sweep3d", 8, 1)),
+                                    svc.submit(job("sor", 32, 3, 2)),
+                                    svc.submit(job("simple", 32, 2, 2))};
+  svc.drain();
+  EXPECT_THROW(svc.wait(bad), ServiceError);
+  std::string session_error;
+  for (const auto* ids : {&good1, &good2})
+    for (const JobId id : *ids) {
+      try {
+        expect_matches_standalone(svc, svc.wait(id), costs);
+      } catch (const ServiceError& e) {
+        EXPECT_NE(std::string(e.what()).find("Tomcatv needs n >= 4"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  EXPECT_EQ(svc.describe_tags(), "");
+}
+
+// A job that leaves a receive posted must not hand it to the next tenant
+// of its ranks: leaving the view raises a typed error naming the job.
+TEST(JobView, ExitWithPostedIrecvThrowsTyped) {
+  for (const EngineKind kind : {EngineKind::kFibers, EngineKind::kParallel}) {
+    EngineConfig engine;
+    engine.kind = kind;
+    std::vector<std::string> errors(2);
+    Machine machine(2, test_costs(), TraceConfig{}, engine);
+    machine.run([&](Communicator& comm) {
+      comm.enter_view(0, 2, 100, 16, "job#7 leaky");
+      std::vector<double> in(4);
+      Request r;
+      if (comm.rank() == 1) r = comm.irecv(0, std::span<double>(in), 3);
+      try {
+        comm.exit_view();
+      } catch (const CommError& e) {
+        errors[static_cast<std::size_t>(comm.world_rank())] = e.what();
+      }
+      EXPECT_FALSE(comm.view_active());
+    });
+    EXPECT_EQ(errors[0], "");
+    EXPECT_NE(errors[1].find("job#7 leaky"), std::string::npos) << errors[1];
+    EXPECT_NE(errors[1].find("live request"), std::string::npos) << errors[1];
+  }
+}
+
+// A view starts the rank's clock and counters from zero.
+TEST(JobView, EnterStartsFromZero) {
+  Machine machine(1, test_costs(), TraceConfig{}, EngineConfig{});
+  machine.run([&](Communicator& comm) {
+    comm.compute(100.0);
+    comm.enter_view(0, 1, 0, 8, "job#1 fresh");
+    EXPECT_EQ(comm.vtime(), 0.0);
+    EXPECT_EQ(comm.phases().total(), 0.0);
+    EXPECT_EQ(comm.stats().messages_sent, 0u);
+    comm.exit_view();
+  });
 }
 
 TEST(ServiceConfig, FromEnvParsesAndRejects) {
