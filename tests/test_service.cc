@@ -404,6 +404,17 @@ TEST(SweepService, LeasesRecycleAcrossRounds) {
   EXPECT_EQ(svc.describe_tags(), "");
 }
 
+void expect_fails_typed(SweepService& svc, JobId id) {
+  try {
+    svc.wait(id);
+    ADD_FAILURE() << "job " << id << " did not fail";
+  } catch (const ServiceError& e) {
+    EXPECT_NE(std::string(e.what()).find("(tomcatv) failed: contract"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 JobParams job(const char* app, Coord n, int p, int iters = 1) {
   JobParams params;
   params.app = app;
@@ -446,14 +457,12 @@ TEST(SweepService, SessionJobsMatchStandalone) {
 }
 
 // A tomcatv job at n = 3 throws inside its ranks (its constructor, or at
-// p = 4 the Layout before it, refuses the size) and fails its session. On
-// fibers every outcome is fixed. First drain: the job before it finished
-// (the bad job needs the whole pool, so it starts only after that job's
-// last rank left) and keeps its result; the jobs queued behind it never
-// started and run in the next session. Second drain: the bad job and a
-// neighbour are admitted together; rank 0 runs first and throws before the
-// neighbour's ranks take their job, so the neighbour goes back to the
-// queue and runs in the next session.
+// p = 4 the Layout before it, refuses the size) and fails its session.
+// With whole-pool jobs every outcome is fixed under any fiber schedule:
+// the job before the bad one finished (the bad job needs the whole pool,
+// so it starts only after that job's last rank left) and keeps its
+// result; the jobs queued behind it never started and run in the next
+// session.
 TEST(SweepService, FailureInsideSessionKeepsFinishedAndQueuedJobs) {
   const CostModel costs = test_costs();
   ServiceConfig cfg;
@@ -461,17 +470,6 @@ TEST(SweepService, FailureInsideSessionKeepsFinishedAndQueuedJobs) {
   cfg.costs = costs;
   cfg.engine.kind = EngineKind::kFibers;
   SweepService svc(cfg);
-  auto expect_fails_typed = [&](JobId id) {
-    try {
-      svc.wait(id);
-      ADD_FAILURE() << "job " << id << " did not fail";
-    } catch (const ServiceError& e) {
-      EXPECT_NE(std::string(e.what()).find("(tomcatv) failed: contract"),
-                std::string::npos)
-          << e.what();
-    }
-  };
-
   const JobId before = svc.submit(job("sor", 32, 4, 2));
   const JobId bad = svc.submit(job("tomcatv", 3, 4));
   const JobId after1 = svc.submit(job("smith-waterman", 48, 4));
@@ -480,21 +478,35 @@ TEST(SweepService, FailureInsideSessionKeepsFinishedAndQueuedJobs) {
   EXPECT_EQ(svc.rounds(), 2);
   EXPECT_EQ(svc.result(before).bill.round, 1);
   expect_matches_standalone(svc, svc.result(before), costs);
-  expect_fails_typed(bad);
+  expect_fails_typed(svc, bad);
   for (const JobId id : {after1, after2}) {
     const JobResult& jr = svc.result(id);
     EXPECT_EQ(jr.bill.round, 2) << jr.bill.describe();
     expect_matches_standalone(svc, jr, costs);
   }
   EXPECT_EQ(svc.describe_tags(), "");
+}
 
-  const JobId bad2 = svc.submit(job("tomcatv", 3, 2));
+// A job admitted beside the bad one but not yet taken by any rank goes
+// back to the queue. On the deterministic fiber schedule rank 0 runs
+// first and throws before the neighbour's ranks take their job, so the
+// neighbour runs, and matches, in the next session.
+TEST(SweepService, FailureInsideSessionRequeuesUntakenJobs) {
+  const CostModel costs = test_costs();
+  ServiceConfig cfg;
+  cfg.ranks = 4;
+  cfg.costs = costs;
+  cfg.engine = EngineConfig{};  // the deterministic schedule, not the env's
+  cfg.engine.kind = EngineKind::kFibers;
+  SweepService svc(cfg);
+  const JobId bad = svc.submit(job("tomcatv", 3, 2));
   const JobId neighbour = svc.submit(job("sor", 32, 2, 2));
   svc.drain();
-  EXPECT_EQ(svc.rounds(), 4);
-  expect_fails_typed(bad2);
+  EXPECT_EQ(svc.rounds(), 2);
+  expect_fails_typed(svc, bad);
   const JobResult& jr = svc.result(neighbour);
-  EXPECT_EQ(jr.bill.round, 4) << jr.bill.describe();
+  EXPECT_EQ(jr.bill.round, 2) << jr.bill.describe();
+  EXPECT_EQ(jr.bill.base_rank, 0);  // admitted afresh, onto a free pool
   expect_matches_standalone(svc, jr, costs);
   EXPECT_EQ(svc.describe_tags(), "");
 }
