@@ -165,6 +165,7 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
   // fluff, and nothing reads the north fluff before that deposit.
   TaskGraph g;
   std::vector<TaskId> prev_h, prev_g2;  // previous iteration, per chunk
+  std::vector<TagRange> leased;
   for (int it = 0; it < iterations; ++it) {
     const std::string is = std::to_string(it);
     const TagRange vtag =
@@ -173,6 +174,7 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
         tags_.alloc(static_cast<int>(nc), "alt pre-exchange it " + is);
     const TagRange uptag =
         tags_.alloc(static_cast<int>(nc), "alt g2 ghost it " + is);
+    leased.insert(leased.end(), {vtag, pretag, uptag});
 
     std::vector<TaskId> g1v(static_cast<std::size_t>(nc), kNoTask);
     std::vector<TaskId> sprev(static_cast<std::size_t>(nc), kNoTask);
@@ -333,7 +335,12 @@ SchedReport AltSweep::iterate_scheduled(Communicator& comm, int iterations,
     prev_g2 = std::move(g2v);
   }
 
-  return run_graph(g, comm, sched);
+  const SchedReport report = run_graph(g, comm, sched);
+  // Every rank releases in the same order, so the next call's ranges agree
+  // across ranks. Reuse is safe: a peer still receiving on one of these
+  // tags from this graph matches its messages first (FIFO per (src, tag)).
+  for (const TagRange& r : leased) tags_.release(r);
+  return report;
 }
 
 Real AltSweep::residual_norm(Communicator& comm) {

@@ -84,6 +84,9 @@ class AltSweep {
   const DistArray<Real, 2>& f() const { return f_; }
   const DistArray<Real, 2>& ut() const { return ut_; }
   const DistArray<Real, 2>& ft() const { return ft_; }
+  /// The scheduled strategy's tag space (inspection: iterate_scheduled
+  /// releases its ranges when its graph has run).
+  const TagAllocator& tags() const { return tags_; }
 
  private:
   void vertical_pipelined(Communicator& comm, const WaveOptions& opts);
@@ -107,8 +110,9 @@ class AltSweep {
   WavefrontPlan<2> vtplan_;  // the vertical sweep in the transposed world
 
   // Tag space for the scheduled strategy, above every hardcoded base the
-  // blocking paths use; each iterate_scheduled call allocates fresh
-  // per-iteration ranges so overlapping iterations can never collide.
+  // blocking paths use; each iterate_scheduled call allocates per-iteration
+  // ranges, so iterations overlapping in one graph can never collide, and
+  // releases them once its graph has run.
   TagAllocator tags_{800};
 };
 

@@ -26,8 +26,8 @@ ProcGrid<2> sw2d_grid(int p) {
   }
 }
 
-// Every app's run() is the same wrapper: fresh p-rank machine, run_on the
-// body, stash rank 0's value for the naive == pipelined assertions.
+}  // namespace
+
 void wire_run(SuiteApp& app) {
   auto body = app.run_on;
   auto value = app.last_value;
@@ -39,8 +39,6 @@ void wire_run(SuiteApp& app) {
     });
   };
 }
-
-}  // namespace
 
 std::vector<SuiteApp> wavefront_suite() {
   std::vector<SuiteApp> suite;

@@ -2,9 +2,9 @@
 // develop a benchmark suite of wavefront computations in order to evaluate
 // our design and implementation").
 //
-// Five applications, one uniform adapter each, so benches can sweep
-// machines, processor counts and block sizes across all of them: Tomcatv,
-// SIMPLE, SWEEP3D, Smith-Waterman, and SOR.
+// Six entries, one uniform adapter each, so benches can sweep machines,
+// processor counts and block sizes across all of them: Tomcatv, SIMPLE,
+// SWEEP3D, Smith-Waterman on a 1D chain and on a 2D mesh, and SOR.
 #pragma once
 
 #include <array>
@@ -50,7 +50,12 @@ struct SuiteApp {
   std::shared_ptr<double> last_value;
 };
 
-/// The five-app registry.
+/// The six-entry registry.
 std::vector<SuiteApp> wavefront_suite();
+
+/// Sets app.run to the wrapper every registry entry uses: a fresh p-rank
+/// machine runs app.run_on with pipeline block `block`, and rank 0's value
+/// lands in app.last_value (for the naive == pipelined assertions).
+void wire_run(SuiteApp& app);
 
 }  // namespace wavepipe

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <queue>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -178,87 +177,78 @@ void check_backend(const SchedOptions& opts, const Machine& m) {
 
 }  // namespace sched_internal
 
-class SchedExecutor : public TaskSink {
- public:
-  SchedExecutor(const TaskGraph& graph, Communicator& comm,
-                const SchedOptions& opts, RecoveryCoordinator* rc,
-                recovery_internal::AdoptionDriver* drv)
-      : graph_(graph), comm_(comm), opts_(opts), rc_(rc), drv_(drv),
-        slab_(graph) {}
+SchedExecutor::SchedExecutor(const TaskGraph& graph, Communicator& comm,
+                             const SchedOptions& opts, RecoveryCoordinator* rc,
+                             recovery_internal::AdoptionDriver* drv,
+                             const VictimLog* log)
+    : graph_(graph), comm_(comm), opts_(opts), rc_(rc), drv_(drv), log_(log),
+      analysis_(sched_internal::analyze_graph(graph)), deps_(analysis_.deps),
+      missing_(graph.size(), 0), slab_(graph), remaining_(graph.size()) {
+  internal_check((rc == nullptr) == (drv == nullptr),
+                 "SchedExecutor takes a coordinator and its driver together");
+  internal_check((rc == nullptr && log == nullptr) || opts.adaptive,
+                 "recovery requires adaptive mode");
+  report_.tasks = graph.size();
+  report_.edges = graph.edges();
+  report_.adaptive = opts.adaptive;
+  report_.backend = SchedBackend::kSpmd;
+}
 
-  SchedReport run();
+SendTicket SchedExecutor::task_send(int dst, std::span<const double> payload,
+                                    int tag) {
+  // Replaying a logged-complete task: the dead rank's original buffered
+  // send was deposited downstream at post time, so re-sending would
+  // duplicate it.
+  if (replaying_) return kNoSend;
+  sends_.push_back(comm_.isend(dst, payload, tag));
+  return sends_.size() - 1;
+}
 
-  SendTicket task_send(int dst, std::span<const double> payload,
-                       int tag) override {
-    sends_.push_back(comm_.isend(dst, payload, tag));
-    return sends_.size() - 1;
-  }
-
-  void task_settle(SendTicket ticket) override { comm_.wait(sends_[ticket]); }
-
- private:
-  // Smaller key runs first; ties break toward the smaller (earlier) id, so
-  // both modes are total orders and the schedule is reproducible.
-  using Key = std::pair<double, TaskId>;
-
-  Key key(TaskId t) const {
-    return sched_internal::task_key(analysis_, opts_.adaptive, t);
-  }
-
-  void release(TaskId t);
-  void run_task(TaskId t);
-  void settle_pending(std::size_t i);
-  void block_on_inflows();
-  void die(const RankDeath& rd);
-  [[noreturn]] void rethrow_deadlock(const std::vector<TaskId>& stuck,
-                                     const Error& cause) const;
-
-  const TaskGraph& graph_;
-  Communicator& comm_;
-  const SchedOptions opts_;
-  // Both null without recovery (run_graph); both set by run_recoverable.
-  RecoveryCoordinator* const rc_;
-  recovery_internal::AdoptionDriver* const drv_;
-
-  sched_internal::GraphAnalysis analysis_;
-  std::vector<int> deps_;
-  std::priority_queue<std::pair<Key, TaskId>,
-                      std::vector<std::pair<Key, TaskId>>, std::greater<>>
-      ready_;
-  // Posted-but-unarrived inflow irecvs of released tasks, in posting order
-  // (wait_any and the promotion scan must see requests in that order). One
-  // entry per *inflow*, so a two-inflow task appears twice; missing_ counts
-  // how many of a task's inflows are still in flight, and the task is
-  // promoted when its count hits zero.
-  std::vector<TaskId> pending_;
-  std::vector<std::size_t> pending_k_;  // its inflow index (the log key)
-  std::vector<Request> pending_req_;
-  std::vector<int> missing_;
-  sched_internal::InflowSlab slab_;
-  std::vector<double> scratch_;  // TaskContext::scratch
-  std::vector<Request> sends_;
-  SchedReport report_;
-};
+void SchedExecutor::task_settle(SendTicket ticket) {
+  if (!log_) comm_.wait(sends_[ticket]);
+}
 
 void SchedExecutor::release(TaskId t) {
+  // A logged-complete task is the replay's to run, its inflows long gone.
+  if (log_ && log_->completed_task(t)) return;
   const TaskGraph::Task& task = graph_.task(t);
-  if (opts_.adaptive && !task.inflows.empty()) {
-    for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-      pending_req_.push_back(comm_.irecv(task.inflows[k].src,
-                                         slab_.buffer(t, k),
-                                         task.inflows[k].tag));
-      pending_.push_back(t);
-      pending_k_.push_back(k);
-    }
-    missing_[static_cast<std::size_t>(t)] =
-        static_cast<int>(task.inflows.size());
-    report_.max_posted = std::max(report_.max_posted, pending_.size());
-  } else {
+  if (!opts_.adaptive || task.inflows.empty()) {
     // Static mode posts the irecv lazily, when the task is picked —
     // a blocking wait at that point charges the identical virtual time and
     // keeps the pick order independent of physical arrival.
     ready_.push({key(t), t});
+    return;
   }
+  int missing = 0;
+  for (std::size_t k = 0; k < task.inflows.size(); ++k) {
+    // An inflow the dead rank consumed left the mailbox then, so per-key
+    // FIFO for the heir's live receives starts after it.
+    if (copy_logged(t, k)) continue;
+    pending_req_.push_back(comm_.irecv(task.inflows[k].src,
+                                       slab_.buffer(t, k),
+                                       task.inflows[k].tag));
+    pending_.push_back(t);
+    pending_k_.push_back(k);
+    ++missing;
+  }
+  report_.max_posted = std::max(report_.max_posted, pending_.size());
+  if (missing == 0) {
+    ready_.push({key(t), t});
+  } else {
+    missing_[static_cast<std::size_t>(t)] = missing;
+  }
+}
+
+// Copies task t's k-th inflow from the dead rank's log into its slab
+// buffer; false when there is no log or the inflow is not in it.
+bool SchedExecutor::copy_logged(TaskId t, std::size_t k) {
+  const auto* logged = log_ ? log_->logged(t, k) : nullptr;
+  if (!logged || !logged->has_value()) return false;
+  const std::span<double> buf = slab_.buffer(t, k);
+  internal_check((*logged)->size() == buf.size(),
+                 "logged inflow size does not match the task's");
+  std::copy((*logged)->begin(), (*logged)->end(), buf.begin());
+  return true;
 }
 
 void SchedExecutor::run_task(TaskId t) {
@@ -294,11 +284,50 @@ void SchedExecutor::run_task(TaskId t) {
                         task.inflows.empty() ? -1 : task.inflows.front().src,
                         static_cast<int>(t),
                         static_cast<std::uint64_t>(task.cost));
+  --remaining_;
   // Logged before any successor is released, so the log's completion order
   // stays a topological order for the heir's replay.
   if (rc_) rc_->log_complete(comm_.rank(), t);
   for (const TaskId s : graph_.successors(t))
     if (--deps_[static_cast<std::size_t>(s)] == 0) release(s);
+}
+
+// One turn of the adaptive loop: promotes every pending task all of whose
+// inflows have physically arrived (test() consumes a request without
+// advancing the clock), then runs the ready task with the smallest key.
+// With none ready it settles an inflow instead: with `park` it blocks for
+// one; without, it settles one that has physically arrived or returns
+// false. The heir cannot promote on test() alone: test() refuses a message
+// whose arrival stamp is ahead of the proxy's clock, and wait_any is what
+// moves that clock.
+bool SchedExecutor::turn(bool park) {
+  for (std::size_t i = 0; i < pending_.size();) {
+    if (comm_.test(pending_req_[i])) {
+      settle_pending(i);
+    } else {
+      ++i;
+    }
+  }
+  if (ready_.empty()) {
+    if (park) {
+      block_on_inflows();
+      return true;
+    }
+    internal_check(!pending_.empty(),
+                   "scheduler starved: tasks remain but none released");
+    if (!inflows_arrived()) return false;
+    settle_pending(comm_.wait_any(std::span<Request>(pending_req_)));
+    return true;
+  }
+  const auto [k, t] = ready_.top();
+  ready_.pop();
+  for (const TaskId p : pending_)
+    if (key(p) < k) {
+      ++report_.overtakes;
+      break;
+    }
+  run_task(t);
+  return true;
 }
 
 // Consumes pending slot `i` (its request completed), logging the payload
@@ -314,6 +343,12 @@ void SchedExecutor::settle_pending(std::size_t i) {
   pending_k_.erase(pending_k_.begin() + static_cast<std::ptrdiff_t>(i));
   pending_req_.erase(pending_req_.begin() + static_cast<std::ptrdiff_t>(i));
   if (--missing_[static_cast<std::size_t>(t)] == 0) ready_.push({key(t), t});
+}
+
+bool SchedExecutor::inflows_arrived() {
+  for (const Request& r : pending_req_)
+    if (comm_.arrived(r)) return true;
+  return false;
 }
 
 // Nothing is runnable: blocks until a posted inflow physically arrived and
@@ -336,13 +371,8 @@ void SchedExecutor::block_on_inflows() {
   std::size_t idx = 0;
   try {
     if (rc_) {
-      const auto any_arrived = [&] {
-        for (const Request& r : pending_req_)
-          if (comm_.arrived(r)) return true;
-        return false;
-      };
-      comm_.block_until([&] { return any_arrived() || drv_->wake(); });
-      if (!any_arrived()) {
+      comm_.block_until([&] { return inflows_arrived() || drv_->wake(); });
+      if (!inflows_arrived()) {
         comm_.set_wait_context("");
         return;
       }
@@ -360,6 +390,11 @@ void SchedExecutor::block_on_inflows() {
   settle_pending(idx);
 }
 
+void SchedExecutor::drop_sends() {
+  for (Request& s : sends_) comm_.cancel(s);
+  sends_.clear();
+}
+
 // This rank's own death with recovery armed. Harvest: bank every
 // already-arrived posted inflow into the log (the message left the mailbox
 // when it matched; without the log entry the heir could never re-receive
@@ -375,8 +410,7 @@ void SchedExecutor::die(const RankDeath& rd) {
   pending_.clear();
   pending_k_.clear();
   pending_req_.clear();
-  for (Request& s : sends_) comm_.cancel(s);
-  sends_.clear();
+  drop_sends();
   Machine& m = comm_.machine();
   m.clear_kill(rank);
   m.mark_dead(rank, rd.what());
@@ -403,23 +437,36 @@ void SchedExecutor::rethrow_deadlock(const std::vector<TaskId>& stuck,
   throw SchedError(os.str());
 }
 
+void SchedExecutor::start() {
+  for (std::size_t i = 0; i < graph_.size(); ++i)
+    if (deps_[i] == 0) release(static_cast<TaskId>(i));
+  if (!log_) return;
+  // The dead rank's executed prefix: logged completion order is a
+  // topological order of it, every inflow it consumed is in the log, and
+  // the state is fresh — so the replay rebuilds its memory byte for byte.
+  replaying_ = true;
+  for (const TaskId t : log_->completed) {
+    internal_check(deps_[static_cast<std::size_t>(t)] == 0,
+                   "logged completion order is not a topological order");
+    for (std::size_t k = 0; k < graph_.task(t).inflows.size(); ++k)
+      internal_check(copy_logged(t, k),
+                     "completed task replayed without a logged inflow");
+    run_task(t);
+  }
+  replaying_ = false;
+}
+
+bool SchedExecutor::step() {
+  bool progress = false;
+  while (!done() && turn(/*park=*/false)) progress = true;
+  return progress;
+}
+
 SchedReport SchedExecutor::run() {
-  const std::size_t n = graph_.size();
   const int rank = comm_.rank();
-  report_.tasks = n;
-  report_.edges = graph_.edges();
-  report_.adaptive = opts_.adaptive;
-  report_.backend = SchedBackend::kSpmd;
-  analysis_ = sched_internal::analyze_graph(graph_);
-  deps_ = analysis_.deps;
-  missing_.assign(n, 0);
-
   try {
-    for (std::size_t i = 0; i < n; ++i)
-      if (deps_[i] == 0) release(static_cast<TaskId>(i));
-
-    std::size_t done = 0;
-    while (done < n) {
+    start();
+    while (!done()) {
       if (rc_) {
         // Kill point, then adoption progress (a no-op until a peer dies).
         if (comm_.machine().kill_requested(rank))
@@ -428,27 +475,7 @@ SchedReport SchedExecutor::run() {
         drv_->poll();
       }
       if (opts_.adaptive) {
-        // Promote every pending task all of whose inflows have physically
-        // arrived; test() consumes a request without advancing the clock.
-        for (std::size_t i = 0; i < pending_.size();) {
-          if (comm_.test(pending_req_[i])) {
-            settle_pending(i);
-          } else {
-            ++i;
-          }
-        }
-        if (ready_.empty()) {
-          block_on_inflows();
-          continue;
-        }
-        const auto [k, t] = ready_.top();
-        ready_.pop();
-        for (const TaskId p : pending_)
-          if (key(p) < k) {
-            ++report_.overtakes;
-            break;
-          }
-        run_task(t);
+        turn(/*park=*/true);
       } else {
         internal_check(!ready_.empty(),
                        "scheduler starved: tasks remain but none released");
@@ -456,7 +483,6 @@ SchedReport SchedExecutor::run() {
         ready_.pop();
         run_task(t);
       }
-      ++done;
     }
     try {
       comm_.wait_all(std::span<Request>(sends_));
@@ -471,21 +497,6 @@ SchedReport SchedExecutor::run() {
   return report_;
 }
 
-namespace sched_internal {
-
-SchedReport run_spmd(const TaskGraph& graph, Communicator& comm,
-                     const SchedOptions& opts, RecoveryCoordinator* rc,
-                     recovery_internal::AdoptionDriver* drv) {
-  internal_check((rc == nullptr) == (drv == nullptr),
-                 "run_spmd takes a coordinator and its driver together");
-  internal_check(rc == nullptr || opts.adaptive,
-                 "recovery requires adaptive mode");
-  SchedExecutor exec(graph, comm, opts, rc, drv);
-  return exec.run();
-}
-
-}  // namespace sched_internal
-
 SchedReport run_graph(const TaskGraph& graph, Communicator& comm,
                       const SchedOptions& opts) {
   sched_internal::check_backend(opts, comm.machine());
@@ -496,7 +507,7 @@ SchedReport run_graph(const TaskGraph& graph, Communicator& comm,
   // see the degeneration rather than infer it.
   if (opts.backend == SchedBackend::kTasks && comm.size() > 1)
     return run_graph_tasks(graph, comm, opts);
-  return sched_internal::run_spmd(graph, comm, opts);
+  return SchedExecutor(graph, comm, opts).run();
 }
 
 }  // namespace wavepipe

@@ -36,14 +36,18 @@
 // because payload bytes are FIFO per (src, tag) and every
 // order-sensitive reduction is serialized by explicit edges.
 //
-// Recovery: there is one SPMD executor, with or without a coordinator.
-// run_graph runs it without one; run_recoverable's kSpmd backend runs it
-// with one (see run_spmd), and then it also logs every consumed inflow and
-// every completion, polls the rank's kill flag and adoption driver at the
-// loop top, lets adoption work wake it when it blocks, and on its own
-// death harvests before unwinding (sched/recovery.hh). Promotion and the
-// pick order are the same either way, so a fault-free recoverable run is
-// byte-identical to run_graph.
+// Recovery: there is one SPMD executor, for a rank's own graph and for a
+// dead rank's. run_graph runs it without a coordinator; run_recoverable's
+// kSpmd backend runs it with one, and then it also logs every consumed
+// inflow and every completion, polls the rank's kill flag and adoption
+// driver at the loop top, lets adoption work wake it when it blocks, and on
+// its own death harvests before unwinding (sched/recovery.hh). Promotion
+// and the pick order are the same either way, so a fault-free recoverable
+// run is byte-identical to run_graph. The heir of a dead rank runs the
+// rebuilt graph on the same executor, given the dead rank's inflow log and
+// a proxy Communicator bound to the dead rank: start() replays the logged
+// prefix with sends suppressed, and step() runs the rest without ever
+// parking, so the heir interleaves it with its own work.
 //
 // Deadlock reporting: before every blocking wait the executor publishes
 // the stuck task's label as the rank's wait context, so the fiber engine's
@@ -55,10 +59,12 @@
 #pragma once
 
 #include <memory>
+#include <queue>
 #include <span>
 #include <utility>
 #include <vector>
 
+#include "comm/request.hh"
 #include "sched/graph.hh"
 
 namespace wavepipe {
@@ -66,6 +72,7 @@ namespace wavepipe {
 class Communicator;
 class Machine;
 class RecoveryCoordinator;
+struct VictimLog;
 namespace recovery_internal {
 struct AdoptionDriver;
 }
@@ -184,22 +191,105 @@ class InflowSlab {
   std::vector<std::span<const double>> views_;  // [inflow]
 };
 
-/// The SPMD backend: this rank's own thread walks its graph. run_graph
-/// passes no coordinator; run_recoverable passes its coordinator and this
-/// rank's adoption driver (both or neither), which arms inflow and
-/// completion logging, kill points and adoption polling — adaptive mode
-/// only. On this rank's own death with a coordinator, the RankDeath
-/// escapes after the harvest/mark-dead protocol ran.
-SchedReport run_spmd(const TaskGraph& graph, Communicator& comm,
-                     const SchedOptions& opts,
-                     RecoveryCoordinator* rc = nullptr,
-                     recovery_internal::AdoptionDriver* drv = nullptr);
-
 /// The backend gate shared by run_graph and run_recoverable: kTasks needs
 /// the parallel engine that `m` actually runs, and adaptive mode. Throws
 /// ConfigError naming the valid combinations.
 void check_backend(const SchedOptions& opts, const Machine& m);
 
 }  // namespace sched_internal
+
+/// The SPMD backend: one thread walks one rank's graph (see the header
+/// comment). run_graph passes no coordinator; run_recoverable passes its
+/// coordinator and this rank's adoption driver (both or neither, adaptive
+/// mode only), which arms inflow and completion logging, kill points and
+/// adoption polling. An heir passes neither but the dead rank's `log`,
+/// with `comm` a proxy bound to the dead rank: it calls start() once and
+/// then step() until done(). Its progress is not logged, it has no kill
+/// point of its own, it settles no send early, and drop_sends() settles its
+/// sends without a clock charge when it is done.
+class SchedExecutor final : public TaskSink {
+ public:
+  SchedExecutor(const TaskGraph& graph, Communicator& comm,
+                const SchedOptions& opts, RecoveryCoordinator* rc = nullptr,
+                recovery_internal::AdoptionDriver* drv = nullptr,
+                const VictimLog* log = nullptr);
+
+  /// Runs the graph to completion and settles its sends in posting order.
+  /// On this rank's own death with a coordinator, the RankDeath escapes
+  /// after the harvest/mark-dead protocol ran.
+  SchedReport run();
+
+  /// Releases the graph's frontier, then replays the log's completed
+  /// prefix in log order with its logged inflows and sends suppressed.
+  /// run() starts itself.
+  void start();
+
+  /// Promotes arrived inflows and runs ready tasks until neither is left;
+  /// never parks. True if anything ran or arrived.
+  bool step();
+
+  /// True if some posted inflow has physically arrived (a cheap poll).
+  bool inflows_arrived();
+
+  bool done() const { return remaining_ == 0; }
+
+  /// Settles every outstanding send without a clock charge: cancel, since
+  /// each payload was deposited at post.
+  void drop_sends();
+
+  SendTicket task_send(int dst, std::span<const double> payload,
+                       int tag) override;
+  void task_settle(SendTicket ticket) override;
+
+ private:
+  // Smaller key runs first; ties break toward the smaller (earlier) id, so
+  // both modes are total orders and the schedule is reproducible.
+  using Key = std::pair<double, TaskId>;
+
+  Key key(TaskId t) const {
+    return sched_internal::task_key(analysis_, opts_.adaptive, t);
+  }
+
+  void release(TaskId t);
+  bool copy_logged(TaskId t, std::size_t k);
+  void run_task(TaskId t);
+  bool turn(bool park);
+  void settle_pending(std::size_t i);
+  void block_on_inflows();
+  void die(const RankDeath& rd);
+  [[noreturn]] void rethrow_deadlock(const std::vector<TaskId>& stuck,
+                                     const Error& cause) const;
+
+  const TaskGraph& graph_;
+  Communicator& comm_;
+  const SchedOptions opts_;
+  // Both null without recovery (run_graph and the heir); both set by
+  // run_recoverable.
+  RecoveryCoordinator* const rc_;
+  recovery_internal::AdoptionDriver* const drv_;
+  // The dead rank's log when an heir runs its graph; null otherwise.
+  const VictimLog* const log_;
+  bool replaying_ = false;  // start() is re-running logged tasks
+
+  sched_internal::GraphAnalysis analysis_;
+  std::vector<int> deps_;
+  std::priority_queue<std::pair<Key, TaskId>,
+                      std::vector<std::pair<Key, TaskId>>, std::greater<>>
+      ready_;
+  // Posted-but-unarrived inflow irecvs of released tasks, in posting order
+  // (wait_any and the promotion scan must see requests in that order). One
+  // entry per *inflow*, so a two-inflow task appears twice; missing_ counts
+  // how many of a task's inflows are still in flight, and the task is
+  // promoted when its count hits zero.
+  std::vector<TaskId> pending_;
+  std::vector<std::size_t> pending_k_;  // its inflow index (the log key)
+  std::vector<Request> pending_req_;
+  std::vector<int> missing_;
+  sched_internal::InflowSlab slab_;
+  std::vector<double> scratch_;  // TaskContext::scratch
+  std::vector<Request> sends_;
+  std::size_t remaining_;
+  SchedReport report_;
+};
 
 }  // namespace wavepipe

@@ -31,7 +31,6 @@ namespace wavepipe {
 class Communicator;
 class SchedExecutor;
 class TaskArena;
-class AdoptedProgram;
 
 /// A scheduler failure: a dependence cycle, a starved graph (tasks remain
 /// but none can ever run), or a communication deadlock attributed to the
@@ -92,18 +91,19 @@ class TaskContext {
   }
 
   /// Settles (waits) a send this run issued, from this task or an earlier
-  /// one, before the drain would; no-op for kNoSend. An heir replaying a
-  /// dead rank settles nothing early.
+  /// one, before the drain would; no-op for kNoSend. An heir running a
+  /// dead rank's graph settles nothing early: its sends settle, without a
+  /// clock charge, once the adopted graph is done.
   void settle(SendTicket ticket) {
     if (ticket != kNoSend) sink_.task_settle(ticket);
   }
 
   /// An empty buffer owned by the executor running the task, for packing
   /// outflow payloads without a per-task allocation: its capacity survives
-  /// from task to task. Valid until the body returns. Each executor thread
-  /// (the SPMD rank, a tasks-backend worker, an heir stepping an adopted
-  /// program) owns its own, so it is never thread_local — fibers share one
-  /// thread.
+  /// from task to task. Valid until the body returns. Each SchedExecutor
+  /// (a rank's own, or an heir's for each rank it adopted) and each
+  /// tasks-backend worker owns its own, so it is never thread_local —
+  /// fibers share one thread.
   std::vector<double>& scratch() {
     scratch_.clear();
     return scratch_;
@@ -112,7 +112,6 @@ class TaskContext {
  private:
   friend class SchedExecutor;
   friend class TaskArena;
-  friend class AdoptedProgram;
   TaskContext(Communicator& c, TaskSink& s, std::vector<double>& scratch,
               std::span<const std::span<const double>> payloads)
       : comm(c), inflows(payloads), sink_(s), scratch_(scratch) {

@@ -66,8 +66,7 @@ void RecoveryCoordinator::log_complete(int rank, TaskId t) {
                         std::to_string(kill_after_) + " completions)");
 }
 
-RecoveryCoordinator::VictimLog RecoveryCoordinator::snapshot(
-    int victim) const {
+VictimLog RecoveryCoordinator::snapshot(int victim) const {
   std::lock_guard<std::mutex> l(mu_);
   return logs_[static_cast<std::size_t>(victim)];
 }
@@ -102,147 +101,6 @@ bool RecoveryCoordinator::all_finished() const {
   return true;
 }
 
-// ---- AdoptedProgram --------------------------------------------------------
-
-SendTicket AdoptedProgram::ProxySink::task_send(
-    int dst, std::span<const double> payload, int tag) {
-  // Replaying a logged-complete task: the victim's original buffered send
-  // was deposited downstream at post time, so re-sending would duplicate.
-  if (suppress) return kNoSend;
-  owner->sends_.push_back(owner->proxy_->isend(dst, payload, tag));
-  return owner->sends_.size() - 1;
-}
-
-AdoptedProgram::AdoptedProgram(RecoveryCoordinator& rc, int victim)
-    : rc_(rc), victim_(victim), prog_(rc.build(victim)),
-      log_(rc.snapshot(victim)),
-      proxy_(std::make_unique<Communicator>(rc.machine(), victim)),
-      slab_(prog_.graph) {
-  sink_.owner = this;
-  const std::size_t n = prog_.graph.size();
-  deps_.resize(n);
-  for (std::size_t i = 0; i < n; ++i)
-    deps_[i] = prog_.graph.predecessors(static_cast<TaskId>(i));
-  missing_.assign(n, 0);
-  remaining_ = n;
-
-  // Replay the victim's executed prefix: logged completion order is a
-  // topological order of it, every consumed inflow is in the log, and the
-  // state is fresh — so the replay reconstructs the victim's memory
-  // byte-for-byte with sends suppressed.
-  sink_.suppress = true;
-  for (const TaskId t : log_.completed) {
-    internal_check(deps_[static_cast<std::size_t>(t)] == 0,
-                   "logged completion order is not a topological order");
-    const TaskGraph::Task& task = prog_.graph.task(t);
-    for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-      const auto* logged = log_.logged(t, k);
-      internal_check(logged && logged->has_value(),
-                     "completed task replayed without a logged inflow");
-      copy_logged(t, k, **logged);
-    }
-    TaskContext ctx(*proxy_, sink_, scratch_, slab_.payloads(t));
-    if (task.run) task.run(ctx);
-    --remaining_;
-    for (const TaskId s : prog_.graph.successors(t))
-      --deps_[static_cast<std::size_t>(s)];
-  }
-  sink_.suppress = false;
-
-  // Release the live remainder's frontier.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (log_.completed_task(static_cast<TaskId>(i))) continue;
-    if (deps_[i] == 0) release(static_cast<TaskId>(i));
-  }
-}
-
-AdoptedProgram::~AdoptedProgram() = default;  // proxy dtor cancels slots
-
-void AdoptedProgram::copy_logged(TaskId t, std::size_t k,
-                                 const std::vector<double>& logged) {
-  const std::span<double> buf = slab_.buffer(t, k);
-  internal_check(logged.size() == buf.size(),
-                 "logged inflow size does not match the task's");
-  std::copy(logged.begin(), logged.end(), buf.begin());
-}
-
-void AdoptedProgram::release(TaskId t) {
-  const TaskGraph::Task& task = prog_.graph.task(t);
-  int miss = 0;
-  for (std::size_t k = 0; k < task.inflows.size(); ++k) {
-    const auto* logged = log_.logged(t, k);
-    if (logged && logged->has_value()) {
-      // The victim consumed this message before dying: it left the mailbox
-      // then, so per-key FIFO for the heir's live receives starts after it.
-      copy_logged(t, k, **logged);
-    } else {
-      pending_req_.push_back(proxy_->irecv(task.inflows[k].src,
-                                           slab_.buffer(t, k),
-                                           task.inflows[k].tag));
-      pending_.push_back(t);
-      ++miss;
-    }
-  }
-  if (miss == 0) {
-    ready_.push(t);
-  } else {
-    missing_[static_cast<std::size_t>(t)] = miss;
-  }
-}
-
-bool AdoptedProgram::inflows_arrived() {
-  for (const Request& r : pending_req_)
-    if (proxy_->arrived(r)) return true;
-  return false;
-}
-
-bool AdoptedProgram::step() {
-  bool progress = false;
-  for (std::size_t i = 0; i < pending_.size();) {
-    if (proxy_->arrived(pending_req_[i])) {
-      proxy_->wait(pending_req_[i]);
-      const TaskId t = pending_[i];
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      pending_req_.erase(pending_req_.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-      if (--missing_[static_cast<std::size_t>(t)] == 0) ready_.push(t);
-      progress = true;
-    } else {
-      ++i;
-    }
-  }
-  while (!ready_.empty()) {
-    const TaskId t = ready_.front();
-    ready_.pop();
-    run_adopted_task(t);
-    progress = true;
-  }
-  return progress;
-}
-
-void AdoptedProgram::run_adopted_task(TaskId t) {
-  const TaskGraph::Task& task = prog_.graph.task(t);
-  TaskContext ctx(*proxy_, sink_, scratch_, slab_.payloads(t));
-  if (task.run) task.run(ctx);
-  --remaining_;
-  for (const TaskId s : prog_.graph.successors(t))
-    if (--deps_[static_cast<std::size_t>(s)] == 0 &&
-        !log_.completed_task(s))
-      release(s);
-}
-
-void AdoptedProgram::finish() {
-  if (finished_) return;
-  internal_check(done(), "AdoptedProgram::finish before the graph drained");
-  finished_ = true;
-  // Settle re-emitted sends without charging the proxy clock (the payloads
-  // were deposited at post; cancel is the no-charge harvest).
-  for (Request& r : sends_) proxy_->cancel(r);
-  sends_.clear();
-  if (prog_.epilogue) prog_.epilogue();
-  rc_.mark_finished(victim_);
-}
-
 // ---- AdoptionDriver --------------------------------------------------------
 
 namespace recovery_internal {
@@ -251,7 +109,12 @@ AdoptionDriver::AdoptionDriver(RecoveryCoordinator& rc_in,
                                Communicator& comm)
     : rc(rc_in), m(comm.machine()), rank(comm.rank()) {}
 
-AdoptionDriver::~AdoptionDriver() = default;
+AdoptionDriver::Adopted::Adopted(RecoveryCoordinator& rc, int v)
+    : victim(v), prog(rc.build(v)), log(rc.snapshot(v)),
+      proxy(rc.machine(), v),
+      exec(prog.graph, proxy, SchedOptions{}, nullptr, nullptr, &log) {
+  exec.start();
+}
 
 int AdoptionDriver::heir_of(Machine& m, int victim) {
   // The next surviving rank after the victim, cyclically: every rank
@@ -273,23 +136,26 @@ bool AdoptionDriver::poll() {
       if (rc.finished(v)) continue;  // died after its epilogue: no work left
       if (heir_of(m, v) != rank) continue;
       if (!rc.claim(v)) continue;
-      adopted.push_back(std::make_unique<AdoptedProgram>(rc, v));
+      adopted.push_back(std::make_unique<Adopted>(rc, v));
       progress = true;
     }
   }
-  for (auto& ap : adopted) {
-    if (!ap->done()) {
-      if (ap->step()) progress = true;
-    }
-    if (ap->done()) ap->finish();
+  for (auto& a : adopted) {
+    if (a->finished) continue;
+    if (a->exec.step()) progress = true;
+    if (!a->exec.done()) continue;
+    a->exec.drop_sends();
+    if (a->prog.epilogue) a->prog.epilogue();
+    rc.mark_finished(a->victim);
+    a->finished = true;
   }
   return progress;
 }
 
 bool AdoptionDriver::wake() {
   if (m.death_epoch() != epoch_seen) return true;
-  for (auto& ap : adopted)
-    if (!ap->done() && ap->inflows_arrived()) return true;
+  for (auto& a : adopted)
+    if (!a->finished && a->exec.inflows_arrived()) return true;
   return false;
 }
 
@@ -342,7 +208,7 @@ SchedReport run_recoverable(Communicator& comm, RecoveryCoordinator& rc,
     RankProgram prog = rc.build(rank);
     report = opts.backend == SchedBackend::kTasks && comm.size() > 1
                  ? run_graph_tasks_recoverable(prog.graph, comm, opts, rc, drv)
-                 : sched_internal::run_spmd(prog.graph, comm, opts, &rc, &drv);
+                 : SchedExecutor(prog.graph, comm, opts, &rc, &drv).run();
     if (prog.epilogue) prog.epilogue();
     rc.mark_finished(rank);
     exit_barrier(comm, rc, drv);

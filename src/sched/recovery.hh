@@ -11,12 +11,12 @@
 // machine's death board, and lets its RankDeath reach the machine frame,
 // which swallows a recovered self-death instead of poisoning the world.
 //
-// There is one SPMD executor, with or without a coordinator: run_graph
-// runs SchedExecutor without one, and run_recoverable hands the same loop
-// its coordinator and adoption driver (logging, kill points, adoption
-// polling, the harvest) — exactly as the tasks backend's arena takes an
-// optional coordinator. A fault-free recoverable run is therefore
-// byte-identical to run_graph.
+// There is one SPMD executor, SchedExecutor, with or without a
+// coordinator: run_graph runs it without one, and run_recoverable hands the
+// same loop its coordinator and adoption driver (logging, kill points,
+// adoption polling, the harvest) — exactly as the tasks backend's arena
+// takes an optional coordinator. A fault-free recoverable run is therefore
+// byte-identical to run_graph. The heir's replay runs on it too.
 //
 // Recovery is replay from the inflow log. Every task records the message
 // payloads it consumed and its completion, so a dead rank's execution is
@@ -24,14 +24,15 @@
 // rank after the victim, cyclically — a deterministic choice every rank
 // computes identically from the death board) rebuilds the victim's program
 // from the coordinator's factory (graph building is comm-free and
-// deterministic by construction), re-runs completed tasks with their logged
-// inflows and *suppressed* sends (the originals were buffered sends,
-// already deposited at the destination), and runs the incomplete remainder
-// live through a proxy Communicator bound to the victim's rank — so
-// re-emitted outflow faces carry the victim's (src, tag) and downstream
-// ranks match them FIFO exactly as if the victim had lived. The log is
-// bounded: one payload copy per consumed inflow of a not-yet-collected
-// rank, O(faces) per rank, freed with the coordinator.
+// deterministic by construction) and hands it, with the victim's log, to a
+// SchedExecutor on a proxy Communicator bound to the victim's rank. That
+// executor re-runs completed tasks with their logged inflows and
+// *suppressed* sends (the originals were buffered sends, already deposited
+// at the destination), then runs the incomplete remainder live in
+// non-blocking steps — so re-emitted outflow faces carry the victim's
+// (src, tag) and downstream ranks match them FIFO exactly as if the victim
+// had lived. The log is bounded: one payload copy per consumed inflow of a
+// not-yet-collected rank, O(faces) per rank, freed with the coordinator.
 //
 // Only adaptive mode is recoverable. Static FIFO issues *blocking*
 // receives at pick time — at a kill point mid-task there is no posted-set
@@ -46,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <queue>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,6 +69,30 @@ struct RankProgram {
   TaskGraph graph;
   std::shared_ptr<void> state;
   std::function<void()> epilogue;
+};
+
+/// The inflow log of one rank, as RecoveryCoordinator::snapshot hands it
+/// to the rank's heir (SchedExecutor replays from it).
+struct VictimLog {
+  /// Completed task ids in completion order (a topological order of the
+  /// victim's executed prefix).
+  std::vector<TaskId> completed;
+  /// completed-membership by task id (sized to the graph lazily).
+  std::vector<char> is_complete;
+  /// Logged inflow payloads: [task id][inflow index], nullopt when the
+  /// victim had not consumed that inflow (the heir receives it live).
+  std::vector<std::vector<std::optional<std::vector<double>>>> inflows;
+
+  bool completed_task(TaskId t) const {
+    const auto i = static_cast<std::size_t>(t);
+    return i < is_complete.size() && is_complete[i];
+  }
+  const std::optional<std::vector<double>>* logged(TaskId t,
+                                                   std::size_t k) const {
+    const auto i = static_cast<std::size_t>(t);
+    if (i >= inflows.size() || k >= inflows[i].size()) return nullptr;
+    return &inflows[i][k];
+  }
 };
 
 /// Rebuilds any rank's program deterministically, without communicating.
@@ -121,29 +145,6 @@ class RecoveryCoordinator {
   /// released). Also advances the completion-count kill switch.
   void log_complete(int rank, TaskId t);
 
-  /// The log of one rank, snapshotted for its heir.
-  struct VictimLog {
-    /// Completed task ids in completion order (a topological order of the
-    /// victim's executed prefix).
-    std::vector<TaskId> completed;
-    /// completed-membership by task id (sized to the graph lazily).
-    std::vector<char> is_complete;
-    /// Logged inflow payloads: [task id][inflow index], nullopt when the
-    /// victim had not consumed that inflow (the heir receives it live).
-    std::vector<std::vector<std::optional<std::vector<double>>>> inflows;
-
-    bool completed_task(TaskId t) const {
-      const auto i = static_cast<std::size_t>(t);
-      return i < is_complete.size() && is_complete[i];
-    }
-    const std::optional<std::vector<double>>* logged(TaskId t,
-                                                     std::size_t k) const {
-      const auto i = static_cast<std::size_t>(t);
-      if (i >= inflows.size() || k >= inflows[i].size()) return nullptr;
-      return &inflows[i][k];
-    }
-  };
-
   /// Snapshots rank `victim`'s log (call after the victim marked itself
   /// dead — its last harvest entries are published by the death-board
   /// release/acquire pair).
@@ -180,92 +181,35 @@ class RecoveryCoordinator {
   std::uint64_t completions_ = 0;
 };
 
-/// A dead rank's program being replayed and completed by its heir. Owns a
-/// proxy Communicator bound to the *victim's* rank, so live receives match
-/// the messages queued in the victim's mailbox and re-emitted sends carry
-/// the victim's (src, tag) — adoption is tag-transparent to downstream
-/// ranks. Single-consumer: exactly one thread (the heir) drives step(); on
-/// the parallel engine the victim's mark_dead / death-epoch acquire pair
-/// is the consumer hand-off edge for the victim's mailbox.
-///
-/// Construction replays every logged-complete task immediately (logged
-/// inflows, suppressed sends); step() then runs the live remainder
-/// incrementally — promote arrived inflows, run ready tasks — so the heir
-/// can interleave adopted progress with its own work. done() after the
-/// last task ran; finish() settles (cancels) the proxy send requests and
-/// runs the victim's epilogue.
-class AdoptedProgram {
- public:
-  AdoptedProgram(RecoveryCoordinator& rc, int victim);
-  ~AdoptedProgram();
-
-  AdoptedProgram(const AdoptedProgram&) = delete;
-  AdoptedProgram& operator=(const AdoptedProgram&) = delete;
-
-  int victim() const { return victim_; }
-
-  /// Makes progress: promotes arrived inflows and runs every currently
-  /// ready task. Returns true if anything ran or arrived (callers use it
-  /// as a "work happened" signal for their idle protocols).
-  bool step();
-
-  /// True if some pending live inflow has physically arrived (cheap poll;
-  /// the idle-wait wake predicate).
-  bool inflows_arrived();
-
-  bool done() const { return remaining_ == 0; }
-
-  /// After done(): settles outstanding proxy sends (cancel — harvested at
-  /// post, no clock charge) and runs the victim's epilogue, then marks the
-  /// victim finished in the coordinator. Idempotent.
-  void finish();
-
- private:
-  struct ProxySink final : TaskSink {
-    AdoptedProgram* owner = nullptr;
-    bool suppress = false;  // replaying a completed task: sends already went
-    SendTicket task_send(int dst, std::span<const double> payload,
-                         int tag) override;
-    // Every proxy send is settled by finish(), without a clock charge.
-    void task_settle(SendTicket) override {}
-  };
-
-  void release(TaskId t);
-  void run_adopted_task(TaskId t);
-  // Copies a logged payload into the task's slab buffer (sizes checked).
-  void copy_logged(TaskId t, std::size_t k, const std::vector<double>& logged);
-
-  RecoveryCoordinator& rc_;
-  int victim_;
-  RankProgram prog_;
-  RecoveryCoordinator::VictimLog log_;
-  std::unique_ptr<Communicator> proxy_;
-  ProxySink sink_;
-  std::vector<int> deps_;
-  std::queue<TaskId> ready_;  // id order within a release batch: any
-                              // topological order computes identical values
-  std::vector<TaskId> pending_;            // task per in-flight live inflow
-  std::vector<Request> pending_req_;
-  std::vector<int> missing_;
-  sched_internal::InflowSlab slab_;
-  std::vector<double> scratch_;  // TaskContext::scratch
-  std::vector<Request> sends_;
-  std::size_t remaining_ = 0;
-  bool finished_ = false;
-};
-
 namespace recovery_internal {
 
 /// The per-rank adoption engine shared by the SPMD executor (when run with
 /// a coordinator), the tasks-backend arena, and the exit barrier: scans the
 /// death board on epoch changes, claims corpses whose heir this rank is,
-/// and steps the adopted programs. Driven only by its own rank's thread.
+/// and steps the adopted programs. Driven only by its own rank's thread;
+/// on the parallel engine the victim's mark_dead / death-epoch acquire
+/// pair hands the victim's mailbox over to it.
 struct AdoptionDriver {
   AdoptionDriver(RecoveryCoordinator& rc_in, Communicator& comm);
-  ~AdoptionDriver();
 
   AdoptionDriver(const AdoptionDriver&) = delete;
   AdoptionDriver& operator=(const AdoptionDriver&) = delete;
+
+  /// One adopted corpse: its rebuilt program and log, a proxy
+  /// Communicator bound to the *victim's* rank — so live receives match
+  /// the messages queued in the victim's mailbox and re-emitted sends
+  /// carry the victim's (src, tag), tag-transparent to downstream ranks —
+  /// and the SchedExecutor that replays and finishes it on the proxy.
+  struct Adopted {
+    Adopted(RecoveryCoordinator& rc, int victim);
+
+    int victim;
+    RankProgram prog;
+    VictimLog log;
+    Communicator proxy;
+    SchedExecutor exec;
+    bool finished = false;
+  };
 
   /// The heir of `victim`: the next surviving rank, cyclically.
   static int heir_of(Machine& m, int victim);
@@ -281,7 +225,7 @@ struct AdoptionDriver {
   RecoveryCoordinator& rc;
   Machine& m;
   int rank;
-  std::vector<std::unique_ptr<AdoptedProgram>> adopted;
+  std::vector<std::unique_ptr<Adopted>> adopted;
   std::uint64_t epoch_seen = 0;
 };
 
@@ -293,10 +237,10 @@ struct AdoptionDriver {
 /// in the exit barrier until every rank's program (adopted ones included)
 /// has finished — so a late kill always still has live ranks to adopt the
 /// corpse. Dispatches on opts.backend exactly like run_graph: kSpmd runs
-/// the one SPMD executor with this coordinator (any engine;
-/// sched_internal::run_spmd), kTasks the work-stealing arena (parallel
-/// engine only). Requires opts.adaptive (typed SchedError otherwise — see
-/// the header comment) and an attached coordinator.
+/// the one SPMD executor, SchedExecutor, with this coordinator (any
+/// engine), kTasks the work-stealing arena (parallel engine only).
+/// Requires opts.adaptive (typed SchedError otherwise — see the header
+/// comment) and an attached coordinator.
 ///
 /// On this rank's own death the RankDeath escapes this call after the
 /// harvest/mark-dead protocol ran; the caller must let it unwind into the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <sstream>
@@ -32,9 +33,11 @@ int env_int(const char* name, int lo) {
   if (!v) return -1;
   char* end = nullptr;
   const long n = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || n < lo)
+  constexpr int hi = std::numeric_limits<int>::max();
+  if (end == v || *end != '\0' || n < lo || n > hi)
     throw ConfigError(std::string(name) + "='" + v +
-                      "' is not an integer >= " + std::to_string(lo));
+                      "' is not an integer in [" + std::to_string(lo) + ", " +
+                      std::to_string(hi) + "]");
   return static_cast<int>(n);
 }
 
@@ -58,17 +61,7 @@ std::vector<SuiteApp> service_registry() {
                           opts);
   };
   alt.grid_shape = [](int p) { return std::array<int, 2>{p, 1}; };
-  auto body = alt.run_on;
-  auto value = alt.last_value;
-  alt.run = [body, value](int p, const CostModel& costs, Coord n, int iters,
-                          Coord block) {
-    WaveOptions o;
-    o.block = block;
-    return Machine::run(p, costs, [&](Communicator& comm) {
-      const Real v = body(comm, n, iters, o);
-      if (comm.rank() == 0) *value = v;
-    });
-  };
+  wire_run(alt);
   apps.push_back(std::move(alt));
   return apps;
 }

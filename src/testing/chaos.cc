@@ -129,7 +129,8 @@ bool kill_from_env(int& rank, std::uint64_t& step) {
   if (!v || !*v) return false;
   char* end = nullptr;
   const long r = std::strtol(v, &end, 10);
-  if (end == v || *end != ':' || r < 0)
+  if (end == v || *end != ':' || r < 0 ||
+      r > std::numeric_limits<int>::max())
     throw ConfigError(
         "WAVEPIPE_KILL must be \"rank:step\" (e.g. \"2:17\"), got \"" +
         std::string(v) + "\"");

@@ -567,6 +567,107 @@ TEST(Recovery, ParallelTasksBackendSweep3dKillMatchesFiberOracle) {
 }
 
 // ---------------------------------------------------------------------------
+// A partial log: the victim dies holding a two-inflow task one of whose
+// inflows it already consumed. Hand-built three-rank graph:
+//   rank 0  s0: sends a = {1.5, 2.5} (tag 10), then a2 = {3} (tag 11)
+//   rank 1  j: inflows a and b, out[0] = a . b
+//           l: inflow a2, out[1] = a2[0]
+//           k (after l): sends c = {2 * out[1]} (tag 13)
+//   rank 2  t: inflow c, sends b = {c, c + 1} (tag 12), out[0] = c
+// Rank 1 settles a before a2 (same sender, earlier arrival), and b cannot
+// exist before k ran. Killed on l's completion (the second machine-wide),
+// rank 1 dies with a logged and b not: its heir (rank 2) must take a from
+// the log, re-emit c, and receive only b live.
+
+ProgramFactory partial_log_factory(std::vector<std::vector<Real>>* out) {
+  return [out](int rank) {
+    auto vals = std::make_shared<std::vector<Real>>(2, 0.0);
+    RankProgram prog;
+    TaskGraph& g = prog.graph;
+    if (rank == 0) {
+      TaskGraph::Task s0;
+      s0.label = "s0";
+      s0.run = [vals](TaskContext& ctx) {
+        const std::vector<Real> a{1.5, 2.5}, a2{3.0};
+        ctx.send(1, std::span<const Real>(a), 10);
+        ctx.send(1, std::span<const Real>(a2), 11);
+        (*vals)[0] = 1.0;
+      };
+      g.add(std::move(s0));
+    } else if (rank == 1) {
+      TaskGraph::Task j;
+      j.label = "j";
+      j.inflows = {{0, 10, 2}, {2, 12, 2}};
+      j.run = [vals](TaskContext& ctx) {
+        const auto a = ctx.inflows[0], b = ctx.inflows[1];
+        (*vals)[0] = a[0] * b[0] + a[1] * b[1];
+      };
+      g.add(std::move(j));
+      TaskGraph::Task l;
+      l.label = "l";
+      l.inflows = {{0, 11, 1}};
+      l.run = [vals](TaskContext& ctx) { (*vals)[1] = ctx.inflow[0]; };
+      const TaskId lid = g.add(std::move(l));
+      TaskGraph::Task k;
+      k.label = "k";
+      k.run = [vals](TaskContext& ctx) {
+        const std::vector<Real> c{2.0 * (*vals)[1]};
+        ctx.send(2, std::span<const Real>(c), 13);
+      };
+      g.add_edge(lid, g.add(std::move(k)));
+    } else {
+      TaskGraph::Task t;
+      t.label = "t";
+      t.inflows = {{1, 13, 1}};
+      t.run = [vals](TaskContext& ctx) {
+        const Real c = ctx.inflow[0];
+        const std::vector<Real> b{c, c + 1.0};
+        ctx.send(1, std::span<const Real>(b), 12);
+        (*vals)[0] = c;
+      };
+      g.add(std::move(t));
+    }
+    prog.state = vals;
+    prog.epilogue = [vals, out, rank] {
+      (*out)[static_cast<std::size_t>(rank)] = *vals;
+    };
+    return prog;
+  };
+}
+
+TEST(Recovery, HeirTakesTheLoggedHalfOfATwoInflowTask) {
+  const CostModel cm = t3e_like().costs;
+  const int p = 3;
+  auto run = [&](bool kill, std::vector<std::vector<Real>>& out) {
+    RecoveryCoordinator rc(partial_log_factory(&out));
+    EngineConfig ec;
+    ec.kind = EngineKind::kFibers;
+    Machine m(p, cm, TraceConfig{}, ec);
+    rc.attach(m);
+    if (kill) rc.arm_kill_after(1, 1);
+    m.run([&](Communicator& comm) { run_recoverable(comm, rc, {}); });
+    EXPECT_EQ(m.rank_dead(1), kill);
+    return rc.snapshot(1);
+  };
+  std::vector<std::vector<Real>> want(p), got(p);
+  run(false, want);
+  // a . b with b = {6, 7}: 1.5 * 6 + 2.5 * 7.
+  EXPECT_EQ(want[1], (std::vector<Real>{26.5, 3.0}));
+  const auto log = run(true, got);
+  EXPECT_EQ(got, want);
+
+  const TaskId j = 0, l = 1, k = 2;
+  EXPECT_TRUE(log.completed_task(l));
+  EXPECT_FALSE(log.completed_task(j));
+  EXPECT_FALSE(log.completed_task(k));
+  const auto* a = log.logged(j, 0);
+  const auto* b = log.logged(j, 1);
+  ASSERT_TRUE(a && a->has_value()) << "the consumed inflow was not logged";
+  EXPECT_EQ(**a, (std::vector<Real>{1.5, 2.5}));
+  EXPECT_FALSE(b && b->has_value()) << "an unsent inflow was logged";
+}
+
+// ---------------------------------------------------------------------------
 // Mode gates: recovery refuses what it cannot honour, with typed errors.
 
 // ---------------------------------------------------------------------------
@@ -727,7 +828,10 @@ TEST(Recovery, KillEnvKnobParses) {
   EXPECT_EQ(rank, 2);
   EXPECT_EQ(step, 17u);
 
-  for (const char* junk : {"banana", "3", "1:", ":4", "1:x", "-2:3"}) {
+  // A rank above INT_MAX is rejected, not wrapped (4294967298 would wrap
+  // to rank 2).
+  for (const char* junk : {"banana", "3", "1:", ":4", "1:x", "-2:3",
+                           "4294967298:3", "3000000000:1"}) {
     ::setenv("WAVEPIPE_KILL", junk, 1);
     EXPECT_THROW(kill_from_env(rank, step), ConfigError) << junk;
   }

@@ -827,6 +827,53 @@ TEST(ScheduledAltSweep, IterateDispatchesTheScheduledStrategy) {
   EXPECT_EQ(scheduled, pipelined);
 }
 
+// Repeated iterate(kScheduled) calls hand their tag ranges back: every call
+// after the first reuses the same tags (the space does not grow and no
+// range stays live), and the fields still equal kPipelined's bit for bit.
+TEST(ScheduledAltSweep, RepeatedIterateReusesItsTags) {
+  AltSweepConfig cfg;
+  cfg.n = 24;
+  const int iterations = 3;
+  for (const int p : {2, 4}) {
+    SCOPED_TRACE("p=" + std::to_string(p));
+    const ProcGrid<2> grid = ProcGrid<2>::along_dim(p, 0);
+    WaveOptions opts;
+    opts.block = 4;
+    std::vector<std::vector<Real>> want(static_cast<std::size_t>(p)),
+        got(static_cast<std::size_t>(p));
+    std::vector<int> next_after(static_cast<std::size_t>(p), -1);
+    std::vector<std::size_t> live(static_cast<std::size_t>(p), 1);
+    for (const VerticalStrategy strat :
+         {VerticalStrategy::kPipelined, VerticalStrategy::kScheduled}) {
+      Machine::run(p, {}, [&](Communicator& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        AltSweep app(cfg, grid, comm.rank());
+        for (int it = 0; it < iterations; ++it) {
+          app.iterate(comm, strat, opts);
+          if (strat != VerticalStrategy::kScheduled) continue;
+          if (it == 0) next_after[r] = app.tags().next();
+          EXPECT_EQ(app.tags().next(), next_after[r]) << "call " << it;
+          live[r] = app.tags().live_ranges();
+        }
+        // Owned interior cells only: the scheduled graph skips the
+        // south-bound ghost exchange, so fluff cells may differ.
+        const Region<2> own =
+            app.interior().intersect(app.layout().owned(comm.rank()));
+        auto& out = (strat == VerticalStrategy::kPipelined ? want : got)[r];
+        for (Coord i = own.lo(0); i <= own.hi(0); ++i)
+          for (Coord j = own.lo(1); j <= own.hi(1); ++j)
+            out.push_back(app.u().local()(i, j));
+      });
+    }
+    for (int r = 0; r < p; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      EXPECT_EQ(live[i], 0u) << "rank " << r;
+      EXPECT_FALSE(want[i].empty()) << "rank " << r;
+      EXPECT_EQ(got[i], want[i]) << "rank " << r;
+    }
+  }
+}
+
 TEST(Deadlock, ReportNamesTheStuckTask) {
   // Static FIFO on a graph that genuinely deadlocks: both ranks block on
   // their handshake inflow. The fiber engine must detect the all-blocked

@@ -589,7 +589,14 @@ TEST(ServiceConfig, FromEnvParsesAndRejects) {
   ServiceConfig cfg = ServiceConfig::from_env();
   EXPECT_EQ(cfg.ranks, 12);
   EXPECT_EQ(cfg.job_tag_span, 2048);
-  ::setenv("WAVEPIPE_SERVICE_RANKS", "banana", 1);
+  // Values above INT_MAX are rejected, not wrapped (4294967297 would wrap
+  // to a 1-rank pool, 3000000000 to a negative count).
+  for (const char* bad : {"banana", "4294967297", "3000000000"}) {
+    ::setenv("WAVEPIPE_SERVICE_RANKS", bad, 1);
+    EXPECT_THROW(ServiceConfig::from_env(), ConfigError) << bad;
+  }
+  ::setenv("WAVEPIPE_SERVICE_RANKS", "12", 1);
+  ::setenv("WAVEPIPE_SERVICE_TAG_SPAN", "4294967297", 1);
   EXPECT_THROW(ServiceConfig::from_env(), ConfigError);
   ::unsetenv("WAVEPIPE_SERVICE_RANKS");
   ::unsetenv("WAVEPIPE_SERVICE_TAG_SPAN");
